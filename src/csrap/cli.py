@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import Any
 
-from .exact import SearchBudgetExceeded, exact_solve
+from .exact import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, exact_solve
 from .harness import (
     greedy_based_reference,
     run_sweep,
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--algo", choices=sorted(_SOLVERS), default="mramc")
     p.add_argument("--multiplicity", type=int, default=1, help="per-target camera count for m_mramc")
-    p.add_argument("--budget", type=int, default=10_000_000, help="node budget for the exact solver")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget for the exact solver")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", parents=[common], help="check a schedule against a scenario")

@@ -225,9 +225,7 @@ def _solve_strict(
             for cand in placements(cam_id, occupancy):
                 if cost + cand.length >= best_cost:
                     break  # candidates arrive in non-decreasing length
-                forked = _Occupancy(scenario.grid)
-                forked.cells = set(occupancy.cells)
-                forked.load = list(occupancy.load)
+                forked = occupancy.fork()
                 forked.add(cand)
                 chosen.append(cand)
                 dfs(left, remaining, forked, cost + cand.length, chosen)
@@ -258,9 +256,7 @@ def _realize_relaxed(
                 break
             if not occupancy.admits(cand):
                 continue
-            forked = _Occupancy(scenario.grid)
-            forked.cells = set(occupancy.cells)
-            forked.load = list(occupancy.load)
+            forked = occupancy.fork()
             forked.add(cand)
             result.append(cand)
             if backtrack(i + 1, forked):

@@ -67,7 +67,7 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
                 best = cam
         return best
 
-    return _scan_schedule(scenario, select, table)
+    return _scan_schedule(scenario, select)
 
 
 @dataclass(frozen=True)

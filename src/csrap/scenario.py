@@ -15,7 +15,7 @@ value is configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -160,8 +160,14 @@ def compute_coverage(camera: CameraNode, targets: Iterable[TargetObject]) -> fro
     orientation, again boundary inclusive; a target at zero distance counts
     as covered.
     """
-    cx, cy = camera.position
-    geom = camera.geometry
+    return _visible(camera.position, camera.geometry, targets)
+
+
+def _visible(
+    position: tuple[float, float], geom: Omnidirectional | Directional, targets: Iterable[TargetObject]
+) -> frozenset[int]:
+    """:func:`compute_coverage` for a camera not yet built."""
+    cx, cy = position
     covered = set()
     for tgt in targets:
         dx = tgt.position[0] - cx
@@ -348,15 +354,17 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
             slot_overrides = {int(s): tuple(float(r) for r in vec) for s, vec in override.items()}
         else:
             rates = [float(r) for r in override]
-        cam = CameraNode(
-            id=cam_id,
-            position=pos,
-            geometry=geometry,
-            rate_requirement=requirements[i],
-            per_subchannel_rate=tuple(rates),
-            slot_rate_overrides=slot_overrides,
+        cameras.append(
+            CameraNode(
+                id=cam_id,
+                position=pos,
+                geometry=geometry,
+                rate_requirement=requirements[i],
+                per_subchannel_rate=tuple(rates),
+                coverage_set=_visible(pos, geometry, targets),
+                slot_rate_overrides=slot_overrides,
+            )
         )
-        cameras.append(replace_coverage(cam, targets))
 
     return Scenario(
         grid=config.frame,
@@ -366,11 +374,6 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
         channel=config.channel,
         seed=config.rng_seed,
     )
-
-
-def replace_coverage(camera: CameraNode, targets: Iterable[TargetObject]) -> CameraNode:
-    """Copy of ``camera`` with its coverage set recomputed from geometry."""
-    return replace(camera, coverage_set=compute_coverage(camera, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +596,12 @@ def load_scenario(doc: Mapping) -> Scenario:
                 geometry=geometry,
                 rate_requirement=requirement,
                 per_subchannel_rate=rates,
+                coverage_set=_visible(pos, geometry, targets),
                 slot_rate_overrides=slot_overrides,
             )
         except ValueError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
-        cameras.append(replace_coverage(cam, targets))
+        cameras.append(cam)
 
     try:
         return Scenario(

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
+    CameraCandidates,
     CameraNode,
     CandidateAllocation,
     FrameGrid,
@@ -25,7 +26,6 @@ from .model import (
     Scenario,
     Schedule,
     TargetObject,
-    candidate_runs,
 )
 
 __all__ = [
@@ -186,88 +186,71 @@ class BoundParams:
 class CandidateTable:
     """Candidate runs for every camera of an instance, indexed for solvers.
 
-    Rates are usually constant across slots, so runs are computed once per
-    distinct rate vector and shared by all slots that use it.
+    Holds one :class:`~csrap.model.CameraCandidates` per camera: slots that
+    share a rate vector share one run list, grouped by length once, and
+    :meth:`iter_by_cost` builds allocations lazily from it.
     """
 
     def __init__(self, cameras: Iterable[CameraNode], grid: FrameGrid):
         self.grid = grid
-        self._runs: dict[int, dict[int, list[tuple[int, int, float]]]] = {}
-        self._min_phi: dict[int, int | None] = {}
-        self._by_len: dict[int, dict[int, list[tuple[int, int, float]]]] = {}
-        self._best_robust: dict[int, float | None] = {}
-        for cam in cameras:
-            per_slot: dict[int, list[tuple[int, int, float]]] = {}
-            cache: dict[tuple[float, ...], list[tuple[int, int, float]]] = {}
-            for slot in range(1, grid.num_slots + 1):
-                rates = cam.rates_in_slot(slot)
-                runs = cache.get(rates)
-                if runs is None:
-                    runs = candidate_runs(rates, cam.rate_requirement)
-                    cache[rates] = runs
-                per_slot[slot] = runs
-            self._runs[cam.id] = per_slot
-            lengths = [run[1] for runs in cache.values() for run in runs]
-            self._min_phi[cam.id] = min(lengths) if lengths else None
-            robusts = [run[2] for runs in cache.values() for run in runs]
-            self._best_robust[cam.id] = max(robusts) if robusts else None
-            by_len: dict[int, list[tuple[int, int, float]]] = {}
-            for slot in range(1, grid.num_slots + 1):
-                for start, length, robust in per_slot[slot]:
-                    by_len.setdefault(length, []).append((slot, start, robust))
-            for entries in by_len.values():
-                entries.sort()
-            self._by_len[cam.id] = by_len
+        self._cams = {cam.id: CameraCandidates(cam, grid.num_slots) for cam in cameras}
 
     def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
-        return self._runs[camera_id][slot]
+        return self._cams[camera_id].runs(slot)
 
     def min_phi(self, camera_id: int) -> int | None:
-        return self._min_phi[camera_id]
+        return self._cams[camera_id].min_phi
 
     def best_robust(self, camera_id: int) -> float | None:
-        return self._best_robust[camera_id]
+        return self._cams[camera_id].best_robust
 
     def candidate_count(self, camera_id: int) -> int:
-        return sum(len(runs) for runs in self._runs[camera_id].values())
+        return self._cams[camera_id].count()
 
     def min_allocation(self, camera_id: int) -> CandidateAllocation | None:
-        for alloc in self.iter_by_cost(camera_id):
-            return alloc
-        return None
+        return next(self._cams[camera_id].iter_by_cost(), None)
 
     def iter_by_cost(self, camera_id: int) -> Iterator[CandidateAllocation]:
         """Candidates ordered by length, then slot, then start."""
-        by_len = self._by_len[camera_id]
-        for length in sorted(by_len):
-            for slot, start, robust in by_len[length]:
-                yield CandidateAllocation(camera_id, slot, start, length, robust)
+        return self._cams[camera_id].iter_by_cost()
 
     def all_robust_rates(self) -> list[float]:
-        return [
-            run[2]
-            for per_slot in self._runs.values()
-            for runs in {id(r): r for r in per_slot.values()}.values()
-            for run in runs
-        ]
+        return [r for cands in self._cams.values() for r in cands.robust_rates()]
 
 
 class _Occupancy:
-    """Mutable RB usage while a schedule is being assembled."""
+    """Mutable RB usage while a schedule is being assembled.
+
+    Per slot it keeps the allocated RB count and a bitmask of the used
+    subchannels (bit ``m - 1`` for subchannel ``m``), so a test needs one
+    comparison and one ``&``.  All three sequences are indexed by the 1-based
+    slot; entry 0 is unused.
+    """
+
+    __slots__ = ("capacity", "load", "used")
 
     def __init__(self, grid: FrameGrid):
-        self.grid = grid
-        self.cells: set[tuple[int, int]] = set()
+        self.capacity = (0,) + grid.slot_capacity
         self.load = [0] * (grid.num_slots + 1)
+        self.used = [0] * (grid.num_slots + 1)
 
     def admits(self, alloc: CandidateAllocation) -> bool:
-        if self.load[alloc.slot] + alloc.length > self.grid.capacity(alloc.slot):
+        slot = alloc.slot
+        if self.load[slot] + alloc.length > self.capacity[slot]:
             return False
-        return not any(cell in self.cells for cell in alloc.cells())
+        return not self.used[slot] & (((1 << alloc.length) - 1) << (alloc.start - 1))
 
     def add(self, alloc: CandidateAllocation) -> None:
-        self.cells.update(alloc.cells())
+        self.used[alloc.slot] |= ((1 << alloc.length) - 1) << (alloc.start - 1)
         self.load[alloc.slot] += alloc.length
+
+    def fork(self) -> _Occupancy:
+        """An independent copy."""
+        copy = _Occupancy.__new__(_Occupancy)
+        copy.capacity = self.capacity
+        copy.load = self.load[:]
+        copy.used = self.used[:]
+        return copy
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +271,34 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     target_ids = scenario.target_ids
     uncovered = set(target_ids)
     count = {t: 0 for t in sorted(target_ids)}
-    pool = sorted(scenario.cameras, key=lambda c: c.id)
+    # (camera, minimum run length) by id; cameras with no candidate never win.
+    pool = [
+        (cam, phi)
+        for cam in sorted(scenario.cameras, key=lambda c: c.id)
+        if (phi := table.min_phi(cam.id)) is not None
+    ]
     chosen: list[CandidateAllocation] = []
     trace: list[GreedyStep] = []
     status = SolveStatus.FEASIBLE
     while uncovered:
-        best_cost: Fraction | None = None
-        best_cam: CameraNode | None = None
-        for cam in pool:
-            phi = table.min_phi(cam.id)
-            if phi is None:
-                continue
+        # Cost phi/gain, compared as phi*best_gain < best_phi*gain so that no
+        # Fraction is built per candidate; the first camera wins ties.
+        best_idx = -1
+        best_phi, best_gain = 0, 0
+        for idx, (cam, phi) in enumerate(pool):
             gain = len(cam.coverage_set & uncovered)
             if gain == 0:
                 continue
-            cost = Fraction(phi, gain)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_cam = cam
-        if best_cam is None:
+            if best_idx < 0 or phi * best_gain < best_phi * gain:
+                best_idx, best_phi, best_gain = idx, phi, gain
+        if best_idx < 0:
             status = SolveStatus.INFEASIBLE_COVERAGE
             break
+        best_cam = pool.pop(best_idx)[0]
         alloc = table.min_allocation(best_cam.id)
         assert alloc is not None
         chosen.append(alloc)
-        trace.append(GreedyStep(best_cam.id, alloc, best_cost))
-        pool.remove(best_cam)
+        trace.append(GreedyStep(best_cam.id, alloc, Fraction(best_phi, best_gain)))
         for t in best_cam.coverage_set & target_ids:
             count[t] += 1
         uncovered -= best_cam.coverage_set
@@ -422,7 +407,6 @@ def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResu
 def _scan_schedule(
     scenario: Scenario,
     select: Callable[[int, int, list[CameraNode]], CameraNode | None],
-    table: CandidateTable,
 ) -> SolverResult:
     """Left-to-right RB scan with contiguous extension.
 
@@ -519,10 +503,10 @@ def baseline_schedule(scenario: Scenario, table: CandidateTable | None = None) -
 
     Walks the frame slot by slot and subchannel by subchannel; at each free
     RB it hands the run to the camera with the highest rate on that
-    subchannel among cameras that still cover an uncovered target.
+    subchannel among cameras that still cover an uncovered target.  It
+    needs no candidate table; ``table`` is accepted, and ignored, so that
+    every solver takes the same arguments.
     """
-    if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
 
     def select(slot: int, pos: int, pool: list[CameraNode]) -> CameraNode | None:
         best: CameraNode | None = None
@@ -534,7 +518,7 @@ def baseline_schedule(scenario: Scenario, table: CandidateTable | None = None) -
                 best = cam
         return best
 
-    return _scan_schedule(scenario, select, table)
+    return _scan_schedule(scenario, select)
 
 
 # ---------------------------------------------------------------------------
