@@ -17,9 +17,9 @@ import sys
 from dataclasses import replace
 from typing import Any
 
-from .exact import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, exact_solve
+from .exact import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .harness import (
-    greedy_based_reference,
+    SOLVERS,
     run_sweep,
     schedule_from_document,
     schedule_to_document,
@@ -35,7 +35,7 @@ from .scenario import (
     load_scenario,
     save_scenario,
 )
-from .solvers import SolveStatus, baseline_schedule, bound_params, m_mramc, mramc
+from .solvers import SolveStatus, bound_params
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -91,19 +91,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SOLVERS = {
-    "baseline": lambda scn, args: baseline_schedule(scn),
-    "mramc": lambda scn, args: mramc(scn),
-    "greedy_based": lambda scn, args: greedy_based_reference(scn),
-    "exact": lambda scn, args: exact_solve(scn, "with_exclusivity", args.budget),
-    "exact_relaxed": lambda scn, args: exact_solve(scn, "without_exclusivity", args.budget),
-    "m_mramc": lambda scn, args: m_mramc(scn, {t.id: args.multiplicity for t in scn.targets}),
-}
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(_read_json(args.scenario, "scenario"))
-    result = _SOLVERS[args.algo](scenario, args)
+    result = SOLVERS[args.algo](scenario, None, args.multiplicity, args.budget)
     doc = schedule_to_document(result)
     if args.out:
         _write_text(_dump(doc), args.out)
@@ -176,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve a scenario document")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--algo", choices=sorted(_SOLVERS), default="mramc")
+    p.add_argument("--algo", choices=sorted(SOLVERS), default="mramc")
     p.add_argument("--multiplicity", type=int, default=1, help="per-target camera count for m_mramc")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget for the exact solver")
     p.set_defaults(func=cmd_solve)

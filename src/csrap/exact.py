@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .model import CandidateAllocation, Scenario, Schedule
 from .solvers import (
@@ -44,6 +44,7 @@ class _Search:
     min_phi: dict[int, int]
     budget: int
     nodes: int = 0
+    best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
 
     def tick(self) -> None:
         self.nodes += 1
@@ -85,6 +86,7 @@ def exact_solve(
     scenario: Scenario,
     mode: str = "with_exclusivity",
     node_budget: int = DEFAULT_NODE_BUDGET,
+    table: CandidateTable | None = None,
 ) -> SolverResult:
     """Provably minimum-RB schedule, or an infeasibility verdict.
 
@@ -93,15 +95,18 @@ def exact_solve(
     Relaxed results carry ``relaxed=True``: their feasibility refers to
     coverage and the one-allocation-per-camera rule only, and the returned
     schedule may overlap RBs when no overlap-free layout of minimum runs
-    exists.
+    exists.  ``table`` reuses a candidate table built for ``scenario``.
 
     Raises :class:`SearchBudgetExceeded` rather than returning a wrong or
     partial answer when the search outgrows ``node_budget``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     relaxed = mode == "without_exclusivity"
-    table = CandidateTable(scenario.cameras, scenario.grid)
+    if table is None:
+        table = CandidateTable(scenario.cameras, scenario.grid)
     target_ids = scenario.target_ids
 
     coverage: dict[int, frozenset[int]] = {}
@@ -135,7 +140,12 @@ def exact_solve(
     search = _Search(coverage, min_phi, node_budget)
     available = tuple(sorted(coverage))
     if relaxed:
-        cost, chosen = _solve_cover(search, target_ids, available)
+        # Each camera is chosen once at its minimum run length; RBs may overlap.
+        def once(cam_id: int, state: None, cost: int) -> tuple[tuple[int, int, None]]:
+            return ((cam_id, cost + min_phi[cam_id], state),)
+
+        ceiling = sum(min_phi[c] for c in available) + 1
+        chosen = _branch_and_bound(search, target_ids, available, once, None, ceiling)
         assert chosen is not None  # coverage reachability was checked above
         assignments = _realize_relaxed(chosen, min_phi, table, scenario)
         schedule = Schedule.build(assignments, scenario.cameras, target_ids)
@@ -143,7 +153,21 @@ def exact_solve(
             schedule, SolveStatus.FEASIBLE, Diagnostics(nodes_expanded=search.nodes), relaxed=True
         )
 
-    cost, assignments = _solve_strict(search, scenario, table, target_ids, available)
+    def placements(
+        cam_id: int, occupancy: _Occupancy, cost: int
+    ) -> Iterator[tuple[CandidateAllocation, int, _Occupancy]]:
+        for cand in table.iter_by_cost(cam_id):
+            if cost + cand.length >= search.best_cost:
+                break  # candidates arrive in non-decreasing length
+            if occupancy.admits(cand):
+                forked = occupancy.fork()
+                forked.add(cand)
+                yield cand, cost + cand.length, forked
+
+    # Any schedule fits within the per-slot capacities, so this ceiling is safe.
+    ceiling = sum(scenario.grid.slot_capacity) + 1
+    root = _Occupancy(scenario.grid)
+    assignments = _branch_and_bound(search, target_ids, available, placements, root, ceiling)
     if assignments is None:
         return SolverResult(
             Schedule.empty(),
@@ -154,86 +178,48 @@ def exact_solve(
     return SolverResult(schedule, SolveStatus.FEASIBLE, Diagnostics(nodes_expanded=search.nodes))
 
 
-def _solve_cover(
-    search: _Search, targets: frozenset[int], available: tuple[int, ...]
-) -> tuple[int, list[int] | None]:
-    """Exact minimum of summed minimum run lengths over covering camera sets."""
-    best_cost = sum(search.min_phi[c] for c in available) + 1
-    best_set: list[int] | None = None
-
-    def dfs(uncovered: frozenset[int], avail: tuple[int, ...], cost: int, chosen: list[int]) -> None:
-        nonlocal best_cost, best_set
-        search.tick()
-        if not uncovered:
-            if cost < best_cost:
-                best_cost = cost
-                best_set = list(chosen)
-            return
-        bound = search.bound(uncovered, avail)
-        if bound is None or cost + bound >= best_cost:
-            return
-        tried: list[int] = []
-        for cam_id in search.branch_order(uncovered, avail):
-            remaining = tuple(c for c in avail if c != cam_id and c not in tried)
-            chosen.append(cam_id)
-            dfs(uncovered - search.coverage[cam_id], remaining, cost + search.min_phi[cam_id], chosen)
-            chosen.pop()
-            tried.append(cam_id)
-
-    dfs(targets, available, 0, [])
-    return best_cost, best_set
-
-
-def _solve_strict(
+def _branch_and_bound(
     search: _Search,
-    scenario: Scenario,
-    table: CandidateTable,
     targets: frozenset[int],
     available: tuple[int, ...],
-) -> tuple[int, list[CandidateAllocation] | None]:
-    """Exact minimum with RB exclusivity and slot capacities enforced."""
-    # Any schedule fits within the per-slot capacities, so this ceiling is safe.
-    best_cost = sum(scenario.grid.slot_capacity) + 1
-    best_assign: list[CandidateAllocation] | None = None
+    options: Callable[[int, Any, int], Iterable[tuple[Any, int, Any]]],
+    root: Any,
+    ceiling: int,
+) -> list | None:
+    """Depth-first search for the cheapest covering choice list below ``ceiling``.
 
-    def placements(cam_id: int, occupancy: _Occupancy) -> Iterator[CandidateAllocation]:
-        for cand in table.iter_by_cost(cam_id):
-            if occupancy.admits(cand):
-                yield cand
+    Each node branches on the cameras covering the hardest uncovered target.
+    ``options(cam_id, state, cost)`` yields that camera's choices as
+    ``(choice, cost after it, child state)`` and may stop early against
+    ``search.best_cost``.  A camera already tried at a node is left out of
+    its later siblings' subtrees.
+    """
+    search.best_cost = ceiling
+    best: list | None = None
 
-    def dfs(
-        uncovered: frozenset[int],
-        avail: tuple[int, ...],
-        occupancy: _Occupancy,
-        cost: int,
-        chosen: list[CandidateAllocation],
-    ) -> None:
-        nonlocal best_cost, best_assign
+    def dfs(uncovered: frozenset[int], avail: tuple[int, ...], state: Any, cost: int, chosen: list) -> None:
+        nonlocal best
         search.tick()
         if not uncovered:
-            if cost < best_cost:
-                best_cost = cost
-                best_assign = list(chosen)
+            if cost < search.best_cost:
+                search.best_cost = cost
+                best = list(chosen)
             return
         bound = search.bound(uncovered, avail)
-        if bound is None or cost + bound >= best_cost:
+        if bound is None or cost + bound >= search.best_cost:
             return
         tried: list[int] = []
         for cam_id in search.branch_order(uncovered, avail):
             remaining = tuple(c for c in avail if c != cam_id and c not in tried)
             left = uncovered - search.coverage[cam_id]
-            for cand in placements(cam_id, occupancy):
-                if cost + cand.length >= best_cost:
-                    break  # candidates arrive in non-decreasing length
-                forked = occupancy.fork()
-                forked.add(cand)
-                chosen.append(cand)
-                dfs(left, remaining, forked, cost + cand.length, chosen)
+            for choice, child_cost, child in options(cam_id, state, cost):
+                chosen.append(choice)
+                dfs(left, remaining, child, child_cost, chosen)
                 chosen.pop()
             tried.append(cam_id)
 
-    dfs(targets, available, _Occupancy(scenario.grid), 0, [])
-    return best_cost, best_assign
+    dfs(targets, available, root, 0, [])
+    return best
 
 
 def _realize_relaxed(

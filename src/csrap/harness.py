@@ -15,20 +15,21 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from .exact import DEFAULT_NODE_BUDGET, exact_solve
-from .model import CameraNode, CandidateAllocation, Scenario, Schedule, verify_schedule
+from .model import CandidateAllocation, Scenario, Schedule, verify_schedule
 from .scenario import ScenarioConfig, ScenarioFormatError, config_from_document, generate_scenario
 from .solvers import (
     CandidateTable,
     SolveStatus,
     SolverResult,
-    _scan_schedule,
     baseline_schedule,
+    greedy_based_reference,
     m_mramc,
     mramc,
 )
 
 __all__ = [
     "SWEEP_AXES",
+    "SOLVERS",
     "ALGORITHMS",
     "CSV_HEADER",
     "SweepSpec",
@@ -42,32 +43,22 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("num_targets", "view_distance", "fov", "deployment")
-ALGORITHMS = ("baseline", "mramc", "m_mramc", "exact", "greedy_based")
 CSV_HEADER = "axis,value,algorithm,mean_rbs,std_rbs,infeasible,trials"
 
+# name -> solver(scenario, table, multiplicity, node_budget).  ``table`` may be
+# None; each solver reads only the arguments it needs.
+SOLVERS: dict[str, Callable[[Scenario, CandidateTable | None, int, int], SolverResult]] = {
+    "baseline": lambda scn, table, mult, budget: baseline_schedule(scn, table),
+    "mramc": lambda scn, table, mult, budget: mramc(scn, table),
+    "m_mramc": lambda scn, table, mult, budget: m_mramc(scn, {t.id: mult for t in scn.targets}, table),
+    "exact": lambda scn, table, mult, budget: exact_solve(scn, "with_exclusivity", budget, table),
+    "exact_relaxed": lambda scn, table, mult, budget: exact_solve(scn, "without_exclusivity", budget, table),
+    "greedy_based": lambda scn, table, mult, budget: greedy_based_reference(scn, table),
+}
+ALGORITHMS = tuple(SOLVERS)
 
-def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
-    """Channel-quality-only comparator.
-
-    Repeatedly schedules, among cameras still covering an uncovered target,
-    the one whose best candidate run has the highest robust rate, ignoring
-    run lengths and coverage counts; runs are then laid down by the same
-    left-to-right scan allocator the baseline uses.
-    """
-    if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
-
-    def select(slot: int, pos: int, pool: list[CameraNode]) -> CameraNode | None:
-        best: CameraNode | None = None
-        best_rate = 0.0
-        for cam in pool:
-            r = table.best_robust(cam.id)
-            if r is not None and r > best_rate:
-                best_rate = r
-                best = cam
-        return best
-
-    return _scan_schedule(scenario, select)
+# Checks a relaxed result may fail: the relaxation lets runs share RBs.
+RELAXED_WAIVERS = frozenset({"rb_exclusivity", "slot_capacity"})
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,6 @@ class SweepSpec:
     base_seed: int = 0
     freeze_placement: bool = False
     multiplicity: int = 1
-    exact_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
@@ -100,7 +90,7 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(self.values))
         algos = tuple(self.algorithms)
         for name in algos:
-            if name not in ALGORITHMS:
+            if name not in SOLVERS:
                 raise ValueError(f"unknown algorithm '{name}'; expected one of {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algos)
         if self.multiplicity < 1:
@@ -187,34 +177,15 @@ def apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 
-def _dispatch(spec: SweepSpec) -> dict[str, Callable[[Scenario, CandidateTable], SolverResult]]:
-    table_aware = {
-        "baseline": baseline_schedule,
-        "mramc": mramc,
-        "greedy_based": greedy_based_reference,
-    }
-    out: dict[str, Callable[[Scenario, CandidateTable], SolverResult]] = {}
-    for name in spec.algorithms:
-        if name in table_aware:
-            out[name] = table_aware[name]
-        elif name == "m_mramc":
-            out[name] = lambda scn, tbl: m_mramc(
-                scn, {t.id: spec.multiplicity for t in scn.targets}, tbl
-            )
-        elif name == "exact":
-            out[name] = lambda scn, tbl: exact_solve(scn, "with_exclusivity", spec.exact_budget)
-    return out
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (axis value, trial, algorithm) combination.
 
-    Each feasible schedule is re-verified; a verification failure is a
-    correctness bug in a solver, never data, so it aborts the sweep naming
-    the offending seed and algorithm.  Output is fully deterministic for a
-    given spec.
+    Each feasible schedule is re-verified, a relaxed one without the
+    checks in ``RELAXED_WAIVERS``; a verification failure is a correctness
+    bug in a solver, never data, so it aborts the sweep naming the
+    offending seed and algorithm.  Output is fully deterministic for a given
+    spec.
     """
-    dispatch = _dispatch(spec)
     totals: dict[tuple[Any, str], list[int | None]] = {
         (value, algo): [] for value in spec.values for algo in spec.algorithms
     }
@@ -231,12 +202,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             table = CandidateTable(scn.cameras, scn.grid)
             for algo in spec.algorithms:
                 t0 = time.perf_counter()
-                result = dispatch[algo](scn, table)
+                result = SOLVERS[algo](scn, table, spec.multiplicity, DEFAULT_NODE_BUDGET)
                 clocks[(value, algo)] += time.perf_counter() - t0
-                if result.status is SolveStatus.FEASIBLE and not result.relaxed:
+                if result.status is SolveStatus.FEASIBLE:
+                    waived = RELAXED_WAIVERS if result.relaxed else frozenset()
                     report = verify_schedule(result.schedule, scn)
-                    if not report.feasible:
-                        failing = [c.name for c in report.checks if not c.passed]
+                    failing = [c.name for c in report.checks if not c.passed and c.name not in waived]
+                    if failing:
                         raise RuntimeError(
                             f"schedule from '{algo}' failed verification on seed {seed} "
                             f"(axis {spec.axis}={value}): {failing}"

@@ -12,7 +12,7 @@ identical results including diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -40,6 +40,7 @@ __all__ = [
     "BoundParams",
     "CandidateTable",
     "baseline_schedule",
+    "greedy_based_reference",
     "mramc_greedy",
     "mramc_relocate",
     "mramc",
@@ -306,26 +307,29 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     return GreedyPhase(tuple(chosen), coverage, status, tuple(trace))
 
 
-def _relocate(
+def mramc_relocate(
     tentative: Sequence[CandidateAllocation],
-    table: CandidateTable,
-    grid: FrameGrid,
-) -> tuple[dict[int, CandidateAllocation], list[RelocationStep], int | None]:
-    """Resolve RB sharing among tentative allocations.
+    scenario: Scenario,
+    table: CandidateTable | None = None,
+    greedy_trace: tuple[GreedyStep, ...] = (),
+) -> SolverResult:
+    """Turn a covering tentative assignment into a conflict-free schedule.
 
     Fixes the unadjusted camera with the smallest run (ties by camera id)
     unchanged, then reassigns every unadjusted camera that now overlaps a
-    fixed allocation to its smallest candidate on still-free RBs.  Returns
-    the fixed allocations, the adjustment trace, and the camera left without
-    any conflict-free candidate, if one exists.
+    fixed allocation to its smallest candidate on still-free RBs.  A camera
+    left without any conflict-free candidate ends the pass; it is reported
+    as ``failed_camera`` with the allocations fixed so far.
     """
-    occupancy = _Occupancy(grid)
+    if table is None:
+        table = CandidateTable(scenario.cameras, scenario.grid)
+    occupancy = _Occupancy(scenario.grid)
     unadjusted: dict[int, CandidateAllocation] = {a.camera_id: a for a in tentative}
-    fixed: dict[int, CandidateAllocation] = {}
+    fixed: list[CandidateAllocation] = []
     trace: list[RelocationStep] = []
 
     def fix(camera_id: int, alloc: CandidateAllocation, moved: bool) -> None:
-        fixed[camera_id] = alloc
+        fixed.append(alloc)
         occupancy.add(alloc)
         trace.append(RelocationStep(camera_id, alloc, moved))
         del unadjusted[camera_id]
@@ -336,52 +340,31 @@ def _relocate(
                 return cand
         return None
 
-    while unadjusted:
+    failed: int | None = None
+    while unadjusted and failed is None:
         cam_id = min(unadjusted, key=lambda c: (unadjusted[c].length, c))
         alloc = unadjusted[cam_id]
         if occupancy.admits(alloc):
             fix(cam_id, alloc, moved=False)
-        else:
-            moved = reassign(cam_id)
-            if moved is None:
-                return fixed, trace, cam_id
-            fix(cam_id, moved, moved=True)
-        while True:
+        # Otherwise cam_id is the first conflicted camera and moves below.
+        while failed is None:
             conflicted = [c for c in unadjusted if not occupancy.admits(unadjusted[c])]
             if not conflicted:
                 break
             nxt = min(conflicted, key=lambda c: (unadjusted[c].length, c))
             moved = reassign(nxt)
             if moved is None:
-                return fixed, trace, nxt
-            fix(nxt, moved, moved=True)
-    return fixed, trace, None
+                failed = nxt
+            else:
+                fix(nxt, moved, moved=True)
 
-
-def mramc_relocate(
-    tentative: Sequence[CandidateAllocation],
-    scenario: Scenario,
-    table: CandidateTable | None = None,
-    greedy_trace: tuple[GreedyStep, ...] = (),
-) -> SolverResult:
-    """Turn a covering tentative assignment into a conflict-free schedule."""
-    if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
-    fixed, trace, failed = _relocate(tentative, table, scenario.grid)
-    schedule = Schedule.build(fixed.values(), scenario.cameras, scenario.target_ids)
-    if failed is not None:
-        diag = Diagnostics(
-            greedy=greedy_trace,
-            relocation=tuple(trace),
-            notes=(f"camera {failed} has no candidate disjoint from fixed allocations",),
-            failed_camera=failed,
-        )
-        return SolverResult(schedule, SolveStatus.INFEASIBLE_RELOCATION, diag)
-    return SolverResult(
-        schedule,
-        SolveStatus.FEASIBLE,
-        Diagnostics(greedy=greedy_trace, relocation=tuple(trace)),
-    )
+    schedule = Schedule.build(fixed, scenario.cameras, scenario.target_ids)
+    diag = Diagnostics(greedy=greedy_trace, relocation=tuple(trace))
+    if failed is None:
+        return SolverResult(schedule, SolveStatus.FEASIBLE, diag)
+    note = f"camera {failed} has no candidate disjoint from fixed allocations"
+    diag = replace(diag, notes=(note,), failed_camera=failed)
+    return SolverResult(schedule, SolveStatus.INFEASIBLE_RELOCATION, diag)
 
 
 def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
@@ -400,18 +383,19 @@ def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResu
 
 
 # ---------------------------------------------------------------------------
-# Baseline scan scheduler (shared by the channel-quality reference)
+# Scan schedulers: the baseline and the channel-quality reference
 # ---------------------------------------------------------------------------
 
 
 def _scan_schedule(
     scenario: Scenario,
-    select: Callable[[int, int, list[CameraNode]], CameraNode | None],
+    rate: Callable[[CameraNode, int, int], float],
 ) -> SolverResult:
     """Left-to-right RB scan with contiguous extension.
 
-    ``select`` picks the next camera for the current (slot, subchannel); the
-    camera then extends over adjacent RBs, downgrading to the most robust
+    At the current (slot, subchannel) the eligible camera with the highest
+    positive ``rate(camera, slot, subchannel)`` wins, the first one on ties;
+    the camera then extends over adjacent RBs, downgrading to the most robust
     rate, until its requirement is met.  A run cut off by the end of the slot
     (or by a zero-rate subchannel) is released and retried at the next scan
     position; the skipped spectrum is not revisited.  Cameras that still fail
@@ -453,7 +437,12 @@ def _scan_schedule(
         cam = pending
         pending = None
         if cam is None:
-            cam = select(slot, pos, pool)
+            best_rate = 0.0
+            for candidate in pool:
+                r = rate(candidate, slot, pos)
+                if r > best_rate:
+                    best_rate = r
+                    cam = candidate
             if cam is None:
                 pos += 1
                 continue
@@ -507,18 +496,20 @@ def baseline_schedule(scenario: Scenario, table: CandidateTable | None = None) -
     needs no candidate table; ``table`` is accepted, and ignored, so that
     every solver takes the same arguments.
     """
+    return _scan_schedule(scenario, lambda cam, slot, pos: cam.rates_in_slot(slot)[pos - 1])
 
-    def select(slot: int, pos: int, pool: list[CameraNode]) -> CameraNode | None:
-        best: CameraNode | None = None
-        best_rate = 0.0
-        for cam in pool:
-            r = cam.rates_in_slot(slot)[pos - 1]
-            if r > best_rate:
-                best_rate = r
-                best = cam
-        return best
 
-    return _scan_schedule(scenario, select)
+def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
+    """Channel-quality-only comparator.
+
+    Repeatedly schedules, among cameras still covering an uncovered target,
+    the one whose best candidate run has the highest robust rate, ignoring
+    run lengths and coverage counts; runs are then laid down by the same
+    left-to-right scan allocator the baseline uses.
+    """
+    if table is None:
+        table = CandidateTable(scenario.cameras, scenario.grid)
+    return _scan_schedule(scenario, lambda cam, slot, pos: table.best_robust(cam.id) or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -725,25 +716,15 @@ def joint_schedule(
         )
         return SolverResult(schedule, SolveStatus.INFEASIBLE_CAPACITY, diag)
 
-    fixed, reloc_trace, failed = _relocate(tentative, table, grid)
-    schedule = Schedule.build(fixed.values(), scn.cameras, scn.target_ids)
-    if failed is not None:
-        status = (
-            SolveStatus.INFEASIBLE_CAPACITY
-            if items[failed].kind == "traditional"
-            else SolveStatus.INFEASIBLE_RELOCATION
-        )
-        diag = Diagnostics(
-            greedy=tuple(trace),
-            relocation=tuple(reloc_trace),
-            notes=(f"item {failed} has no candidate disjoint from fixed allocations",),
-            failed_camera=failed,
-        )
-        return SolverResult(schedule, status, diag)
-    return SolverResult(
-        schedule,
-        SolveStatus.FEASIBLE,
-        Diagnostics(greedy=tuple(trace), relocation=tuple(reloc_trace)),
+    result = mramc_relocate(tentative, scn, table, tuple(trace))
+    failed = result.diagnostics.failed_camera
+    if failed is None:
+        return result
+    note = f"item {failed} has no candidate disjoint from fixed allocations"
+    return replace(
+        result,
+        status=SolveStatus.INFEASIBLE_CAPACITY if items[failed].kind == "traditional" else result.status,
+        diagnostics=replace(result.diagnostics, notes=(note,)),
     )
 
 

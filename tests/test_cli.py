@@ -1,10 +1,14 @@
 """End-to-end command line flows and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from csrap.cli import main
+from csrap.harness import ALGORITHMS
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(path, doc):
@@ -164,6 +168,12 @@ class TestErrorPaths:
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "1", "--quiet"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        assert main(["solve", scenario_path, "--algo", "exact", "--budget", budget, "--quiet"]) == 2
+        assert "node_budget" in capsys.readouterr().err
+
     def test_seed_override_changes_generation(self, tmp_path, capsys):
         cfg = write(tmp_path / "config.json", small_config())
         a = str(tmp_path / "a.json")
@@ -172,3 +182,26 @@ class TestErrorPaths:
         main(["generate", "--config", cfg, "--out", b, "--seed", "2", "--quiet"])
         assert (tmp_path / "a.json").read_text() != (tmp_path / "b.json").read_text()
         capsys.readouterr()
+
+
+class TestGoldenOutputs:
+    """``--quiet`` schedule documents of every algorithm, byte for byte.
+
+    ``small.json`` is a partial_random instance; ``slot_rates.json`` gives
+    every other camera its own rates in slots 2 and 3.  Both are small
+    enough for the exact solver.
+    """
+
+    SCENARIOS = ("small", "slot_rates")
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_algorithm_has_a_golden_file(self, scenario):
+        assert {p.stem for p in (DATA / "golden" / scenario).glob("*.json")} == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_quiet_output_matches_golden(self, capsys, scenario, algo):
+        args = ["solve", str(DATA / f"{scenario}.json"), "--algo", algo, "--multiplicity", "2", "--quiet"]
+        assert main(args) == 0
+        expected = (DATA / "golden" / scenario / f"{algo}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected

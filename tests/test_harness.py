@@ -148,6 +148,22 @@ class TestRunSweep:
                 assert ex.totals[trial] <= m.totals[trial]
                 assert mm.totals[trial] >= m.totals[trial]
 
+    def test_exact_and_exact_relaxed_entries(self):
+        # A 4-RB frame is too small for some trials, which only the relaxed
+        # mode can cover by letting runs share RBs.
+        config = replace(SMALL_CONFIG, num_cameras=6, num_targets=4, frame=FrameGrid(4, 1))
+        spec = SweepSpec(
+            config=config, values=(4,), trials=6, algorithms=("exact", "exact_relaxed")
+        )
+        result = run_sweep(spec)
+        exact = result.cell(4, "exact")
+        relaxed = result.cell(4, "exact_relaxed")
+        assert relaxed.infeasible == 0
+        assert exact.infeasible >= 1
+        for strict_total, relaxed_total in zip(exact.totals, relaxed.totals):
+            if strict_total is not None:
+                assert relaxed_total <= strict_total
+
     def test_rejects_unknown_algorithm_or_axis(self):
         with pytest.raises(ValueError):
             SweepSpec(algorithms=("quantum",))
