@@ -4,7 +4,14 @@ The search branches on which camera covers the currently hardest uncovered
 target, assigning concrete runs inside each branch so RB exclusivity and slot
 capacities hold by construction.  A fractional covering bound (cheapest RBs
 per still-uncovered target) prunes subtrees; dropping exclusivity can only
-lower cost, so the bound is admissible.
+lower cost, so the bound is admissible.  The bound is kept in integers scaled
+by ``lcm(1..largest coverage)``, so every per-target share is exact.
+
+Slots with the same capacity and the same runs for every camera are
+interchangeable.  The strict search skips a candidate in such a slot while a
+lower twin slot holds exactly the same RBs: swapping the two slots maps that
+subtree onto the twin's, searched first at equal cost (orbit pruning in the
+sense of Margot, "Symmetry in Integer Linear Programming", 2010).
 
 The relaxed mode drops RB exclusivity and capacity coupling and solves the
 residual weighted covering problem exactly; its optimum never exceeds the
@@ -14,11 +21,11 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-from .model import CandidateAllocation, Scenario, Schedule
+from .model import CandidateAllocation, FrameGrid, Scenario, Schedule
 from .solvers import (
     CandidateTable,
     Diagnostics,
@@ -33,9 +40,26 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 MODES = ("with_exclusivity", "without_exclusivity")
 
+# A strict-mode choice as CandidateAllocation fields (camera, slot, start,
+# length, robust rate); allocations are built for the result only.
+_Run = tuple[int, int, int, int, float]
+
 
 class SearchBudgetExceeded(RuntimeError):
-    """The instance exceeded the configured node-expansion budget."""
+    """The instance exceeded the configured node-expansion budget.
+
+    ``nodes`` counts the expansions made, ``incumbent`` is the cost of the
+    best schedule found (None before one exists) and ``lower_bound`` the root
+    bound rounded up (None when the up-front size check refused the instance).
+    """
+
+    def __init__(self, reason: str, nodes: int = 0, incumbent: int | None = None, lower_bound: int | None = None):
+        self.nodes = nodes
+        self.incumbent = incumbent
+        self.lower_bound = lower_bound
+        found = "none" if incumbent is None else f"{incumbent} RBs"
+        bound = "none" if lower_bound is None else f"{lower_bound} RBs"
+        super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {bound})")
 
 
 @dataclass
@@ -45,30 +69,47 @@ class _Search:
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
+    root_bound: int | None = None  # the root's bound rounded up
+    bound_prunes: int = 0
+    symmetry_skips: int = 0
+    incumbent_updates: int = 0
+    scale: int = field(init=False)
+    shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
+
+    def __post_init__(self) -> None:
+        # A camera covering k uncovered targets charges each min_phi/k RBs;
+        # scaled by lcm(1..largest coverage) that share is an exact integer.
+        self.scale = math.lcm(*range(1, max(map(len, self.coverage.values()), default=1) + 1))
+        self.shares = {
+            cam_id: (0,) + tuple(self.min_phi[cam_id] * self.scale // k for k in range(1, len(cov) + 1))
+            for cam_id, cov in self.coverage.items()
+        }
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceeded(
-                f"exceeded {self.budget} node expansions; raise the budget or shrink the instance"
+                f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
+                self.nodes,
+                self.best_cost if self.incumbent_updates else None,
+                self.root_bound,
             )
 
-    def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> Fraction | None:
-        """Admissible lower bound: every target pays at least the cheapest
-        per-target share any remaining camera offers; None if uncoverable."""
-        total = Fraction(0)
-        for target in uncovered:
-            best: Fraction | None = None
-            for cam_id in available:
-                cov = self.coverage[cam_id]
-                if target in cov:
-                    share = Fraction(self.min_phi[cam_id], len(cov & uncovered))
-                    if best is None or share < best:
-                        best = share
-            if best is None:
-                return None
-            total += best
-        return total
+    def scaled_bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
+        """``scale`` times the admissible lower bound: every target pays at
+        least the cheapest per-target share any remaining camera offers;
+        None if some target is uncoverable."""
+        best: dict[int, int] = {}
+        for cam_id in available:
+            hit = self.coverage[cam_id] & uncovered
+            if hit:
+                share = self.shares[cam_id][len(hit)]
+                for target in hit:
+                    if share < best.get(target, share + 1):
+                        best[target] = share
+        if len(best) < len(uncovered):
+            return None
+        return sum(best.values())
 
     def branch_order(self, uncovered: frozenset[int], available: tuple[int, ...]) -> list[int]:
         """Cameras covering the hardest uncovered target, cheapest first."""
@@ -79,6 +120,15 @@ class _Search:
         return sorted(
             (c for c in available if target in self.coverage[c]),
             key=lambda c: (self.min_phi[c], c),
+        )
+
+    def diagnostics(self, notes: tuple[str, ...] = ()) -> Diagnostics:
+        return Diagnostics(
+            notes=notes,
+            nodes_expanded=self.nodes,
+            bound_prunes=self.bound_prunes,
+            symmetry_skips=self.symmetry_skips,
+            incumbent_updates=self.incumbent_updates,
         )
 
 
@@ -149,33 +199,64 @@ def exact_solve(
         assert chosen is not None  # coverage reachability was checked above
         assignments = _realize_relaxed(chosen, min_phi, table, scenario)
         schedule = Schedule.build(assignments, scenario.cameras, target_ids)
-        return SolverResult(
-            schedule, SolveStatus.FEASIBLE, Diagnostics(nodes_expanded=search.nodes), relaxed=True
-        )
+        return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=True)
 
-    def placements(
-        cam_id: int, occupancy: _Occupancy, cost: int
-    ) -> Iterator[tuple[CandidateAllocation, int, _Occupancy]]:
-        for cand in table.iter_by_cost(cam_id):
-            if cost + cand.length >= search.best_cost:
+    twins = _slot_twins(scenario.grid, table, available)
+
+    def placements(cam_id: int, occupancy: _Occupancy, cost: int) -> Iterator[tuple[_Run, int, _Occupancy]]:
+        # A slot holding the same RBs as a lower twin offers only mirror
+        # images of the twin's subtrees, which come first at equal cost.
+        load, used = occupancy.load, occupancy.used
+        mirrored = {
+            slot
+            for slot, lower in twins.items()
+            if any(used[t] == used[slot] and load[t] == load[slot] for t in lower)
+        }
+        for slot, start, length, robust in table.runs_by_cost(cam_id):
+            if cost + length >= search.best_cost:
                 break  # candidates arrive in non-decreasing length
-            if occupancy.admits(cand):
+            if occupancy.fits(slot, start, length):
+                if slot in mirrored:
+                    search.symmetry_skips += 1
+                    continue
                 forked = occupancy.fork()
-                forked.add(cand)
-                yield cand, cost + cand.length, forked
+                forked.place(slot, start, length)
+                yield (cam_id, slot, start, length, robust), cost + length, forked
 
     # Any schedule fits within the per-slot capacities, so this ceiling is safe.
     ceiling = sum(scenario.grid.slot_capacity) + 1
     root = _Occupancy(scenario.grid)
-    assignments = _branch_and_bound(search, target_ids, available, placements, root, ceiling)
-    if assignments is None:
+    runs = _branch_and_bound(search, target_ids, available, placements, root, ceiling)
+    if runs is None:
         return SolverResult(
             Schedule.empty(),
             SolveStatus.INFEASIBLE_CAPACITY,
-            Diagnostics(nodes_expanded=search.nodes, notes=("no conflict-free assignment exists",)),
+            search.diagnostics(("no conflict-free assignment exists",)),
         )
+    assignments = [CandidateAllocation(*run) for run in runs]
     schedule = Schedule.build(assignments, scenario.cameras, target_ids)
-    return SolverResult(schedule, SolveStatus.FEASIBLE, Diagnostics(nodes_expanded=search.nodes))
+    return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics())
+
+
+def _slot_twins(grid: FrameGrid, table: CandidateTable, cameras: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Each slot's lower slots that are interchangeable with it.
+
+    Two slots are interchangeable when they have the same capacity and every
+    searchable camera has the same runs in both: swapping them maps any
+    schedule onto one of equal cost.  Slots without a lower twin are left out.
+    """
+    groups: list[list[int]] = []
+    for slot in range(1, grid.num_slots + 1):
+        for group in groups:
+            first = group[0]
+            if grid.capacity(first) == grid.capacity(slot) and all(
+                table.runs(c, first) == table.runs(c, slot) for c in cameras
+            ):
+                group.append(slot)
+                break
+        else:
+            groups.append([slot])
+    return {slot: tuple(group[:i]) for group in groups for i, slot in enumerate(group) if i}
 
 
 def _branch_and_bound(
@@ -195,6 +276,10 @@ def _branch_and_bound(
     its later siblings' subtrees.
     """
     search.best_cost = ceiling
+    scale = search.scale
+    root_bound = search.scaled_bound(targets, available)
+    if root_bound is not None:
+        search.root_bound = -(-root_bound // scale)
     best: list | None = None
 
     def dfs(uncovered: frozenset[int], avail: tuple[int, ...], state: Any, cost: int, chosen: list) -> None:
@@ -203,10 +288,12 @@ def _branch_and_bound(
         if not uncovered:
             if cost < search.best_cost:
                 search.best_cost = cost
+                search.incumbent_updates += 1
                 best = list(chosen)
             return
-        bound = search.bound(uncovered, avail)
-        if bound is None or cost + bound >= search.best_cost:
+        bound = search.scaled_bound(uncovered, avail)
+        if bound is None or cost * scale + bound >= search.best_cost * scale:
+            search.bound_prunes += 1
             return
         tried: list[int] = []
         for cam_id in search.branch_order(uncovered, avail):

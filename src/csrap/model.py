@@ -405,10 +405,16 @@ class CameraCandidates:
     def iter_by_cost(self) -> Iterator[CandidateAllocation]:
         """Candidates ordered by length, then slot, then start."""
         cam_id = self.camera_id
+        for slot, start, length, robust in self.runs_by_cost():
+            yield CandidateAllocation(cam_id, slot, start, length, robust)
+
+    def runs_by_cost(self) -> Iterator[tuple[int, int, int, float]]:
+        """``(slot, start, length, robust_rate)`` in :meth:`iter_by_cost`
+        order, without building an allocation per candidate."""
         for length in self.lengths:
             for slot, (_, by_len) in enumerate(self._slots, 1):
                 for start, robust in by_len.get(length, ()):
-                    yield CandidateAllocation(cam_id, slot, start, length, robust)
+                    yield slot, start, length, robust
 
     def allocations(self) -> list[CandidateAllocation]:
         """Candidates ordered by slot, then start, then length."""

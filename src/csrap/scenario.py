@@ -390,7 +390,13 @@ def _need(doc: Mapping, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFormatError(f"{path}: expected a finite number")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -529,6 +535,8 @@ def load_scenario(doc: Mapping) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("document: expected a JSON object")
     area = _number(_need(doc, "area", ""), "area")
+    if not area > 0:
+        raise ScenarioFormatError("area: must be positive")
     grid = _frame_from_doc(_need(doc, "frame", ""))
     channel_doc = doc.get("channel")
     channel = _channel_from_doc(channel_doc, "channel") if channel_doc is not None else None
@@ -588,6 +596,10 @@ def load_scenario(doc: Mapping) -> Scenario:
                     slot = int(s)
                 except (TypeError, ValueError):
                     raise ScenarioFormatError(f"{path}.slot_rates: slot keys must be integers") from None
+                if not 1 <= slot <= grid.num_slots:
+                    raise ScenarioFormatError(f"{path}.slot_rates[{s}]: slot must lie in 1..{grid.num_slots}")
+                if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
+                    raise ScenarioFormatError(f"{path}.slot_rates[{s}]: expected a list of numbers")
                 slot_overrides[slot] = tuple(_number(r, f"{path}.slot_rates[{s}][{j}]") for j, r in enumerate(vec))
         try:
             cam = CameraNode(

@@ -84,6 +84,9 @@ class Diagnostics:
     unmet_multiplicity: tuple[tuple[int, int, int], ...] = ()  # (target, achieved, desired)
     failed_camera: int | None = None
     nodes_expanded: int = 0
+    bound_prunes: int = 0  # exact search nodes cut by the lower bound
+    symmetry_skips: int = 0  # exact search candidates skipped for an equivalent lower slot
+    incumbent_updates: int = 0  # strict improvements of the exact search's best schedule
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,18 @@ class CandidateTable:
         """Candidates ordered by length, then slot, then start."""
         return self._cams[camera_id].iter_by_cost()
 
+    def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
+        """``(slot, start, length, robust_rate)`` in :meth:`iter_by_cost` order."""
+        return self._cams[camera_id].runs_by_cost()
+
+    def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
+        """The first candidate in :meth:`iter_by_cost` order that ``occupancy``
+        admits; no allocation is built for the ones it rejects."""
+        for slot, start, length, robust in self._cams[camera_id].runs_by_cost():
+            if occupancy.fits(slot, start, length):
+                return CandidateAllocation(camera_id, slot, start, length, robust)
+        return None
+
     def all_robust_rates(self) -> list[float]:
         return [r for cands in self._cams.values() for r in cands.robust_rates()]
 
@@ -236,14 +251,20 @@ class _Occupancy:
         self.used = [0] * (grid.num_slots + 1)
 
     def admits(self, alloc: CandidateAllocation) -> bool:
-        slot = alloc.slot
-        if self.load[slot] + alloc.length > self.capacity[slot]:
-            return False
-        return not self.used[slot] & (((1 << alloc.length) - 1) << (alloc.start - 1))
+        return self.fits(alloc.slot, alloc.start, alloc.length)
 
     def add(self, alloc: CandidateAllocation) -> None:
-        self.used[alloc.slot] |= ((1 << alloc.length) - 1) << (alloc.start - 1)
-        self.load[alloc.slot] += alloc.length
+        self.place(alloc.slot, alloc.start, alloc.length)
+
+    def fits(self, slot: int, start: int, length: int) -> bool:
+        """Whether a run of ``length`` RBs from ``start`` is free and within capacity."""
+        if self.load[slot] + length > self.capacity[slot]:
+            return False
+        return not self.used[slot] & (((1 << length) - 1) << (start - 1))
+
+    def place(self, slot: int, start: int, length: int) -> None:
+        self.used[slot] |= ((1 << length) - 1) << (start - 1)
+        self.load[slot] += length
 
     def fork(self) -> _Occupancy:
         """An independent copy."""
@@ -334,12 +355,6 @@ def mramc_relocate(
         trace.append(RelocationStep(camera_id, alloc, moved))
         del unadjusted[camera_id]
 
-    def reassign(camera_id: int) -> CandidateAllocation | None:
-        for cand in table.iter_by_cost(camera_id):
-            if occupancy.admits(cand):
-                return cand
-        return None
-
     failed: int | None = None
     while unadjusted and failed is None:
         cam_id = min(unadjusted, key=lambda c: (unadjusted[c].length, c))
@@ -352,7 +367,7 @@ def mramc_relocate(
             if not conflicted:
                 break
             nxt = min(conflicted, key=lambda c: (unadjusted[c].length, c))
-            moved = reassign(nxt)
+            moved = table.first_fit(nxt, occupancy)
             if moved is None:
                 failed = nxt
             else:
@@ -574,11 +589,9 @@ def m_mramc(
             for cam in covering[t]:
                 if cam.id in fixed:
                     continue
-                for cand in table.iter_by_cost(cam.id):
-                    if occupancy.admits(cand):
-                        if best is None or (cand.length, cam.id) < best[:2]:
-                            best = (cand.length, cam.id, cand)
-                        break
+                cand = table.first_fit(cam.id, occupancy)
+                if cand is not None and (best is None or (cand.length, cam.id) < best[:2]):
+                    best = (cand.length, cam.id, cand)
             if best is None:
                 continue
             _, cam_id, alloc = best

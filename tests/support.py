@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from csrap import (
     Omnidirectional,
     Scenario,
     TargetObject,
+    enumerate_candidates,
 )
 
 RATE_TIERS = (2.0, 4.0, 6.0, 8.0)
@@ -215,3 +217,72 @@ def ilp_constraints_hold(schedule, scenario) -> dict[str, bool]:
         "rb_exclusivity": exclusivity_ok,
         "single_allocation": single_ok,
     }
+
+
+def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | None:
+    """Minimum total RBs from an integer program solved by HiGHS through
+    ``scipy.optimize.milp``, or None when it is infeasible.
+
+    One binary variable per candidate allocation, weighted by its length.
+    Rows: every target covered at least once and at most one allocation per
+    camera; with exclusivity also at most one allocation per RB and every
+    slot's load within its capacity.  Callers skip when scipy is missing.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    grid = scenario.grid
+    cands = [c for cam in scenario.cameras for c in enumerate_candidates(cam, grid)]
+    coverage = {cam.id: cam.coverage_set for cam in scenario.cameras}
+    targets = sorted(scenario.target_ids)
+    if not targets:
+        return 0
+    if not cands:
+        return None
+
+    rows: list[np.ndarray] = []
+    lower: list[float] = []
+    upper: list[float] = []
+
+    def row(entries, lo, hi):
+        r = np.zeros(len(cands))
+        for j, value in entries:
+            r[j] = value
+        rows.append(r)
+        lower.append(lo)
+        upper.append(hi)
+
+    for t in targets:
+        row([(j, 1) for j, c in enumerate(cands) if t in coverage[c.camera_id]], 1, np.inf)
+    for cam in scenario.cameras:
+        row([(j, 1) for j, c in enumerate(cands) if c.camera_id == cam.id], 0, 1)
+    if with_exclusivity:
+        for slot in range(1, grid.num_slots + 1):
+            for m in range(1, grid.num_subchannels + 1):
+                row([(j, 1) for j, c in enumerate(cands) if (slot, m) in c.cells()], 0, 1)
+            row([(j, c.length) for j, c in enumerate(cands) if c.slot == slot], 0, grid.capacity(slot))
+
+    res = milp(
+        c=np.array([c.length for c in cands], dtype=float),
+        integrality=np.ones(len(cands)),
+        bounds=Bounds(0, 1),
+        constraints=LinearConstraint(np.array(rows), lower, upper),
+    )
+    if res.status == 2:  # infeasible
+        return None
+    assert res.status == 0, res.message
+    return int(round(res.fun))
+
+
+def fraction_bound(coverage, min_phi, uncovered, available) -> Fraction | None:
+    """The exact solver's covering bound in rationals: each uncovered target
+    pays the cheapest ``min_phi / |coverage & uncovered|`` of the available
+    cameras covering it; None when some target has no such camera."""
+    total = Fraction(0)
+    for target in uncovered:
+        shares = [
+            Fraction(min_phi[c], len(coverage[c] & uncovered)) for c in available if target in coverage[c]
+        ]
+        if not shares:
+            return None
+        total += min(shares)
+    return total

@@ -168,6 +168,25 @@ class TestErrorPaths:
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "1", "--quiet"]) == 3
         capsys.readouterr()
 
+    def test_budget_exhaustion_reports_search_progress(self, tmp_path, capsys):
+        config = {
+            "area": 200,
+            "num_targets": 8,
+            "num_cameras": 12,
+            "deployment": "partial_random",
+            "geometry": {"kind": "omnidirectional", "view_distance": [40, 60]},
+            "frame": {"M": 12, "T": 3},
+            "seed": 4,
+        }
+        cfg = write(tmp_path / "config.json", config)
+        scenario_path = str(tmp_path / "scenario.json")
+        main(["generate", "--config", cfg, "--out", scenario_path, "--quiet"])
+        # The search needs 557 nodes; 400 pass the up-front size check.
+        assert main(["solve", scenario_path, "--algo", "exact", "--budget", "400", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: exceeded 400 node expansions")
+        assert "(nodes: 401, incumbent: 8 RBs, lower bound: 6 RBs)" in err
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
         scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
@@ -182,6 +201,39 @@ class TestErrorPaths:
         main(["generate", "--config", cfg, "--out", b, "--seed", "2", "--quiet"])
         assert (tmp_path / "a.json").read_text() != (tmp_path / "b.json").read_text()
         capsys.readouterr()
+
+
+def with_camera(**fields):
+    doc = one_camera_scenario()
+    doc["cameras"][0].update(fields)
+    return doc
+
+
+class TestMalformedNumbers:
+    """Documents that parse as JSON but hold values no scenario can have."""
+
+    CASES = {
+        "nan_rate": (with_camera(rates=[8, float("nan"), 7]), "cameras[0].rates[1]"),
+        "inf_rate": (with_camera(rates=[float("inf"), 4, 7]), "cameras[0].rates[0]"),
+        "nan_slot_rate": (
+            with_camera(slot_rates={"1": [8, 4, float("nan")]}),
+            "cameras[0].slot_rates[1][2]",
+        ),
+        "negative_inf_slot_rate": (
+            with_camera(slot_rates={"1": [float("-inf"), 4, 7]}),
+            "cameras[0].slot_rates[1][0]",
+        ),
+        "inf_requirement": (with_camera(rate_requirement=float("inf")), "cameras[0].rate_requirement"),
+        "slot_out_of_range": (with_camera(slot_rates={"99": [8, 4, 7]}), "cameras[0].slot_rates[99]"),
+        "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_field_path(self, tmp_path, capsys, case):
+        doc, field = self.CASES[case]
+        scenario_path = write(tmp_path / "scn.json", doc)
+        assert main(["solve", scenario_path, "--algo", "mramc", "--quiet"]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
 
 
 class TestGoldenOutputs:

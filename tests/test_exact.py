@@ -1,23 +1,35 @@
-"""Branch-and-bound solver against the exhaustive enumeration oracle."""
+"""Branch-and-bound solver against the exhaustive enumeration and MILP oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csrap import (
     CameraNode,
     FrameGrid,
     Omnidirectional,
     Scenario,
+    ScenarioConfig,
     SearchBudgetExceeded,
     SolveStatus,
     TargetObject,
     exact_solve,
+    generate_scenario,
     verify_schedule,
 )
-from support import all_subsets_cover_optimum, exhaustive_optimum, random_instance
+from csrap.exact import _Search
+from csrap.scenario import GeometrySpec
+from support import (
+    all_subsets_cover_optimum,
+    exhaustive_optimum,
+    fraction_bound,
+    milp_optimum,
+    random_instance,
+)
 
 
-def cam(cam_id, rates, requirement, coverage):
+def cam(cam_id, rates, requirement, coverage, slot_rates=None):
     return CameraNode(
         id=cam_id,
         position=(float(cam_id), 0.0),
@@ -25,6 +37,21 @@ def cam(cam_id, rates, requirement, coverage):
         rate_requirement=requirement,
         per_subchannel_rate=tuple(float(r) for r in rates),
         coverage_set=frozenset(coverage),
+        slot_rate_overrides=slot_rates,
+    )
+
+
+def partial_random(cameras, targets, subchannels, slots, seed):
+    return generate_scenario(
+        ScenarioConfig(
+            area_side=200.0,
+            num_targets=targets,
+            num_cameras=cameras,
+            deployment="partial_random",
+            geometry=GeometrySpec(view_distance=(40.0, 60.0)),
+            frame=FrameGrid(subchannels, slots),
+            rng_seed=seed,
+        )
     )
 
 
@@ -125,3 +152,111 @@ def test_rejects_unknown_mode():
     scn = random_instance(rng)
     with pytest.raises(ValueError):
         exact_solve(scn, "something_else")
+
+
+def test_budget_overrun_reports_progress():
+    scn = partial_random(12, 8, 12, 3, seed=4)
+    optimum = exact_solve(scn).schedule.total_rbs
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exact_solve(scn, node_budget=400)
+    exc = info.value
+    assert exc.nodes == 401
+    assert exc.incumbent is not None and exc.incumbent >= optimum
+    assert exc.lower_bound is not None and exc.lower_bound <= optimum
+    assert f"nodes: 401, incumbent: {exc.incumbent} RBs, lower bound: {exc.lower_bound} RBs" in str(exc)
+
+
+def test_size_check_overrun_has_no_bound():
+    rng = np.random.default_rng(0)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exact_solve(random_instance(rng), node_budget=1)
+    assert (info.value.nodes, info.value.incumbent, info.value.lower_bound) == (0, None, None)
+
+
+def test_search_counters_are_deterministic():
+    scn = partial_random(10, 7, 8, 4, seed=4)
+    first = exact_solve(scn).diagnostics
+    assert first == exact_solve(scn).diagnostics
+    assert first.bound_prunes > 0
+    assert first.symmetry_skips > 0
+    assert first.incumbent_updates >= 1
+    relaxed = exact_solve(scn, "without_exclusivity").diagnostics
+    assert relaxed.symmetry_skips == 0 and relaxed.incumbent_updates >= 1
+
+
+@given(
+    covers=st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=8), min_size=1, max_size=6),
+    phis=st.lists(st.integers(1, 30), min_size=6, max_size=6),
+    uncovered=st.sets(st.integers(1, 8), min_size=1),
+    picks=st.lists(st.booleans(), min_size=6, max_size=6),
+    cost=st.integers(0, 40),
+    best_cost=st.integers(1, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks, cost, best_cost):
+    coverage = {i + 1: frozenset(cov) for i, cov in enumerate(covers)}
+    min_phi = {cam_id: phis[cam_id - 1] for cam_id in coverage}
+    available = tuple(c for c in coverage if picks[c - 1])
+    uncovered = frozenset(uncovered)
+    search = _Search(coverage, min_phi, budget=1)
+    scaled = search.scaled_bound(uncovered, available)
+    expected = fraction_bound(coverage, min_phi, uncovered, available)
+    if expected is None:
+        assert scaled is None
+    else:
+        assert scaled == expected * search.scale
+        assert (cost * search.scale + scaled >= best_cost * search.scale) == (cost + expected >= best_cost)
+
+
+def test_symmetry_keeps_slot_with_larger_capacity():
+    # Slot 1 holds a single RB, so the two-RB run only fits in slot 2.
+    grid = FrameGrid(4, 2, slot_capacity=(1, 4))
+    scn = Scenario(grid, (cam(1, [4, 4, 0, 0], 8.0, {1}),), (TargetObject(1, (0, 0)),))
+    result = exact_solve(scn)
+    assert result.status is SolveStatus.FEASIBLE
+    [alloc] = result.schedule.assignments
+    assert (alloc.slot, alloc.start, alloc.length) == (2, 1, 2)
+
+
+def test_symmetry_keeps_slot_with_own_rates():
+    # Camera 1 needs two RBs in slot 1 but one in slot 2; camera 2 is the
+    # same in both slots.
+    grid = FrameGrid(3, 2)
+    cameras = (
+        cam(1, [4, 4, 0], 8.0, {1}, slot_rates={2: (8.0, 0.0, 0.0)}),
+        cam(2, [8, 8, 8], 8.0, {2}),
+    )
+    scn = Scenario(grid, cameras, (TargetObject(1, (0, 0)), TargetObject(2, (1, 0))))
+    result = exact_solve(scn)
+    assert result.schedule.total_rbs == 2
+    by_cam = {a.camera_id: a for a in result.schedule.assignments}
+    assert (by_cam[1].slot, by_cam[1].start, by_cam[1].length) == (2, 1, 1)
+    assert verify_schedule(result.schedule, scn).feasible
+
+
+def test_interchangeable_slots_do_not_multiply_nodes():
+    # Without slot-symmetry breaking this instance took 234, 994, 2282 and
+    # 4098 nodes for T = 1..4, with an optimum of 4 RBs at every T.
+    base = partial_random(12, 8, 12, 1, seed=0)
+    totals, nodes = [], []
+    for slots in (1, 2, 3, 4):
+        scn = Scenario(FrameGrid(12, slots), base.cameras, base.targets)
+        result = exact_solve(scn)
+        totals.append(result.schedule.total_rbs)
+        nodes.append(result.diagnostics.nodes_expanded)
+    assert len(set(totals)) == 1
+    assert nodes[3] <= nodes[1]
+
+
+@pytest.mark.parametrize("rung", [(12, 8, 12, 3), (10, 7, 8, 4)])
+def test_matches_milp_oracle_beyond_brute_force(rung):
+    pytest.importorskip("scipy.optimize")
+    skipped = 0
+    for seed in range(8):
+        scn = partial_random(*rung, seed=seed)
+        for with_exclusivity, mode in ((True, "with_exclusivity"), (False, "without_exclusivity")):
+            result = exact_solve(scn, mode)
+            total = result.schedule.total_rbs if result.status is SolveStatus.FEASIBLE else None
+            assert total == milp_optimum(scn, with_exclusivity), (seed, mode)
+            skipped += result.diagnostics.symmetry_skips
+    assert skipped > 0
