@@ -40,8 +40,8 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 MODES = ("with_exclusivity", "without_exclusivity")
 
-# A strict-mode choice as CandidateAllocation fields (camera, slot, start,
-# length, robust rate); allocations are built for the result only.
+# A chosen run as CandidateAllocation fields (camera, slot, start, length,
+# robust rate); allocations are built for the result only.
 _Run = tuple[int, int, int, int, float]
 
 
@@ -197,7 +197,7 @@ def exact_solve(
         ceiling = sum(min_phi[c] for c in available) + 1
         chosen = _branch_and_bound(search, target_ids, available, once, None, ceiling)
         assert chosen is not None  # coverage reachability was checked above
-        assignments = _realize_relaxed(chosen, min_phi, table, scenario)
+        assignments = _realize_relaxed(search, chosen, table, scenario.grid)
         schedule = Schedule.build(assignments, scenario.cameras, target_ids)
         return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=True)
 
@@ -310,39 +310,38 @@ def _branch_and_bound(
 
 
 def _realize_relaxed(
+    search: _Search,
     chosen: list[int],
-    min_phi: dict[int, int],
     table: CandidateTable,
-    scenario: Scenario,
+    grid: FrameGrid,
 ) -> list[CandidateAllocation]:
     """Place each selected camera's minimum-length run, preferring an
-    overlap-free layout when one exists among minimum-length candidates."""
+    overlap-free layout when one exists among minimum-length candidates.
+
+    Every layout step is a node of ``search`` and counts against its budget.
+    """
     order = sorted(chosen)
-    result: list[CandidateAllocation] = []
+    layout: list[_Run] = []
 
     def backtrack(i: int, occupancy: _Occupancy) -> bool:
+        search.tick()
         if i == len(order):
             return True
         cam_id = order[i]
-        for cand in table.iter_by_cost(cam_id):
-            if cand.length > min_phi[cam_id]:
+        phi = search.min_phi[cam_id]
+        for slot, start, length, robust in table.runs_by_cost(cam_id):
+            if length > phi:
                 break
-            if not occupancy.admits(cand):
-                continue
-            forked = occupancy.fork()
-            forked.add(cand)
-            result.append(cand)
-            if backtrack(i + 1, forked):
-                return True
-            result.pop()
+            if occupancy.fits(slot, start, length):
+                forked = occupancy.fork()
+                forked.place(slot, start, length)
+                layout.append((cam_id, slot, start, length, robust))
+                if backtrack(i + 1, forked):
+                    return True
+                layout.pop()
         return False
 
-    if backtrack(0, _Occupancy(scenario.grid)):
-        return result
+    if backtrack(0, _Occupancy(grid)):
+        return [CandidateAllocation(*run) for run in layout]
     # No overlap-free layout of minimum runs; RB sharing is allowed here.
-    fallback = []
-    for cam_id in order:
-        alloc = table.min_allocation(cam_id)
-        assert alloc is not None
-        fallback.append(alloc)
-    return fallback
+    return [table.min_allocation(cam_id) for cam_id in order]

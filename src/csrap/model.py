@@ -15,7 +15,7 @@ pure functions, so concurrent use needs no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "FrameGrid",
@@ -30,7 +30,6 @@ __all__ = [
     "FeasibilityReport",
     "robust_rate",
     "candidate_runs",
-    "CameraCandidates",
     "enumerate_candidates",
     "verify_schedule",
 ]
@@ -340,92 +339,6 @@ def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int
     return out
 
 
-def _runs_by_length(runs: list[tuple[int, int, float]]) -> dict[int, list[tuple[int, float]]]:
-    """Length -> (start, robust_rate) pairs in ascending start."""
-    by_len: dict[int, list[tuple[int, float]]] = {}
-    for start, length, robust in runs:
-        by_len.setdefault(length, []).append((start, robust))
-    return by_len
-
-
-class CameraCandidates:
-    """Every candidate allocation of one camera in a frame of ``num_slots``
-    slots, indexed by slot and by run length.
-
-    Slots with the same rate vector share one run list, computed once: a
-    camera without ``slot_rate_overrides`` scans its rates once for the whole
-    frame, and overridden slots are grouped by equal vectors.  Each distinct
-    list is grouped by run length once, so :meth:`iter_by_cost` produces
-    candidates lazily, with no per-slot copy of the runs.
-    """
-
-    __slots__ = ("camera_id", "lengths", "min_phi", "best_robust", "_slots", "_distinct")
-
-    def __init__(self, camera: CameraNode, num_slots: int):
-        self.camera_id = camera.id
-        requirement = camera.rate_requirement
-        if not camera.slot_rate_overrides:
-            runs = candidate_runs(camera.per_subchannel_rate, requirement)
-            entry = (runs, _runs_by_length(runs))
-            distinct = [entry]
-            slots = [entry] * num_slots
-        else:
-            cache: dict[tuple[float, ...], tuple[list, dict]] = {}
-            slots = []
-            for slot in range(1, num_slots + 1):
-                rates = camera.rates_in_slot(slot)
-                entry = cache.get(rates)
-                if entry is None:
-                    runs = candidate_runs(rates, requirement)
-                    entry = cache[rates] = (runs, _runs_by_length(runs))
-                slots.append(entry)
-            distinct = list(cache.values())
-        # (runs, by_len) per slot, and the distinct entries in first-slot order.
-        self._slots = slots
-        self._distinct = distinct
-        self.lengths = sorted({length for _, by_len in distinct for length in by_len})
-        self.min_phi: int | None = self.lengths[0] if self.lengths else None
-        self.best_robust: float | None = max(
-            (run[2] for runs, _ in distinct for run in runs), default=None
-        )
-
-    def runs(self, slot: int) -> list[tuple[int, int, float]]:
-        """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
-        if not 1 <= slot <= len(self._slots):
-            raise KeyError(slot)
-        return self._slots[slot - 1][0]
-
-    def count(self) -> int:
-        return sum(len(runs) for runs, _ in self._slots)
-
-    def robust_rates(self) -> list[float]:
-        """Robust rates of the runs of each distinct rate vector, once each."""
-        return [run[2] for runs, _ in self._distinct for run in runs]
-
-    def iter_by_cost(self) -> Iterator[CandidateAllocation]:
-        """Candidates ordered by length, then slot, then start."""
-        cam_id = self.camera_id
-        for slot, start, length, robust in self.runs_by_cost():
-            yield CandidateAllocation(cam_id, slot, start, length, robust)
-
-    def runs_by_cost(self) -> Iterator[tuple[int, int, int, float]]:
-        """``(slot, start, length, robust_rate)`` in :meth:`iter_by_cost`
-        order, without building an allocation per candidate."""
-        for length in self.lengths:
-            for slot, (_, by_len) in enumerate(self._slots, 1):
-                for start, robust in by_len.get(length, ()):
-                    yield slot, start, length, robust
-
-    def allocations(self) -> list[CandidateAllocation]:
-        """Candidates ordered by slot, then start, then length."""
-        cam_id = self.camera_id
-        return [
-            CandidateAllocation(cam_id, slot, start, length, robust)
-            for slot, (runs, _) in enumerate(self._slots, 1)
-            for start, length, robust in runs
-        ]
-
-
 def enumerate_candidates(camera: CameraNode, grid: FrameGrid) -> list[CandidateAllocation]:
     """Every candidate allocation for ``camera`` in the frame, ordered by
     slot, then start, then length.
@@ -435,7 +348,11 @@ def enumerate_candidates(camera: CameraNode, grid: FrameGrid) -> list[CandidateA
     """
     if len(camera.per_subchannel_rate) != grid.num_subchannels:
         raise ValueError("camera rate vector length must equal the number of subchannels")
-    return CameraCandidates(camera, grid.num_slots).allocations()
+    return [
+        CandidateAllocation(camera.id, slot, start, length, robust)
+        for slot in range(1, grid.num_slots + 1)
+        for start, length, robust in candidate_runs(camera.rates_in_slot(slot), camera.rate_requirement)
+    ]
 
 
 @dataclass(frozen=True)

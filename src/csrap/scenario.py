@@ -43,7 +43,6 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "config_from_document",
-    "config_to_document",
 ]
 
 DEPLOYMENTS = ("overall_grid", "partial_random", "cell_edge")
@@ -626,30 +625,6 @@ def load_scenario(doc: Mapping) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
-
-
-def config_to_document(config: ScenarioConfig) -> dict:
-    doc: dict[str, Any] = {
-        "area": config.area_side,
-        "num_targets": config.num_targets,
-        "num_cameras": config.num_cameras,
-        "deployment": config.deployment,
-        "geometry": {
-            "kind": config.geometry.kind,
-            "view_distance": list(config.geometry.view_distance),
-            "fov": config.geometry.fov_deg,
-        },
-        "rate_requirement": list(config.rate_requirement_range),
-        "frame": {
-            "M": config.frame.num_subchannels,
-            "T": config.frame.num_slots,
-            "slot_capacity": list(config.frame.slot_capacity),
-            "rho_ms": config.frame.frame_duration_ms,
-        },
-        "channel": _channel_to_doc(config.channel),
-        "seed": config.rng_seed,
-    }
-    return doc
 
 
 def config_from_document(doc: Mapping) -> ScenarioConfig:

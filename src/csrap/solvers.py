@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
-    CameraCandidates,
     CameraNode,
     CandidateAllocation,
     FrameGrid,
@@ -26,6 +25,7 @@ from .model import (
     Scenario,
     Schedule,
     TargetObject,
+    candidate_runs,
 )
 
 __all__ = [
@@ -188,50 +188,100 @@ class BoundParams:
 
 
 class CandidateTable:
-    """Candidate runs for every camera of an instance, indexed for solvers.
+    """Every camera's candidate runs, indexed by slot and by run length.
 
-    Holds one :class:`~csrap.model.CameraCandidates` per camera: slots that
-    share a rate vector share one run list, grouped by length once, and
-    :meth:`iter_by_cost` builds allocations lazily from it.
+    Slots with the same rate vector share one run list, computed once: a
+    camera without ``slot_rate_overrides`` scans its rates once for the whole
+    frame, and overridden slots are grouped by equal vectors.  Each distinct
+    list is grouped by run length once, so :meth:`runs_by_cost` walks the
+    candidates in cost order with no per-slot copy of the runs.
     """
 
     def __init__(self, cameras: Iterable[CameraNode], grid: FrameGrid):
         self.grid = grid
-        self._cams = {cam.id: CameraCandidates(cam, grid.num_slots) for cam in cameras}
+        num_slots = grid.num_slots
+        # Per camera id: one (runs, length -> [(start, robust_rate)]) entry
+        # per slot, the distinct entries in first-slot order, the sorted run
+        # lengths and the best robust rate.
+        self._slots: dict[int, list[tuple[list, dict]]] = {}
+        self._distinct: dict[int, list[tuple[list, dict]]] = {}
+        self._lengths: dict[int, list[int]] = {}
+        self._best: dict[int, float | None] = {}
+        for cam in cameras:
+            requirement = cam.rate_requirement
+            if not cam.slot_rate_overrides:
+                entry = self._index(cam.per_subchannel_rate, requirement)
+                distinct = [entry]
+                slots = [entry] * num_slots
+            else:
+                cache: dict[tuple[float, ...], tuple[list, dict]] = {}
+                slots = []
+                for slot in range(1, num_slots + 1):
+                    rates = cam.rates_in_slot(slot)
+                    entry = cache.get(rates)
+                    if entry is None:
+                        entry = cache[rates] = self._index(rates, requirement)
+                    slots.append(entry)
+                distinct = list(cache.values())
+            self._slots[cam.id] = slots
+            self._distinct[cam.id] = distinct
+            self._lengths[cam.id] = sorted({length for _, by_len in distinct for length in by_len})
+            self._best[cam.id] = max((run[2] for runs, _ in distinct for run in runs), default=None)
+
+    @staticmethod
+    def _index(rates: Sequence[float], requirement: float) -> tuple[list, dict]:
+        """The runs over one rate vector, and the same runs grouped by length."""
+        runs = candidate_runs(rates, requirement)
+        by_len: dict[int, list[tuple[int, float]]] = {}
+        for start, length, robust in runs:
+            by_len.setdefault(length, []).append((start, robust))
+        return runs, by_len
 
     def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
-        return self._cams[camera_id].runs(slot)
+        """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
+        slots = self._slots[camera_id]
+        if not 1 <= slot <= len(slots):
+            raise KeyError(slot)
+        return slots[slot - 1][0]
 
     def min_phi(self, camera_id: int) -> int | None:
-        return self._cams[camera_id].min_phi
+        lengths = self._lengths[camera_id]
+        return lengths[0] if lengths else None
 
     def best_robust(self, camera_id: int) -> float | None:
-        return self._cams[camera_id].best_robust
+        return self._best[camera_id]
 
     def candidate_count(self, camera_id: int) -> int:
-        return self._cams[camera_id].count()
-
-    def min_allocation(self, camera_id: int) -> CandidateAllocation | None:
-        return next(self._cams[camera_id].iter_by_cost(), None)
-
-    def iter_by_cost(self, camera_id: int) -> Iterator[CandidateAllocation]:
-        """Candidates ordered by length, then slot, then start."""
-        return self._cams[camera_id].iter_by_cost()
+        return sum(len(runs) for runs, _ in self._slots[camera_id])
 
     def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
-        """``(slot, start, length, robust_rate)`` in :meth:`iter_by_cost` order."""
-        return self._cams[camera_id].runs_by_cost()
+        """``(slot, start, length, robust_rate)`` ordered by length, then
+        slot, then start, without building an allocation per candidate."""
+        slots = self._slots[camera_id]
+        for length in self._lengths[camera_id]:
+            for slot, (_, by_len) in enumerate(slots, 1):
+                for start, robust in by_len.get(length, ()):
+                    yield slot, start, length, robust
+
+    def iter_by_cost(self, camera_id: int) -> Iterator[CandidateAllocation]:
+        """Candidates in :meth:`runs_by_cost` order."""
+        for run in self.runs_by_cost(camera_id):
+            yield CandidateAllocation(camera_id, *run)
+
+    def min_allocation(self, camera_id: int) -> CandidateAllocation | None:
+        return next(self.iter_by_cost(camera_id), None)
 
     def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
-        """The first candidate in :meth:`iter_by_cost` order that ``occupancy``
+        """The first candidate in :meth:`runs_by_cost` order that ``occupancy``
         admits; no allocation is built for the ones it rejects."""
-        for slot, start, length, robust in self._cams[camera_id].runs_by_cost():
+        for slot, start, length, robust in self.runs_by_cost(camera_id):
             if occupancy.fits(slot, start, length):
                 return CandidateAllocation(camera_id, slot, start, length, robust)
         return None
 
     def all_robust_rates(self) -> list[float]:
-        return [r for cands in self._cams.values() for r in cands.robust_rates()]
+        """Robust rates of the runs of each camera's distinct rate vectors, once each."""
+        return [run[2] for distinct in self._distinct.values() for runs, _ in distinct for run in runs]
 
 
 class _Occupancy:

@@ -1,5 +1,7 @@
 """Branch-and-bound solver against the exhaustive enumeration and MILP oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from csrap import (
 from csrap.exact import _Search
 from csrap.scenario import GeometrySpec
 from support import (
+    RATE_TIERS,
     all_subsets_cover_optimum,
     exhaustive_optimum,
     fraction_bound,
@@ -171,6 +174,43 @@ def test_size_check_overrun_has_no_bound():
     with pytest.raises(SearchBudgetExceeded) as info:
         exact_solve(random_instance(rng), node_budget=1)
     assert (info.value.nodes, info.value.incumbent, info.value.lower_bound) == (0, None, None)
+
+
+def test_node_budget_bounds_the_relaxed_layout_search():
+    # Seven cameras, each the only one seeing its target, need 3-RB runs: 21
+    # RBs in a 20-subchannel frame, so no overlap-free layout exists and the
+    # layout search tries every partial one before it falls back.
+    cameras = tuple(cam(i, [1.0] * 20, 3.0, {i}) for i in range(1, 8))
+    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, 8))
+    scn = Scenario(FrameGrid(20, 1), cameras, targets)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exact_solve(scn, "without_exclusivity", node_budget=1000)
+    assert (info.value.nodes, info.value.incumbent, info.value.lower_bound) == (1001, 21, 21)
+
+
+def test_optimum_ignores_camera_ids_and_never_rises_with_a_camera():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        scn = random_instance(rng)
+        ids = rng.choice(1000, size=len(scn.cameras), replace=False) + 1
+        renumbered = Scenario(
+            scn.grid, tuple(replace(c, id=int(i)) for c, i in zip(scn.cameras, ids)), scn.targets
+        )
+        extra = cam(
+            len(scn.cameras) + 1,
+            [RATE_TIERS[int(rng.integers(0, len(RATE_TIERS)))] for _ in range(scn.grid.num_subchannels)],
+            float(rng.integers(3, 17)),
+            {int(t) + 1 for t in rng.choice(len(scn.targets), size=int(rng.integers(1, 4)))},
+        )
+        grown = Scenario(scn.grid, scn.cameras + (extra,), scn.targets)
+        for mode in ("with_exclusivity", "without_exclusivity"):
+            base = exact_solve(scn, mode)
+            moved = exact_solve(renumbered, mode)
+            assert (moved.status, moved.schedule.total_rbs) == (base.status, base.schedule.total_rbs)
+            if base.status is SolveStatus.FEASIBLE:
+                more = exact_solve(grown, mode)
+                assert more.status is SolveStatus.FEASIBLE
+                assert more.schedule.total_rbs <= base.schedule.total_rbs
 
 
 def test_search_counters_are_deterministic():
