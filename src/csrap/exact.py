@@ -4,8 +4,9 @@ The search branches on which camera covers the currently hardest uncovered
 target, assigning concrete runs inside each branch so RB exclusivity and slot
 capacities hold by construction.  A fractional covering bound (cheapest RBs
 per still-uncovered target) prunes subtrees; dropping exclusivity can only
-lower cost, so the bound is admissible.  The bound is kept in integers scaled
-by ``lcm(1..largest coverage)``, so every per-target share is exact.
+lower cost, so the bound is admissible.  The shares are summed in integers
+scaled by ``lcm(1..largest coverage)``, so each is exact, and the sum is
+rounded up to whole RBs because every cost is a whole number of RBs.
 
 Slots with the same capacity and the same runs for every camera are
 interchangeable.  The strict search skips a candidate in such a slot while a
@@ -50,16 +51,15 @@ class SearchBudgetExceeded(RuntimeError):
 
     ``nodes`` counts the expansions made, ``incumbent`` is the cost of the
     best schedule found (None before one exists) and ``lower_bound`` the root
-    bound rounded up (None when the up-front size check refused the instance).
+    bound in RBs.
     """
 
-    def __init__(self, reason: str, nodes: int = 0, incumbent: int | None = None, lower_bound: int | None = None):
+    def __init__(self, reason: str, nodes: int = 0, incumbent: int | None = None, lower_bound: int = 0):
         self.nodes = nodes
         self.incumbent = incumbent
         self.lower_bound = lower_bound
         found = "none" if incumbent is None else f"{incumbent} RBs"
-        bound = "none" if lower_bound is None else f"{lower_bound} RBs"
-        super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {bound})")
+        super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {lower_bound} RBs)")
 
 
 @dataclass
@@ -69,7 +69,7 @@ class _Search:
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
-    root_bound: int | None = None  # the root's bound rounded up
+    root_bound: int = 0  # the root's bound, set before the first node
     bound_prunes: int = 0
     symmetry_skips: int = 0
     incumbent_updates: int = 0
@@ -95,10 +95,10 @@ class _Search:
                 self.root_bound,
             )
 
-    def scaled_bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
-        """``scale`` times the admissible lower bound: every target pays at
-        least the cheapest per-target share any remaining camera offers;
-        None if some target is uncoverable."""
+    def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
+        """Admissible lower bound in whole RBs: every target pays at least
+        the cheapest per-target share any remaining camera offers; None if
+        some target is uncoverable."""
         best: dict[int, int] = {}
         for cam_id in available:
             hit = self.coverage[cam_id] & uncovered
@@ -109,7 +109,7 @@ class _Search:
                         best[target] = share
         if len(best) < len(uncovered):
             return None
-        return sum(best.values())
+        return -(-sum(best.values()) // self.scale)
 
     def branch_order(self, uncovered: frozenset[int], available: tuple[int, ...]) -> list[int]:
         """Cameras covering the hardest uncovered target, cheapest first."""
@@ -129,6 +129,7 @@ class _Search:
             bound_prunes=self.bound_prunes,
             symmetry_skips=self.symmetry_skips,
             incumbent_updates=self.incumbent_updates,
+            root_bound=self.root_bound,
         )
 
 
@@ -179,12 +180,6 @@ def exact_solve(
             SolveStatus.INFEASIBLE_COVERAGE,
             Diagnostics(notes=(f"targets with no usable camera: {missing}",)),
             relaxed=relaxed,
-        )
-
-    worst_branch = max((table.candidate_count(cid) for cid in coverage), default=0)
-    if len(coverage) * worst_branch > node_budget:
-        raise SearchBudgetExceeded(
-            f"{len(coverage)} cameras x {worst_branch} candidates exceeds the budget {node_budget}"
         )
 
     search = _Search(coverage, min_phi, node_budget)
@@ -276,10 +271,9 @@ def _branch_and_bound(
     its later siblings' subtrees.
     """
     search.best_cost = ceiling
-    scale = search.scale
-    root_bound = search.scaled_bound(targets, available)
-    if root_bound is not None:
-        search.root_bound = -(-root_bound // scale)
+    root_bound = search.bound(targets, available)
+    assert root_bound is not None  # callers check that every target is reachable
+    search.root_bound = root_bound
     best: list | None = None
 
     def dfs(uncovered: frozenset[int], avail: tuple[int, ...], state: Any, cost: int, chosen: list) -> None:
@@ -291,8 +285,8 @@ def _branch_and_bound(
                 search.incumbent_updates += 1
                 best = list(chosen)
             return
-        bound = search.scaled_bound(uncovered, avail)
-        if bound is None or cost * scale + bound >= search.best_cost * scale:
+        bound = search.bound(uncovered, avail)
+        if bound is None or cost + bound >= search.best_cost:
             search.bound_prunes += 1
             return
         tried: list[int] = []

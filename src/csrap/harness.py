@@ -16,7 +16,16 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .exact import DEFAULT_NODE_BUDGET, exact_solve
 from .model import CandidateAllocation, Scenario, Schedule, verify_schedule
-from .scenario import ScenarioConfig, ScenarioFormatError, config_from_document, generate_scenario
+from .scenario import (
+    ScenarioConfig,
+    ScenarioFormatError,
+    _integer,
+    _need,
+    _number,
+    _string,
+    config_from_document,
+    generate_scenario,
+)
 from .solvers import (
     CandidateTable,
     SolveStatus,
@@ -231,41 +240,45 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, cells=cells)
 
 
+def _axis_value(axis: str, value: Any, path: str) -> Any:
+    """Check one sweep value for ``axis``; it is kept as written, because
+    the CSV prints it (a view distance of 30 stays ``30``)."""
+    if axis == "num_targets":
+        return _integer(value, path)
+    if axis == "deployment":
+        return _string(value, path)
+    _number(value, path)
+    return value
+
+
 def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
-    """Parse a sweep document; unknown algorithms or axes fail with the field name."""
+    """Parse a sweep document; a malformed or unknown entry fails with its field name."""
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("sweep: expected a JSON object")
     kwargs: dict[str, Any] = {}
     if "config" in doc and doc["config"] is not None:
         kwargs["config"] = config_from_document(doc["config"])
-    if "axis" in doc:
-        kwargs["axis"] = doc["axis"]
+    axis = doc.get("axis", SweepSpec.axis)
+    if axis not in SWEEP_AXES:
+        raise ScenarioFormatError(f"axis: expected one of {SWEEP_AXES}")
+    kwargs["axis"] = axis
     if "values" in doc:
         values = doc["values"]
         if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
             raise ScenarioFormatError("values: expected a list")
-        kwargs["values"] = tuple(values)
-    if "trials" in doc:
-        if not isinstance(doc["trials"], int) or isinstance(doc["trials"], bool):
-            raise ScenarioFormatError("trials: expected an integer")
-        kwargs["trials"] = doc["trials"]
+        kwargs["values"] = tuple(_axis_value(axis, v, f"values[{i}]") for i, v in enumerate(values))
     if "algorithms" in doc:
         algos = doc["algorithms"]
         if not isinstance(algos, Sequence) or isinstance(algos, (str, bytes)):
             raise ScenarioFormatError("algorithms: expected a list of names")
-        kwargs["algorithms"] = tuple(algos)
-    if "base_seed" in doc:
-        if not isinstance(doc["base_seed"], int) or isinstance(doc["base_seed"], bool):
-            raise ScenarioFormatError("base_seed: expected an integer")
-        kwargs["base_seed"] = doc["base_seed"]
+        kwargs["algorithms"] = tuple(_string(a, f"algorithms[{i}]") for i, a in enumerate(algos))
+    for key in ("trials", "base_seed", "multiplicity"):
+        if key in doc:
+            kwargs[key] = _integer(doc[key], key)
     if "freeze_placement" in doc:
         if not isinstance(doc["freeze_placement"], bool):
             raise ScenarioFormatError("freeze_placement: expected a boolean")
         kwargs["freeze_placement"] = doc["freeze_placement"]
-    if "multiplicity" in doc:
-        if not isinstance(doc["multiplicity"], int) or isinstance(doc["multiplicity"], bool):
-            raise ScenarioFormatError("multiplicity: expected an integer")
-        kwargs["multiplicity"] = doc["multiplicity"]
     try:
         return SweepSpec(**kwargs)
     except ValueError as exc:
@@ -293,9 +306,7 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
     """Rebuild a schedule document against a scenario for verification."""
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("schedule: expected a JSON object")
-    raw = doc.get("assignments")
-    if raw is None:
-        raise ScenarioFormatError("assignments: missing")
+    raw = _need(doc, "assignments", "")
     if not isinstance(raw, Sequence):
         raise ScenarioFormatError("assignments: expected a list")
     allocs = []
@@ -303,23 +314,16 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
         path = f"assignments[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioFormatError(f"{path}: expected an object")
+        run = [
+            _integer(_need(entry, key, f"{path}."), f"{path}.{key}")
+            for key in ("camera_id", "slot", "start", "length")
+        ]
+        robust = _number(_need(entry, "robust_rate", f"{path}."), f"{path}.robust_rate")
         try:
-            allocs.append(
-                CandidateAllocation(
-                    camera_id=entry["camera_id"],
-                    slot=entry["slot"],
-                    start=entry["start"],
-                    length=entry["length"],
-                    robust_rate=entry["robust_rate"],
-                )
-            )
-        except KeyError as exc:
-            raise ScenarioFormatError(f"{path}.{exc.args[0]}: missing") from exc
+            allocs.append(CandidateAllocation(*run, robust))
         except ValueError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
-    total = doc.get("total_rbs")
-    if total is None:
-        raise ScenarioFormatError("total_rbs: missing")
+    total = _integer(_need(doc, "total_rbs", ""), "total_rbs")
     covered: set[int] = set()
     cams = {c.id: c for c in scenario.cameras}
     for alloc in allocs:
@@ -329,6 +333,6 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
         covered |= cam.coverage_set
     return Schedule(
         assignments=tuple(sorted(allocs, key=CandidateAllocation.sort_key)),
-        total_rbs=int(total),
+        total_rbs=total,
         covered_targets=frozenset(covered & scenario.target_ids),
     )

@@ -404,6 +404,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioFormatError(f"{path}: expected a string")
+    return value
+
+
 def _channel_to_doc(channel: ChannelParams) -> dict:
     return {
         "tx_power_dbm": channel.tx_power_dbm,

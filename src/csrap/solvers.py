@@ -87,6 +87,7 @@ class Diagnostics:
     bound_prunes: int = 0  # exact search nodes cut by the lower bound
     symmetry_skips: int = 0  # exact search candidates skipped for an equivalent lower slot
     incumbent_updates: int = 0  # strict improvements of the exact search's best schedule
+    root_bound: int | None = None  # exact search's lower bound at the root, in RBs
 
 
 @dataclass(frozen=True)

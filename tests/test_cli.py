@@ -94,19 +94,21 @@ class TestPipeline:
         capsys.readouterr()
 
 
-class TestSweepCommand:
-    def sweep_doc(self):
-        return {
-            "config": small_config(),
-            "axis": "num_targets",
-            "values": [2, 4],
-            "trials": 3,
-            "algorithms": ["baseline", "mramc"],
-            "base_seed": 1,
-        }
+def sweep_doc(**fields):
+    return {
+        "config": small_config(),
+        "axis": "num_targets",
+        "values": [2, 4],
+        "trials": 3,
+        "algorithms": ["baseline", "mramc"],
+        "base_seed": 1,
+        **fields,
+    }
 
+
+class TestSweepCommand:
     def test_sweep_csv_format_and_determinism(self, tmp_path, capsys):
-        spec = write(tmp_path / "sweep.json", self.sweep_doc())
+        spec = write(tmp_path / "sweep.json", sweep_doc())
         out1 = str(tmp_path / "a.csv")
         out2 = str(tmp_path / "b.csv")
         assert main(["sweep", spec, "--out", out1, "--quiet"]) == 0
@@ -119,7 +121,7 @@ class TestSweepCommand:
         capsys.readouterr()
 
     def test_timestamp_present_without_quiet(self, tmp_path, capsys):
-        spec = write(tmp_path / "sweep.json", self.sweep_doc())
+        spec = write(tmp_path / "sweep.json", sweep_doc())
         out = str(tmp_path / "a.csv")
         assert main(["sweep", spec, "--out", out]) == 0
         assert (tmp_path / "a.csv").read_text().startswith("# generated ")
@@ -176,16 +178,15 @@ class TestErrorPaths:
             "deployment": "partial_random",
             "geometry": {"kind": "omnidirectional", "view_distance": [40, 60]},
             "frame": {"M": 12, "T": 3},
-            "seed": 4,
+            "seed": 8,
         }
         cfg = write(tmp_path / "config.json", config)
         scenario_path = str(tmp_path / "scenario.json")
         main(["generate", "--config", cfg, "--out", scenario_path, "--quiet"])
-        # The search needs 557 nodes; 400 pass the up-front size check.
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "400", "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource limit: exceeded 400 node expansions")
-        assert "(nodes: 401, incumbent: 8 RBs, lower bound: 6 RBs)" in err
+        assert "(nodes: 401, incumbent: 6 RBs, lower bound: 5 RBs)" in err
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
@@ -233,6 +234,40 @@ class TestMalformedNumbers:
         doc, field = self.CASES[case]
         scenario_path = write(tmp_path / "scn.json", doc)
         assert main(["solve", scenario_path, "--algo", "mramc", "--quiet"]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
+
+def schedule_doc(total_rbs=1, **fields):
+    run = {"camera_id": 1, "slot": 1, "start": 1, "length": 1, "robust_rate": 8.0, **fields}
+    return {"assignments": [run], "total_rbs": total_rbs}
+
+
+class TestMalformedDocuments:
+    """Schedule and sweep documents whose fields have the wrong type."""
+
+    CASES = {
+        "string_slot": ("verify", schedule_doc(slot="1"), "assignments[0].slot"),
+        "fractional_start": ("verify", schedule_doc(start=1.5), "assignments[0].start"),
+        "list_camera_id": ("verify", schedule_doc(camera_id=[1]), "assignments[0].camera_id"),
+        "string_robust_rate": ("verify", schedule_doc(robust_rate="x"), "assignments[0].robust_rate"),
+        "list_total": ("verify", schedule_doc(total_rbs=[1]), "total_rbs"),
+        "string_total": ("verify", schedule_doc(total_rbs="abc"), "total_rbs"),
+        "float_total": ("verify", schedule_doc(total_rbs=6.0), "total_rbs"),
+        "list_algorithm": ("sweep", sweep_doc(algorithms=[[1]]), "algorithms[0]"),
+        "list_target_count": ("sweep", sweep_doc(values=[[1]]), "values[0]"),
+        "null_view_distance": ("sweep", sweep_doc(axis="view_distance", values=[None]), "values[0]"),
+        "boolean_fov": ("sweep", sweep_doc(axis="fov", values=[True]), "values[0]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_field_path(self, tmp_path, capsys, case):
+        command, doc, field = self.CASES[case]
+        path = write(tmp_path / "doc.json", doc)
+        if command == "verify":
+            args = ["verify", str(DATA / "small.json"), path, "--quiet"]
+        else:
+            args = ["sweep", path, "--out", str(tmp_path / "out.csv"), "--quiet"]
+        assert main(args) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
 
