@@ -19,12 +19,12 @@ from .model import CandidateAllocation, Scenario, Schedule, verify_schedule
 from .scenario import (
     ScenarioConfig,
     ScenarioFormatError,
-    _integer,
-    _need,
-    _number,
-    _string,
     config_from_document,
     generate_scenario,
+    need_field,
+    read_integer,
+    read_number,
+    read_string,
 )
 from .solvers import (
     CandidateTable,
@@ -244,10 +244,10 @@ def _axis_value(axis: str, value: Any, path: str) -> Any:
     """Check one sweep value for ``axis``; it is kept as written, because
     the CSV prints it (a view distance of 30 stays ``30``)."""
     if axis == "num_targets":
-        return _integer(value, path)
+        return read_integer(value, path)
     if axis == "deployment":
-        return _string(value, path)
-    _number(value, path)
+        return read_string(value, path)
+    read_number(value, path)
     return value
 
 
@@ -271,10 +271,10 @@ def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
         algos = doc["algorithms"]
         if not isinstance(algos, Sequence) or isinstance(algos, (str, bytes)):
             raise ScenarioFormatError("algorithms: expected a list of names")
-        kwargs["algorithms"] = tuple(_string(a, f"algorithms[{i}]") for i, a in enumerate(algos))
+        kwargs["algorithms"] = tuple(read_string(a, f"algorithms[{i}]") for i, a in enumerate(algos))
     for key in ("trials", "base_seed", "multiplicity"):
         if key in doc:
-            kwargs[key] = _integer(doc[key], key)
+            kwargs[key] = read_integer(doc[key], key)
     if "freeze_placement" in doc:
         if not isinstance(doc["freeze_placement"], bool):
             raise ScenarioFormatError("freeze_placement: expected a boolean")
@@ -306,7 +306,7 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
     """Rebuild a schedule document against a scenario for verification."""
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("schedule: expected a JSON object")
-    raw = _need(doc, "assignments", "")
+    raw = need_field(doc, "assignments", "")
     if not isinstance(raw, Sequence):
         raise ScenarioFormatError("assignments: expected a list")
     allocs = []
@@ -315,15 +315,15 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
         if not isinstance(entry, Mapping):
             raise ScenarioFormatError(f"{path}: expected an object")
         run = [
-            _integer(_need(entry, key, f"{path}."), f"{path}.{key}")
+            read_integer(need_field(entry, key, f"{path}."), f"{path}.{key}")
             for key in ("camera_id", "slot", "start", "length")
         ]
-        robust = _number(_need(entry, "robust_rate", f"{path}."), f"{path}.robust_rate")
+        robust = read_number(need_field(entry, "robust_rate", f"{path}."), f"{path}.robust_rate")
         try:
             allocs.append(CandidateAllocation(*run, robust))
         except ValueError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
-    total = _integer(_need(doc, "total_rbs", ""), "total_rbs")
+    total = read_integer(need_field(doc, "total_rbs", ""), "total_rbs")
     covered: set[int] = set()
     cams = {c.id: c for c in scenario.cameras}
     for alloc in allocs:

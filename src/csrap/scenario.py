@@ -43,6 +43,10 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "config_from_document",
+    "need_field",
+    "read_number",
+    "read_integer",
+    "read_string",
 ]
 
 DEPLOYMENTS = ("overall_grid", "partial_random", "cell_edge")
@@ -379,14 +383,18 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
 # Document serialization
 # ---------------------------------------------------------------------------
 
+# The field readers below are shared by every document loader (scenarios here,
+# schedules and sweeps in the harness): each raises ScenarioFormatError naming
+# the field's path.
 
-def _need(doc: Mapping, key: str, path: str) -> Any:
+
+def need_field(doc: Mapping, key: str, path: str) -> Any:
     if key not in doc:
         raise ScenarioFormatError(f"{path}{key}: missing")
     return doc[key]
 
 
-def _number(value: Any, path: str) -> float:
+def read_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number")
     try:
@@ -398,13 +406,13 @@ def _number(value: Any, path: str) -> float:
     return number
 
 
-def _integer(value: Any, path: str) -> int:
+def read_integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"{path}: expected an integer")
     return value
 
 
-def _string(value: Any, path: str) -> str:
+def read_string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ScenarioFormatError(f"{path}: expected a string")
     return value
@@ -435,7 +443,7 @@ def _channel_from_doc(doc: Mapping, path: str) -> ChannelParams:
         "rb_bandwidth_hz",
     ):
         if key in doc:
-            kwargs[key] = _number(doc[key], f"{path}.{key}")
+            kwargs[key] = read_number(doc[key], f"{path}.{key}")
     if "mcs_table" in doc:
         raw = doc["mcs_table"]
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
@@ -444,7 +452,7 @@ def _channel_from_doc(doc: Mapping, path: str) -> ChannelParams:
         for i, pair in enumerate(raw):
             if not isinstance(pair, Sequence) or len(pair) != 2:
                 raise ScenarioFormatError(f"{path}.mcs_table[{i}]: expected a [threshold, rate] pair")
-            table.append((_number(pair[0], f"{path}.mcs_table[{i}][0]"), _number(pair[1], f"{path}.mcs_table[{i}][1]")))
+            table.append((read_number(pair[0], f"{path}.mcs_table[{i}][0]"), read_number(pair[1], f"{path}.mcs_table[{i}][1]")))
         kwargs["mcs_table"] = tuple(table)
     try:
         return ChannelParams(**kwargs)
@@ -455,14 +463,14 @@ def _channel_from_doc(doc: Mapping, path: str) -> ChannelParams:
 def _frame_from_doc(doc: Mapping, path: str = "frame") -> FrameGrid:
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError(f"{path}: expected an object")
-    m = _integer(_need(doc, "M", f"{path}."), f"{path}.M")
-    t = _integer(_need(doc, "T", f"{path}."), f"{path}.T")
+    m = read_integer(need_field(doc, "M", f"{path}."), f"{path}.M")
+    t = read_integer(need_field(doc, "T", f"{path}."), f"{path}.T")
     cap = doc.get("slot_capacity")
     if cap is not None:
         if not isinstance(cap, Sequence) or isinstance(cap, (str, bytes)):
             raise ScenarioFormatError(f"{path}.slot_capacity: expected a list or null")
-        cap = tuple(_integer(c, f"{path}.slot_capacity[{i}]") for i, c in enumerate(cap))
-    rho = _number(doc.get("rho_ms", 10.0), f"{path}.rho_ms")
+        cap = tuple(read_integer(c, f"{path}.slot_capacity[{i}]") for i, c in enumerate(cap))
+    rho = read_number(doc.get("rho_ms", 10.0), f"{path}.rho_ms")
     try:
         return FrameGrid(m, t, cap, rho)
     except ValueError as exc:
@@ -472,14 +480,14 @@ def _frame_from_doc(doc: Mapping, path: str = "frame") -> FrameGrid:
 def _geometry_from_doc(doc: Any, path: str) -> Omnidirectional | Directional:
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError(f"{path}: expected an object")
-    kind = _need(doc, "kind", f"{path}.")
-    view = _number(_need(doc, "view_distance", f"{path}."), f"{path}.view_distance")
+    kind = need_field(doc, "kind", f"{path}.")
+    view = read_number(need_field(doc, "view_distance", f"{path}."), f"{path}.view_distance")
     try:
         if kind == "omnidirectional":
             return Omnidirectional(view)
         if kind == "directional":
-            orientation = _number(_need(doc, "orientation", f"{path}."), f"{path}.orientation")
-            fov = _number(_need(doc, "fov", f"{path}."), f"{path}.fov")
+            orientation = read_number(need_field(doc, "orientation", f"{path}."), f"{path}.orientation")
+            fov = read_number(need_field(doc, "fov", f"{path}."), f"{path}.fov")
             return Directional(view, orientation, fov)
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
@@ -539,17 +547,17 @@ def load_scenario(doc: Mapping) -> Scenario:
     """
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("document: expected a JSON object")
-    area = _number(_need(doc, "area", ""), "area")
+    area = read_number(need_field(doc, "area", ""), "area")
     if not area > 0:
         raise ScenarioFormatError("area: must be positive")
-    grid = _frame_from_doc(_need(doc, "frame", ""))
+    grid = _frame_from_doc(need_field(doc, "frame", ""))
     channel_doc = doc.get("channel")
     channel = _channel_from_doc(channel_doc, "channel") if channel_doc is not None else None
     seed = doc.get("seed")
     if seed is not None:
-        seed = _integer(seed, "seed")
+        seed = read_integer(seed, "seed")
 
-    raw_targets = _need(doc, "targets", "")
+    raw_targets = need_field(doc, "targets", "")
     if not isinstance(raw_targets, Sequence):
         raise ScenarioFormatError("targets: expected a list")
     targets = []
@@ -559,12 +567,12 @@ def load_scenario(doc: Mapping) -> Scenario:
             raise ScenarioFormatError(f"{path}: expected an object")
         targets.append(
             TargetObject(
-                _integer(_need(entry, "id", f"{path}."), f"{path}.id"),
-                (_number(_need(entry, "x", f"{path}."), f"{path}.x"), _number(_need(entry, "y", f"{path}."), f"{path}.y")),
+                read_integer(need_field(entry, "id", f"{path}."), f"{path}.id"),
+                (read_number(need_field(entry, "x", f"{path}."), f"{path}.x"), read_number(need_field(entry, "y", f"{path}."), f"{path}.y")),
             )
         )
 
-    raw_cameras = _need(doc, "cameras", "")
+    raw_cameras = need_field(doc, "cameras", "")
     if not isinstance(raw_cameras, Sequence):
         raise ScenarioFormatError("cameras: expected a list")
     center = (area / 2.0, area / 2.0)
@@ -573,18 +581,18 @@ def load_scenario(doc: Mapping) -> Scenario:
         path = f"cameras[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioFormatError(f"{path}: expected an object")
-        cam_id = _integer(_need(entry, "id", f"{path}."), f"{path}.id")
+        cam_id = read_integer(need_field(entry, "id", f"{path}."), f"{path}.id")
         pos = (
-            _number(_need(entry, "x", f"{path}."), f"{path}.x"),
-            _number(_need(entry, "y", f"{path}."), f"{path}.y"),
+            read_number(need_field(entry, "x", f"{path}."), f"{path}.x"),
+            read_number(need_field(entry, "y", f"{path}."), f"{path}.y"),
         )
-        geometry = _geometry_from_doc(_need(entry, "geometry", f"{path}."), f"{path}.geometry")
-        requirement = _number(_need(entry, "rate_requirement", f"{path}."), f"{path}.rate_requirement")
+        geometry = _geometry_from_doc(need_field(entry, "geometry", f"{path}."), f"{path}.geometry")
+        requirement = read_number(need_field(entry, "rate_requirement", f"{path}."), f"{path}.rate_requirement")
         if "rates" in entry and entry["rates"] is not None:
             raw_rates = entry["rates"]
             if not isinstance(raw_rates, Sequence) or isinstance(raw_rates, (str, bytes)):
                 raise ScenarioFormatError(f"{path}.rates: expected a list of numbers")
-            rates = tuple(_number(r, f"{path}.rates[{j}]") for j, r in enumerate(raw_rates))
+            rates = tuple(read_number(r, f"{path}.rates[{j}]") for j, r in enumerate(raw_rates))
         else:
             if channel is None:
                 raise ScenarioFormatError(f"{path}.rates: missing and no channel model to derive from")
@@ -605,7 +613,7 @@ def load_scenario(doc: Mapping) -> Scenario:
                     raise ScenarioFormatError(f"{path}.slot_rates[{s}]: slot must lie in 1..{grid.num_slots}")
                 if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
                     raise ScenarioFormatError(f"{path}.slot_rates[{s}]: expected a list of numbers")
-                slot_overrides[slot] = tuple(_number(r, f"{path}.slot_rates[{s}][{j}]") for j, r in enumerate(vec))
+                slot_overrides[slot] = tuple(read_number(r, f"{path}.slot_rates[{s}][{j}]") for j, r in enumerate(vec))
         try:
             cam = CameraNode(
                 id=cam_id,
@@ -639,11 +647,11 @@ def config_from_document(doc: Mapping) -> ScenarioConfig:
         raise ScenarioFormatError("config: expected a JSON object")
     kwargs: dict[str, Any] = {}
     if "area" in doc:
-        kwargs["area_side"] = _number(doc["area"], "area")
+        kwargs["area_side"] = read_number(doc["area"], "area")
     if "num_targets" in doc:
-        kwargs["num_targets"] = _integer(doc["num_targets"], "num_targets")
+        kwargs["num_targets"] = read_integer(doc["num_targets"], "num_targets")
     if "num_cameras" in doc:
-        kwargs["num_cameras"] = _integer(doc["num_cameras"], "num_cameras")
+        kwargs["num_cameras"] = read_integer(doc["num_cameras"], "num_cameras")
     if "deployment" in doc:
         kwargs["deployment"] = doc["deployment"]
     if "geometry" in doc:
@@ -657,9 +665,9 @@ def config_from_document(doc: Mapping) -> ScenarioConfig:
             vd = g["view_distance"]
             if not isinstance(vd, Sequence) or len(vd) != 2:
                 raise ScenarioFormatError("geometry.view_distance: expected [min, max]")
-            gkw["view_distance"] = (_number(vd[0], "geometry.view_distance[0]"), _number(vd[1], "geometry.view_distance[1]"))
+            gkw["view_distance"] = (read_number(vd[0], "geometry.view_distance[0]"), read_number(vd[1], "geometry.view_distance[1]"))
         if "fov" in g:
-            gkw["fov_deg"] = _number(g["fov"], "geometry.fov")
+            gkw["fov_deg"] = read_number(g["fov"], "geometry.fov")
         try:
             kwargs["geometry"] = GeometrySpec(**gkw)
         except ValueError as exc:
@@ -668,13 +676,13 @@ def config_from_document(doc: Mapping) -> ScenarioConfig:
         rr = doc["rate_requirement"]
         if not isinstance(rr, Sequence) or len(rr) != 2:
             raise ScenarioFormatError("rate_requirement: expected [min, max]")
-        kwargs["rate_requirement_range"] = (_number(rr[0], "rate_requirement[0]"), _number(rr[1], "rate_requirement[1]"))
+        kwargs["rate_requirement_range"] = (read_number(rr[0], "rate_requirement[0]"), read_number(rr[1], "rate_requirement[1]"))
     if "frame" in doc:
         kwargs["frame"] = _frame_from_doc(doc["frame"])
     if "channel" in doc and doc["channel"] is not None:
         kwargs["channel"] = _channel_from_doc(doc["channel"], "channel")
     if "seed" in doc:
-        kwargs["rng_seed"] = _integer(doc["seed"], "seed")
+        kwargs["rng_seed"] = read_integer(doc["seed"], "seed")
     try:
         return ScenarioConfig(**kwargs)
     except ValueError as exc:

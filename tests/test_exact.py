@@ -246,8 +246,12 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
     assert (bound is None) == (expected is None)
     if expected is not None:
         assert bound == math.ceil(expected)
-        # Costs are whole RBs, so the rounded bound prunes exactly where the fraction does.
-        assert (cost + bound >= best_cost) == (cost + expected >= best_cost)
+        # Costs are whole RBs, so rounding up prunes exactly the subtrees whose
+        # every leaf would cost at least best_cost, and never fewer than the
+        # fraction prunes.
+        assert (cost + bound >= best_cost) == (cost + expected > best_cost - 1)
+        if cost + expected >= best_cost:
+            assert cost + bound >= best_cost
 
 
 def test_symmetry_keeps_slot_with_larger_capacity():
