@@ -2,11 +2,24 @@
 
 The search branches on which camera covers the currently hardest uncovered
 target, assigning concrete runs inside each branch so RB exclusivity and slot
-capacities hold by construction.  A fractional covering bound (cheapest RBs
-per still-uncovered target) prunes subtrees; dropping exclusivity can only
-lower cost, so the bound is admissible.  The shares are summed in integers
-scaled by ``lcm(1..largest coverage)``, so each is exact, and the sum is
-rounded up to whole RBs because every cost is a whole number of RBs.
+capacities hold by construction.  Two covering bounds prune subtrees, and
+the larger one counts; both ignore exclusivity, which can only lower cost,
+so both are admissible:
+
+* the share bound: every uncovered target pays the cheapest per-target share
+  ``min_phi / hits`` of any remaining camera, summed in integers scaled by
+  ``lcm(1..largest coverage)`` so each share is exact;
+* the Lagrangian bound of the set-covering LP (Fisher, "The Lagrangian
+  relaxation method for solving integer programming problems", 1981;
+  Beasley, "A Lagrangian heuristic for set-covering problems", 1990):
+  ``L(u) = sum of u_t over uncovered targets + sum over remaining cameras of
+  min(0, min_phi - sum of u_t over the uncovered targets it covers)``.  Any
+  prices ``u >= 0`` give a valid bound.  They are set once at the root by
+  dual ascent and held as integers over ``PRICE_SCALE``, so ``L`` is exact.
+
+Each bound is rounded up to whole RBs because every cost is a whole number of
+RBs.  The root bound is reported as ``Diagnostics.root_bound`` and as
+``SearchBudgetExceeded.lower_bound``.
 
 Slots with the same capacity and the same runs for every camera are
 interchangeable.  The strict search skips a candidate in such a slot while a
@@ -38,6 +51,9 @@ from .solvers import (
 __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# Lagrangian prices are integers in units of 1/PRICE_SCALE RB.
+PRICE_SCALE = 1 << 16
 
 MODES = ("with_exclusivity", "without_exclusivity")
 
@@ -75,6 +91,8 @@ class _Search:
     incumbent_updates: int = 0
     scale: int = field(init=False)
     shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
+    prices: dict[int, int] = field(init=False)  # target -> Lagrangian price over PRICE_SCALE
+    overpriced: frozenset[int] = field(init=False)  # cameras whose coverage costs more than min_phi
 
     def __post_init__(self) -> None:
         # A camera covering k uncovered targets charges each min_phi/k RBs;
@@ -84,6 +102,41 @@ class _Search:
             cam_id: (0,) + tuple(self.min_phi[cam_id] * self.scale // k for k in range(1, len(cov) + 1))
             for cam_id, cov in self.coverage.items()
         }
+        self.prices = {target: 0 for cov in self.coverage.values() for target in cov}
+        self.overpriced = frozenset()  # no camera is overpriced at zero prices
+
+    def set_prices(self, prices: dict[int, int]) -> None:
+        """Price every covered target (``u_t >= 0``, over PRICE_SCALE) for ``bound``."""
+        self.prices = prices
+        # With every price >= 0, a camera whose whole coverage costs at most
+        # its min_phi keeps a non-negative reduced cost at every node.
+        self.overpriced = frozenset(
+            cam_id
+            for cam_id, cov in self.coverage.items()
+            if sum(map(prices.__getitem__, cov)) > self.min_phi[cam_id] * PRICE_SCALE
+        )
+
+    def ascend_prices(self, targets: frozenset[int], available: tuple[int, ...]) -> None:
+        """Dual ascent: visit the targets hardest first (fewest covering
+        cameras, then id) and raise each price to the smallest slack
+        ``min_phi - sum of prices`` left among the cameras covering it.
+
+        No slack goes negative, so ``bound`` at these prices is at least the
+        sum of the uncovered targets' prices.
+        """
+        prices = dict.fromkeys(self.prices, 0)
+        slack: dict[int, int] = {}
+        covering: dict[int, list[int]] = {target: [] for target in targets}
+        for cam_id in available:
+            slack[cam_id] = self.min_phi[cam_id] * PRICE_SCALE
+            for target in self.coverage[cam_id] & targets:
+                covering[target].append(cam_id)
+        for _, target in sorted((len(cams), target) for target, cams in covering.items()):
+            cams = covering[target]
+            price = prices[target] = min(map(slack.__getitem__, cams))
+            for cam_id in cams:
+                slack[cam_id] -= price
+        self.set_prices(prices)
 
     def tick(self) -> None:
         self.nodes += 1
@@ -96,10 +149,12 @@ class _Search:
             )
 
     def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
-        """Admissible lower bound in whole RBs: every target pays at least
-        the cheapest per-target share any remaining camera offers; None if
-        some target is uncoverable."""
+        """Admissible lower bound in whole RBs: the larger of the share bound
+        and the Lagrangian bound at ``prices``; None if some target is
+        uncoverable."""
         best: dict[int, int] = {}
+        prices, overpriced = self.prices, self.overpriced
+        negative = 0  # sum of the negative reduced costs, over PRICE_SCALE
         for cam_id in available:
             hit = self.coverage[cam_id] & uncovered
             if hit:
@@ -107,9 +162,12 @@ class _Search:
                 for target in hit:
                     if share < best.get(target, share + 1):
                         best[target] = share
+                if cam_id in overpriced:
+                    negative += min(0, self.min_phi[cam_id] * PRICE_SCALE - sum(map(prices.__getitem__, hit)))
         if len(best) < len(uncovered):
             return None
-        return -(-sum(best.values()) // self.scale)
+        lagrangian = sum(map(prices.__getitem__, uncovered)) + negative
+        return max(-(-sum(best.values()) // self.scale), -(-lagrangian // PRICE_SCALE))
 
     def branch_order(self, uncovered: frozenset[int], available: tuple[int, ...]) -> list[int]:
         """Cameras covering the hardest uncovered target, cheapest first."""
@@ -271,6 +329,7 @@ def _branch_and_bound(
     its later siblings' subtrees.
     """
     search.best_cost = ceiling
+    search.ascend_prices(targets, available)
     root_bound = search.bound(targets, available)
     assert root_bound is not None  # callers check that every target is reachable
     search.root_bound = root_bound
@@ -335,7 +394,9 @@ def _realize_relaxed(
                 layout.pop()
         return False
 
-    if backtrack(0, _Occupancy(grid)):
+    # Runs that together exceed the frame's capacity cannot be laid out.
+    fits = sum(search.min_phi[cam_id] for cam_id in order) <= sum(grid.slot_capacity)
+    if fits and backtrack(0, _Occupancy(grid)):
         return [CandidateAllocation(*run) for run in layout]
     # No overlap-free layout of minimum runs; RB sharing is allowed here.
     return [table.min_allocation(cam_id) for cam_id in order]

@@ -104,6 +104,12 @@ class SweepSpec:
         object.__setattr__(self, "algorithms", algos)
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        # An out-of-range value fails here, naming it, before any trial runs.
+        for i, value in enumerate(self.values):
+            try:
+                apply_axis(self.config, self.axis, value)
+            except ValueError as exc:
+                raise ValueError(f"values[{i}]: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -286,3 +286,31 @@ def fraction_bound(coverage, min_phi, uncovered, available) -> Fraction | None:
             return None
         total += min(shares)
     return total
+
+
+def lagrangian_bound(coverage, min_phi, uncovered, available, prices) -> Fraction:
+    """The Lagrangian bound of the residual set-covering problem in
+    rationals: ``sum(u_t for t in uncovered) + sum over available cameras of
+    min(0, min_phi_c - sum(u_t for t in coverage_c & uncovered))``, with
+    ``prices`` mapping each target to ``u_t``."""
+    total = Fraction(sum(prices[t] for t in uncovered))
+    for c in available:
+        reduced = min_phi[c] - sum(prices[t] for t in coverage[c] & uncovered)
+        total += min(0, reduced)
+    return total
+
+
+def residual_cover_optimum(coverage, min_phi, uncovered, available) -> int | None:
+    """Cheapest sum of ``min_phi`` over subsets of the available cameras that
+    cover every uncovered target, by enumerating all subsets; None when no
+    subset covers them."""
+    best = None
+    for bits in range(2 ** len(available)):
+        subset = [c for i, c in enumerate(available) if bits >> i & 1]
+        covered = set()
+        for c in subset:
+            covered |= coverage[c]
+        if set(uncovered) <= covered:
+            cost = sum(min_phi[c] for c in subset)
+            best = cost if best is None else min(best, cost)
+    return best

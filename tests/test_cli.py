@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from csrap import harness
 from csrap.cli import main
 from csrap.harness import ALGORITHMS
 
@@ -127,6 +128,27 @@ class TestSweepCommand:
         assert (tmp_path / "a.csv").read_text().startswith("# generated ")
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("axis", "values", "field", "message"),
+        [
+            ("num_targets", [4, -3], "values[1]", "num_targets must be >= 1"),
+            ("view_distance", [-5], "values[0]", "view_distance range"),
+            ("deployment", ["partial_random", "bogus"], "values[1]", "deployment must be one of"),
+        ],
+    )
+    def test_out_of_range_value_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, axis, values, field, message
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "generate_scenario", no_trials)
+        spec = write(tmp_path / "sweep.json", sweep_doc(axis=axis, values=values))
+        assert main(["sweep", spec, "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: {message}" in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestBoundsCommand:
     def test_bounds_output(self, tmp_path, capsys):
@@ -178,7 +200,7 @@ class TestErrorPaths:
             "deployment": "partial_random",
             "geometry": {"kind": "omnidirectional", "view_distance": [40, 60]},
             "frame": {"M": 12, "T": 3},
-            "seed": 8,
+            "seed": 29,
         }
         cfg = write(tmp_path / "config.json", config)
         scenario_path = str(tmp_path / "scenario.json")
@@ -186,7 +208,7 @@ class TestErrorPaths:
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "400", "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource limit: exceeded 400 node expansions")
-        assert "(nodes: 401, incumbent: 6 RBs, lower bound: 5 RBs)" in err
+        assert "(nodes: 401, incumbent: 10 RBs, lower bound: 8 RBs)" in err
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):

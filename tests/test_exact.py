@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,15 +22,17 @@ from csrap import (
     generate_scenario,
     verify_schedule,
 )
-from csrap.exact import _Search
+from csrap.exact import PRICE_SCALE, _Search
 from csrap.scenario import GeometrySpec
 from support import (
     RATE_TIERS,
     all_subsets_cover_optimum,
     exhaustive_optimum,
     fraction_bound,
+    lagrangian_bound,
     milp_optimum,
     random_instance,
+    residual_cover_optimum,
 )
 
 
@@ -96,8 +99,17 @@ def test_capacity_infeasibility_when_rbs_run_out():
     assert result.status is SolveStatus.INFEASIBLE_CAPACITY
 
 
+def test_root_bound_beyond_capacity_proves_infeasibility_at_once():
+    scn = random_instance(np.random.default_rng(0))
+    assert exhaustive_optimum(scn, with_exclusivity=True) is None
+    result = exact_solve(scn, node_budget=1)
+    assert result.status is SolveStatus.INFEASIBLE_CAPACITY
+    assert result.diagnostics.nodes_expanded == 1
+    assert result.diagnostics.root_bound > sum(scn.grid.slot_capacity)
+
+
 def test_budget_exhaustion_raises_instead_of_guessing():
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(2)
     scn = random_instance(rng)
     with pytest.raises(SearchBudgetExceeded):
         exact_solve(scn, node_budget=1)
@@ -160,7 +172,7 @@ def test_rejects_unknown_mode():
 
 
 def test_budget_overrun_reports_progress():
-    scn = partial_random(12, 8, 12, 3, seed=8)
+    scn = partial_random(12, 8, 12, 3, seed=29)
     optimum = exact_solve(scn).schedule.total_rbs
     with pytest.raises(SearchBudgetExceeded) as info:
         exact_solve(scn, node_budget=400)
@@ -172,7 +184,7 @@ def test_budget_overrun_reports_progress():
 
 
 def test_budget_of_one_overruns_with_root_bound():
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(2)
     with pytest.raises(SearchBudgetExceeded) as info:
         exact_solve(random_instance(rng), node_budget=1)
     assert (info.value.nodes, info.value.incumbent) == (2, None)
@@ -180,15 +192,29 @@ def test_budget_of_one_overruns_with_root_bound():
 
 
 def test_node_budget_bounds_the_relaxed_layout_search():
-    # Seven cameras, each the only one seeing its target, need 3-RB runs: 21
-    # RBs in a 20-subchannel frame, so no overlap-free layout exists and the
-    # layout search tries every partial one before it falls back.
-    cameras = tuple(cam(i, [1.0] * 20, 3.0, {i}) for i in range(1, 8))
-    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, 8))
+    # Six cameras, each the only one seeing its target, need 3-RB runs: 18
+    # RBs fit a 20-subchannel frame, but cameras 5 and 6 can only send on
+    # subchannels 1-3, so no overlap-free layout exists and the layout search
+    # tries every partial one (17,354 steps) before it falls back.
+    cameras = tuple(cam(i, [1.0] * 20, 3.0, {i}) for i in range(1, 5)) + tuple(
+        cam(i, [1.0] * 3 + [0.0] * 17, 3.0, {i}) for i in (5, 6)
+    )
+    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, 7))
     scn = Scenario(FrameGrid(20, 1), cameras, targets)
     with pytest.raises(SearchBudgetExceeded) as info:
         exact_solve(scn, "without_exclusivity", node_budget=1000)
-    assert (info.value.nodes, info.value.incumbent, info.value.lower_bound) == (1001, 21, 21)
+    assert (info.value.nodes, info.value.incumbent, info.value.lower_bound) == (1001, 18, 18)
+
+
+def test_relaxed_runs_beyond_frame_capacity_fall_back_at_once():
+    # Seven 3-RB runs need 21 RBs in a 20-subchannel frame: the capacity
+    # count rules out every layout before the layout search starts.
+    cameras = tuple(cam(i, [1.0] * 20, 3.0, {i}) for i in range(1, 8))
+    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, 8))
+    result = exact_solve(Scenario(FrameGrid(20, 1), cameras, targets), "without_exclusivity", node_budget=1000)
+    assert result.status is SolveStatus.FEASIBLE and result.relaxed
+    assert result.schedule.total_rbs == 21
+    assert result.diagnostics.nodes_expanded == 8  # the covering search alone
 
 
 def test_optimum_ignores_camera_ids_and_never_rises_with_a_camera():
@@ -241,6 +267,8 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
     min_phi = {cam_id: phis[cam_id - 1] for cam_id in coverage}
     available = tuple(c for c in coverage if picks[c - 1])
     uncovered = frozenset(uncovered)
+    # At zero prices, the default, the Lagrangian bound is 0 and the share
+    # bound alone counts.
     bound = _Search(coverage, min_phi, budget=1).bound(uncovered, available)
     expected = fraction_bound(coverage, min_phi, uncovered, available)
     assert (bound is None) == (expected is None)
@@ -252,6 +280,38 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
         assert (cost + bound >= best_cost) == (cost + expected > best_cost - 1)
         if cost + expected >= best_cost:
             assert cost + bound >= best_cost
+
+
+@given(
+    covers=st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=8), min_size=1, max_size=6),
+    phis=st.lists(st.integers(1, 30), min_size=6, max_size=6),
+    uncovered=st.sets(st.integers(1, 8), min_size=1),
+    picks=st.lists(st.booleans(), min_size=6, max_size=6),
+    prices=st.lists(st.integers(0, 20 * PRICE_SCALE), min_size=8, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_lagrangian_bound_equals_fraction_reference(covers, phis, uncovered, picks, prices):
+    coverage = {i + 1: frozenset(cov) for i, cov in enumerate(covers)}
+    min_phi = {cam_id: phis[cam_id - 1] for cam_id in coverage}
+    available = tuple(c for c in coverage if picks[c - 1])
+    uncovered = frozenset(uncovered)
+    search = _Search(coverage, min_phi, budget=1)
+    search.set_prices({t: prices[t - 1] for t in range(1, 9)})
+    bound = search.bound(uncovered, available)
+    share = fraction_bound(coverage, min_phi, uncovered, available)
+    optimum = residual_cover_optimum(coverage, min_phi, uncovered, available)
+    assert (bound is None) == (share is None) == (optimum is None)
+    if optimum is None:
+        return
+    u = {t: Fraction(p, PRICE_SCALE) for t, p in search.prices.items()}
+    assert bound == max(math.ceil(share), math.ceil(lagrangian_bound(coverage, min_phi, uncovered, available, u)))
+    assert bound <= optimum
+    # Dual ascent leaves no reduced cost negative, so its bound is at least
+    # the sum of the uncovered targets' prices.
+    search.ascend_prices(uncovered, available)
+    ascended = search.bound(uncovered, available)
+    assert ascended <= optimum
+    assert ascended * PRICE_SCALE >= sum(search.prices[t] for t in uncovered)
 
 
 def test_symmetry_keeps_slot_with_larger_capacity():
@@ -299,7 +359,7 @@ def test_interchangeable_slots_do_not_multiply_nodes():
 MILP_RUNGS = [
     pytest.param((12, 8, 12, 3), range(8), range(8), id="rung0"),
     pytest.param((10, 7, 8, 4), range(8), range(8), id="rung1"),
-    pytest.param((20, 12, 20, 4), range(3), range(5), id="rung2"),
+    pytest.param((20, 12, 20, 4), range(5), range(5), id="rung2"),
 ]
 
 
