@@ -150,8 +150,9 @@ class CameraNode:
     def __post_init__(self) -> None:
         if not self.rate_requirement > 0:
             raise ValueError("rate_requirement must be positive")
-        rates = tuple(float(r) for r in self.per_subchannel_rate)
-        if any(r < 0 for r in rates):
+        # ``0.0 > r`` is ``r < 0``, NaN included, without a Python-level loop.
+        rates = tuple(map(float, self.per_subchannel_rate))
+        if any(map((0.0).__gt__, rates)):
             raise ValueError("per-subchannel rates must be non-negative")
         object.__setattr__(self, "per_subchannel_rate", rates)
         object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
@@ -159,10 +160,10 @@ class CameraNode:
         if self.slot_rate_overrides is not None:
             fixed = {}
             for slot, vec in self.slot_rate_overrides.items():
-                vec = tuple(float(r) for r in vec)
+                vec = tuple(map(float, vec))
                 if len(vec) != len(rates):
                     raise ValueError("slot rate override length must match per_subchannel_rate")
-                if any(r < 0 for r in vec):
+                if any(map((0.0).__gt__, vec)):
                     raise ValueError("per-subchannel rates must be non-negative")
                 fixed[int(slot)] = vec
             object.__setattr__(self, "slot_rate_overrides", fixed)

@@ -5,6 +5,13 @@ station at the center, derives each camera's coverage set from its geometry,
 and maps distance-dependent SNR through an MCS table into per-subchannel
 rates.  Generation is a pure function of the configuration and its seed.
 
+A scenario is built array-at-a-time: one shadowing draw covers every camera,
+and one camera x target distance and bearing matrix decides coverage.  numpy's
+``hypot`` and ``arctan2`` may differ from :mod:`math`'s in the last ulp, so
+pairs within a small tolerance of an edge (the view distance, half the field
+of view, zero distance) are decided again with :mod:`math` by the scalar
+definition, and the output is bit for bit that of :func:`compute_coverage`.
+
 The default channel numbers here (path loss ``128.1 + 37.6*log10(d_km)`` dB,
 log-normal shadowing with sigma 8 dB, thermal noise -174 dBm/Hz plus a 5 dB
 noise figure, and a four-tier QPSK/16QAM rate table) are implementation
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -187,6 +195,53 @@ def _visible(
     return frozenset(covered)
 
 
+# Relative margin around each coverage edge within which the arrays defer to
+# _visible; numpy's hypot and arctan2 stay within a few ulps (about 1e-16
+# relative) of math's.
+_EDGE_TOL = 1e-9
+
+
+def _coverage_sets(
+    positions: Sequence[tuple[float, float]],
+    geometries: Sequence[Omnidirectional | Directional],
+    targets: Sequence[TargetObject],
+) -> list[frozenset[int]]:
+    """:func:`compute_coverage` of every camera, as one distance matrix.
+
+    The arrays decide each (camera, target) pair that lies clearly inside or
+    outside: beyond ``_EDGE_TOL`` of the view distance, of half the field of
+    view (relative to the full circle) and of zero distance.  The pairs left,
+    and any NaN, are decided again by :func:`_visible`, the reference
+    definition, so the result equals it bit for bit.
+    """
+    if not positions or not targets:
+        return [frozenset()] * len(positions)
+    ids = [t.id for t in targets]
+    cams = np.array(positions)
+    tgts = np.array([t.position for t in targets])
+    with np.errstate(all="ignore"):
+        dx = tgts[:, 0] - cams[:, :1]
+        dy = tgts[:, 1] - cams[:, 1:]
+        dist = np.hypot(dx, dy)
+        view = np.array([g.view_distance for g in geometries]).reshape(-1, 1)
+        inside = dist < view * (1.0 - _EDGE_TOL)
+        outside = dist > view * (1.0 + _EDGE_TOL)
+        rows = [i for i, g in enumerate(geometries) if isinstance(g, Directional)]
+        if rows:
+            orientation = np.array([geometries[i].orientation_deg for i in rows]).reshape(-1, 1)
+            half = np.array([geometries[i].fov_deg / 2.0 for i in rows]).reshape(-1, 1)
+            bearing = np.degrees(np.arctan2(dy[rows], dx[rows])) % 360.0
+            off = np.abs((bearing - orientation + 180.0) % 360.0 - 180.0)
+            away = dist[rows] > view[rows] * _EDGE_TOL
+            inside[rows] &= away & (off < half - 360.0 * _EDGE_TOL)
+            outside[rows] |= away & (off > half + 360.0 * _EDGE_TOL)
+    for i, j in zip(*np.nonzero(~(inside | outside))):
+        inside[i, j] = bool(_visible(positions[i], geometries[i], (targets[j],)))
+    # Built as _visible builds it (a set filled in target order, then
+    # frozen), so that iteration order matches too, not only membership.
+    return [frozenset(set(compress(ids, row))) for row in inside.tolist()]
+
+
 def derive_rates(
     position: tuple[float, float],
     channel: ChannelParams,
@@ -201,14 +256,32 @@ def derive_rates(
     MCS tier whose threshold the SNR meets, or 0 below the lowest tier.
     Distances under one meter are clamped to one meter.
     """
-    dist_m = max(1.0, math.hypot(position[0] - base_station[0], position[1] - base_station[1]))
-    pathloss = channel.pathloss_intercept_db + channel.pathloss_slope_db * math.log10(dist_m / 1000.0)
-    shadow = rng.normal(0.0, channel.shadowing_sigma_db, num_subchannels)
-    snr = channel.tx_power_dbm - pathloss - shadow - channel.noise_floor_dbm
+    shadow = rng.normal(0.0, channel.shadowing_sigma_db, (1, num_subchannels))
+    return _channel_rates([position], channel, shadow, base_station)[0]
+
+
+def _channel_rates(
+    positions: Sequence[tuple[float, float]],
+    channel: ChannelParams,
+    shadow: np.ndarray,
+    base_station: tuple[float, float],
+) -> list[list[float]]:
+    """:func:`derive_rates` for many cameras: row ``i`` of ``shadow`` holds
+    the shadowing draws of ``positions[i]``.
+
+    Path loss stays scalar per camera: numpy's ``hypot`` and ``log10`` may
+    differ from :mod:`math`'s in the last ulp, and the rates must not.
+    """
+    bx, by = base_station
+    budget = [
+        channel.tx_power_dbm
+        - (channel.pathloss_intercept_db + channel.pathloss_slope_db * math.log10(max(1.0, math.hypot(x - bx, y - by)) / 1000.0))
+        for x, y in positions
+    ]
+    snr = np.array(budget).reshape(-1, 1) - shadow - channel.noise_floor_dbm
     thresholds = np.array([t for t, _ in channel.mcs_table])
-    tiers = np.concatenate(([0.0], [r for _, r in channel.mcs_table]))
-    idx = np.searchsorted(thresholds, snr, side="right")
-    return [float(r) for r in tiers[idx]]
+    tiers = np.array([0.0] + [r for _, r in channel.mcs_table])
+    return tiers[np.searchsorted(thresholds, snr, side="right")].tolist()
 
 
 def _grid_side(area_side: float, view_min: float) -> int:
@@ -317,10 +390,13 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
                 f"but only {k} are configured"
             )
         spacing = area / side
+        # Lattice cameras are omnidirectional and draw one view each, so one
+        # draw of ``needed`` equals ``needed`` scalar draws.
+        views = place_rng.uniform(vmin, vmax, needed).tolist()
         for row in range(side):
             for col in range(side):
                 pos = ((col + 0.5) * spacing, (row + 0.5) * spacing)
-                placements.append((pos, sample_view(), sample_orientation()))
+                placements.append((pos, views[row * side + col], None))
         for _ in range(k - needed):
             placements.append((_uniform_point(place_rng, area), sample_view(), sample_orientation()))
     elif config.deployment == "cell_edge":
@@ -336,36 +412,35 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
             placements.append((_uniform_point(place_rng, area), sample_view(), sample_orientation()))
 
     req_lo, req_hi = config.rate_requirement_range
-    requirements = [float(place_rng.uniform(req_lo, req_hi)) for _ in range(k)]
+    requirements = place_rng.uniform(req_lo, req_hi, k).tolist()
 
-    center = (area / 2.0, area / 2.0)
+    positions = [pos for pos, _, _ in placements]
+    geometries = [
+        Directional(view, orient if orient is not None else 0.0, geom_spec.fov_deg) if directional else Omnidirectional(view)
+        for _, view, orient in placements
+    ]
+    overrides = [None if config.rate_overrides is None else config.rate_overrides.get(i + 1) for i in range(k)]
+    # Every camera draws shadowing except those with a flat rate override;
+    # one (n, M) draw equals n draws of M in camera-id order.
+    drawing = [i for i, override in enumerate(overrides) if override is None or isinstance(override, Mapping)]
     m = config.frame.num_subchannels
+    shadowing = shadow_rng.normal(0.0, config.channel.shadowing_sigma_db, (len(drawing), m))
+    center = (area / 2.0, area / 2.0)
+    derived = dict(zip(drawing, _channel_rates([positions[i] for i in drawing], config.channel, shadowing, center)))
+    coverage = _coverage_sets(positions, geometries, targets)
+
     cameras = []
-    for i, (pos, view, orient) in enumerate(placements):
-        cam_id = i + 1
-        geometry = (
-            Directional(view, orient if orient is not None else 0.0, geom_spec.fov_deg)
-            if directional
-            else Omnidirectional(view)
-        )
-        override = None if config.rate_overrides is None else config.rate_overrides.get(cam_id)
-        slot_overrides = None
-        if override is None:
-            rates = derive_rates(pos, config.channel, shadow_rng, m, center)
-        elif isinstance(override, Mapping):
-            rates = derive_rates(pos, config.channel, shadow_rng, m, center)
-            slot_overrides = {int(s): tuple(float(r) for r in vec) for s, vec in override.items()}
-        else:
-            rates = [float(r) for r in override]
+    for i, override in enumerate(overrides):
+        rates = derived.get(i)
         cameras.append(
             CameraNode(
-                id=cam_id,
-                position=pos,
-                geometry=geometry,
+                id=i + 1,
+                position=positions[i],
+                geometry=geometries[i],
                 rate_requirement=requirements[i],
-                per_subchannel_rate=tuple(rates),
-                coverage_set=_visible(pos, geometry, targets),
-                slot_rate_overrides=slot_overrides,
+                per_subchannel_rate=override if rates is None else rates,
+                coverage_set=coverage[i],
+                slot_rate_overrides=None if rates is None else override,
             )
         )
 
@@ -576,7 +651,7 @@ def load_scenario(doc: Mapping) -> Scenario:
     if not isinstance(raw_cameras, Sequence):
         raise ScenarioFormatError("cameras: expected a list")
     center = (area / 2.0, area / 2.0)
-    cameras = []
+    fields = []
     for i, entry in enumerate(raw_cameras):
         path = f"cameras[{i}]"
         if not isinstance(entry, Mapping):
@@ -614,19 +689,17 @@ def load_scenario(doc: Mapping) -> Scenario:
                 if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
                     raise ScenarioFormatError(f"{path}.slot_rates[{s}]: expected a list of numbers")
                 slot_overrides[slot] = tuple(read_number(r, f"{path}.slot_rates[{s}][{j}]") for j, r in enumerate(vec))
+        fields.append((cam_id, pos, geometry, requirement, rates, slot_overrides))
+
+    # One coverage matrix for all cameras, so cameras are built (and their
+    # values checked) once every entry is parsed.
+    coverage = _coverage_sets([f[1] for f in fields], [f[2] for f in fields], targets)
+    cameras = []
+    for i, ((cam_id, pos, geometry, requirement, rates, slot_overrides), covered) in enumerate(zip(fields, coverage)):
         try:
-            cam = CameraNode(
-                id=cam_id,
-                position=pos,
-                geometry=geometry,
-                rate_requirement=requirement,
-                per_subchannel_rate=rates,
-                coverage_set=_visible(pos, geometry, targets),
-                slot_rate_overrides=slot_overrides,
-            )
+            cameras.append(CameraNode(cam_id, pos, geometry, requirement, rates, covered, slot_overrides))
         except ValueError as exc:
-            raise ScenarioFormatError(f"{path}: {exc}") from exc
-        cameras.append(cam)
+            raise ScenarioFormatError(f"cameras[{i}]: {exc}") from exc
 
     try:
         return Scenario(

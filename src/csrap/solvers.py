@@ -574,8 +574,22 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
     left-to-right scan allocator the baseline uses.
     """
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
-    return _scan_schedule(scenario, lambda cam, slot, pos: table.best_robust(cam.id) or 0.0)
+        best = {cam.id: _best_robust(cam, scenario.grid.num_slots) for cam in scenario.cameras}
+        best_robust = best.__getitem__
+    else:
+        best_robust = table.best_robust
+    return _scan_schedule(scenario, lambda cam, slot, pos: best_robust(cam.id) or 0.0)
+
+
+def _best_robust(camera: CameraNode, num_slots: int) -> float | None:
+    """:meth:`CandidateTable.best_robust` without building a table: the
+    highest robust rate among the runs of the camera's distinct slot vectors,
+    taken in first-slot order as the table takes them."""
+    if camera.slot_rate_overrides:
+        vectors = dict.fromkeys(camera.rates_in_slot(slot) for slot in range(1, num_slots + 1))
+    else:
+        vectors = (camera.per_subchannel_rate,)
+    return max((run[2] for rates in vectors for run in candidate_runs(rates, camera.rate_requirement)), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from csrap import (
 )
 from csrap.harness import CSV_HEADER
 from csrap.scenario import ScenarioFormatError
+from csrap.solvers import CandidateTable, _best_robust
 from support import random_instance
 
 
@@ -74,6 +75,33 @@ class TestGreedyBasedReference:
                 assert verify_schedule(result.schedule, scn).feasible
                 seen += 1
         assert seen > 40
+
+    def test_tableless_best_rate_equals_the_table(self):
+        # Without a table the reference reads each camera's best robust rate
+        # from its distinct slot vectors; it must be the table's value and
+        # give the same schedule.
+        rng = np.random.default_rng(23)
+        overridden = 0
+        for _ in range(150):
+            scn = random_instance(rng, max_slots=4)
+            m, t = scn.grid.num_subchannels, scn.grid.num_slots
+            cameras = []
+            for camera in scn.cameras:
+                overrides = {
+                    slot: tuple(float(r) for r in rng.choice([0.0, 2.0, 4.0, 6.0, 8.0], m))
+                    if rng.random() < 0.5
+                    else camera.per_subchannel_rate
+                    for slot in range(1, t + 1)
+                    if rng.random() < 0.6
+                }
+                overridden += bool(overrides)
+                cameras.append(replace(camera, slot_rate_overrides=overrides or None))
+            scn = replace(scn, cameras=tuple(cameras))
+            table = CandidateTable(scn.cameras, scn.grid)
+            for camera in scn.cameras:
+                assert _best_robust(camera, t) == table.best_robust(camera.id)
+            assert greedy_based_reference(scn) == greedy_based_reference(scn, table)
+        assert overridden > 200
 
 
 class TestRunSweep:

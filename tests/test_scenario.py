@@ -1,10 +1,12 @@
 """Scenario generation, coverage geometry, channel model and document IO."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csrap import (
     CameraNode,
@@ -23,7 +25,7 @@ from csrap import (
     load_scenario,
     save_scenario,
 )
-from csrap.scenario import CELL_EDGE_ANNULUS
+from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _coverage_sets, _geometry_to_doc
 from support import brute_force_coverage
 
 
@@ -388,3 +390,258 @@ class TestDocuments:
             ChannelParams(mcs_table=((5.0, 4.0), (7.0, 2.0)))
         with pytest.raises(ValueError):
             ChannelParams(rb_bandwidth_hz=0.0)
+
+
+def _directional(fov, view=(30.0, 60.0)):
+    return GeometrySpec(kind="directional", view_distance=view, fov_deg=fov)
+
+
+# SHA-256 of json.dumps(save_scenario(generate_scenario(config, shadow_seed)),
+# sort_keys=True), recorded before generation became array-at-a-time: any
+# drift in placement, shadowing, rates or coverage changes a digest.
+GENERATION_DIGESTS = {
+    "grid_paper_default": (
+        ScenarioConfig(rng_seed=0),
+        None,
+        "ce659730115a18d826de7ad906cf2e35d57b1ee9c8ad382b508e5f2479f0bac2",
+    ),
+    "grid_view_range": (
+        ScenarioConfig(num_targets=10, geometry=GeometrySpec(view_distance=(40.0, 70.0)), frame=FrameGrid(20, 4), rng_seed=7),
+        None,
+        "7caf18332425753a22d276e132cf5d5b6826bacd36c28eba6e8908319b645e48",
+    ),
+    "grid_flat_overrides": (
+        ScenarioConfig(
+            num_cameras=90,
+            frame=FrameGrid(4, 2),
+            rng_seed=11,
+            rate_overrides={1: [8.0, 4.0, 0.0, 6.0], 45: [2.0, 2.0, 2.0, 2.0]},
+        ),
+        None,
+        "5aaeac6b9014f4b274f221793a2dd0f45730e5fb72736ba898ef2754b3d7a508",
+    ),
+    "random_omni": (
+        ScenarioConfig(deployment="partial_random", num_cameras=30, num_targets=20, frame=FrameGrid(10, 2), rng_seed=1),
+        None,
+        "888faf888806b9c7e78b475fb91d451a72cd8d28da3c14334d47609376d50494",
+    ),
+    "random_fov60": (
+        ScenarioConfig(
+            deployment="partial_random", num_cameras=40, num_targets=25, geometry=_directional(60.0), frame=FrameGrid(12, 3), rng_seed=2
+        ),
+        None,
+        "c3e133cff7cfb4e3d451e8fa5eb0f6b8c8caabcfa4c0ed6dbc455f8c380d186b",
+    ),
+    "random_fov120": (
+        ScenarioConfig(
+            deployment="partial_random",
+            num_cameras=40,
+            num_targets=30,
+            geometry=_directional(120.0, (20.0, 80.0)),
+            frame=FrameGrid(12, 3),
+            rng_seed=3,
+        ),
+        None,
+        "b2f4cd9bfb384e32ac9a7a8b41444878308f871073a71016f5367d742af5d10e",
+    ),
+    "random_fov200": (
+        ScenarioConfig(
+            deployment="partial_random", num_cameras=50, num_targets=40, geometry=_directional(200.0), frame=FrameGrid(8, 2), rng_seed=4
+        ),
+        None,
+        "2f0fc005f664ec318a5fa2f6a6990cf0a3d47ee94f84b22de17cbda82e2f4957",
+    ),
+    "random_fov360": (
+        ScenarioConfig(
+            deployment="partial_random", num_cameras=25, num_targets=25, geometry=_directional(360.0), frame=FrameGrid(8, 2), rng_seed=5
+        ),
+        None,
+        "748f4130f3ac880aa9a967d38c806c027ce260bce607e273a3b47bd355de7bb3",
+    ),
+    "random_slot_overrides": (
+        ScenarioConfig(
+            deployment="partial_random",
+            num_cameras=12,
+            num_targets=8,
+            frame=FrameGrid(5, 3),
+            rng_seed=6,
+            rate_overrides={
+                2: {1: [2.0, 4.0, 6.0, 8.0, 0.0], 3: [4.0] * 5},
+                5: [6.0, 6.0, 0.0, 2.0, 8.0],
+                9: {2: [8.0] * 5},
+            },
+        ),
+        None,
+        "5c317417de9797bc203ff34198688285a9a91535b72855fc821d5ad693d1739b",
+    ),
+    "edge_omni": (
+        ScenarioConfig(
+            deployment="cell_edge",
+            num_cameras=40,
+            num_targets=15,
+            geometry=GeometrySpec(view_distance=(60.0, 120.0)),
+            frame=FrameGrid(10, 2),
+            rng_seed=8,
+        ),
+        None,
+        "c5e0f6a71f63366903022d70ba3b39a4748521ae1335e2f53eaed193a53e1e4d",
+    ),
+    "edge_fov90": (
+        ScenarioConfig(
+            deployment="cell_edge",
+            num_cameras=30,
+            num_targets=12,
+            geometry=_directional(90.0, (80.0, 150.0)),
+            frame=FrameGrid(6, 2, slot_capacity=(6, 4)),
+            rng_seed=9,
+        ),
+        None,
+        "9e63016b814b23098bc02c8de74117731b4d297ff696b53f429410f289897aa2",
+    ),
+    "edge_shadow_seed": (
+        ScenarioConfig(
+            deployment="cell_edge",
+            num_cameras=20,
+            num_targets=10,
+            geometry=_directional(300.0, (100.0, 100.0)),
+            frame=FrameGrid(9, 2),
+            rng_seed=10,
+        ),
+        99,
+        "56b4bac7c9de7c2ac7bfea476c3b3ad3c134b2a12b1af56e02af862c5a51a45c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATION_DIGESTS))
+def test_generation_digest_is_frozen(name):
+    config, shadow_seed, digest = GENERATION_DIGESTS[name]
+    text = json.dumps(save_scenario(generate_scenario(config, shadow_seed=shadow_seed)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Coverage edges: the array path against the math reference
+# ---------------------------------------------------------------------------
+
+COORD = st.floats(0.0, 1000.0)
+ANGLE = st.one_of(st.sampled_from([0.0, 1e-12, 90.0, 180.0, 270.0, 360.0 - 1e-12]), st.floats(0.0, 360.0, exclude_max=True))
+FOV = st.one_of(st.sampled_from([1.0, 60.0, 90.0, 120.0, 180.0, 270.0, 360.0]), st.floats(0.01, 360.0))
+
+
+def _at(origin, distance, degrees):
+    rad = math.radians(degrees)
+    return (origin[0] + distance * math.cos(rad), origin[1] + distance * math.sin(rad))
+
+
+@st.composite
+def edge_targets(draw, cameras):
+    """Target points on the edges of each camera's coverage: on the view
+    circle, on the camera itself, on both edges of the field of view (inside
+    and at the view distance), and on either side of the 0/360 wrap."""
+    points = []
+    for position, geom in cameras:
+        view = geom.view_distance
+        points.append(_at(position, view, draw(ANGLE)))
+        points.append(position)
+        points.append(_at(position, view * draw(st.floats(0.0, 1.0)), draw(st.sampled_from([-1e-9, 0.0, 1e-9, 360.0]))))
+        if isinstance(geom, Directional):
+            for edge in (geom.orientation_deg + geom.fov_deg / 2.0, geom.orientation_deg - geom.fov_deg / 2.0):
+                points.append(_at(position, view * draw(st.floats(0.0, 1.0)), edge))
+                points.append(_at(position, view, edge))
+    return [TargetObject(i + 1, p) for i, p in enumerate(points)]
+
+
+@st.composite
+def edge_layouts(draw):
+    cameras = []
+    for _ in range(draw(st.integers(1, 4))):
+        view = draw(st.floats(0.5, 300.0))
+        if draw(st.booleans()):
+            geom = Omnidirectional(view)
+        else:
+            geom = Directional(view, draw(ANGLE), draw(FOV))
+        cameras.append(((draw(COORD), draw(COORD)), geom))
+    return cameras, draw(edge_targets(cameras))
+
+
+def _reference(cameras, targets):
+    """compute_coverage per camera, with its iteration order."""
+    return [
+        list(compute_coverage(CameraNode(i + 1, pos, geom, 1.0, (1.0,)), targets))
+        for i, (pos, geom) in enumerate(cameras)
+    ]
+
+
+class TestCoverageEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_layouts())
+    def test_matrix_equals_reference_on_edges(self, layout):
+        cameras, targets = layout
+        got = _coverage_sets([p for p, _ in cameras], [g for _, g in cameras], targets)
+        assert [list(c) for c in got] == _reference(cameras, targets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_layouts())
+    def test_loaded_documents_match_reference(self, layout):
+        cameras, targets = layout
+        doc = {
+            "area": 1000.0,
+            "frame": {"M": 1, "T": 1},
+            "cameras": [
+                {"id": i + 1, "x": p[0], "y": p[1], "geometry": _geometry_to_doc(g), "rate_requirement": 1.0, "rates": [1.0]}
+                for i, (p, g) in enumerate(cameras)
+            ],
+            "targets": [{"id": t.id, "x": t.position[0], "y": t.position[1]} for t in targets],
+        }
+        scn = load_scenario(json.loads(json.dumps(doc)))
+        assert [list(c.coverage_set) for c in scn.cameras] == _reference(cameras, scn.targets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(DEPLOYMENTS), FOV, st.data())
+    def test_generated_scenarios_match_reference(self, seed, deployment, fov, data):
+        geometry = GeometrySpec(view_distance=(40.0, 90.0))
+        if deployment != "overall_grid":
+            geometry = _directional(fov, (40.0, 90.0))
+        cfg = ScenarioConfig(
+            area_side=300.0, num_cameras=40, num_targets=20, deployment=deployment, geometry=geometry, frame=FrameGrid(2, 1), rng_seed=seed
+        )
+        scn = generate_scenario(cfg)
+        cameras = [(c.position, c.geometry) for c in scn.cameras]
+        assert [list(c.coverage_set) for c in scn.cameras] == _reference(cameras, scn.targets)
+        targets = data.draw(edge_targets(cameras))
+        got = _coverage_sets([p for p, _ in cameras], [g for _, g in cameras], targets)
+        assert [list(c) for c in got] == _reference(cameras, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**40),
+    deployment=st.sampled_from(DEPLOYMENTS),
+    directional=st.booleans(),
+    overrides=st.booleans(),
+    shadow_seed=st.one_of(st.none(), st.integers(0, 1000)),
+)
+def test_document_round_trip_reproduces_the_scenario(seed, deployment, directional, overrides, shadow_seed):
+    geometry = GeometrySpec(view_distance=(50.0, 80.0))
+    if directional and deployment != "overall_grid":
+        geometry = _directional(150.0, (50.0, 80.0))
+    rate_overrides = None
+    if overrides:
+        rate_overrides = {2: {1: [2.0, 0.0, 8.0], 3: [4.0, 4.0, 6.0]}, 4: [6.0, 6.0, 2.0], 7: {2: [8.0, 8.0, 8.0]}}
+    cfg = ScenarioConfig(
+        area_side=200.0,
+        num_cameras=12,
+        num_targets=8,
+        deployment=deployment,
+        geometry=geometry,
+        frame=FrameGrid(3, 3),
+        rng_seed=seed,
+        rate_overrides=rate_overrides,
+    )
+    scn = generate_scenario(cfg, shadow_seed=shadow_seed)
+    again = load_scenario(json.loads(json.dumps(save_scenario(scn))))
+    assert again.cameras == scn.cameras
+    assert repr(again.cameras) == repr(scn.cameras)  # coverage iteration order too
+    assert again.targets == scn.targets
+    assert again.grid == scn.grid
