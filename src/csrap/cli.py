@@ -27,7 +27,6 @@ from .harness import (
 )
 from .model import verify_schedule
 from .scenario import (
-    InvalidConfigError,
     ScenarioConfig,
     ScenarioFormatError,
     config_from_document,
@@ -195,18 +194,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ScenarioFormatError, InvalidConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # scenario and config errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

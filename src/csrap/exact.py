@@ -15,10 +15,11 @@ so both are admissible:
   ``L(u) = sum of u_t over uncovered targets + sum over remaining cameras of
   min(0, min_phi - sum of u_t over the uncovered targets it covers)``.  Any
   prices ``u >= 0`` give a valid bound.  They are set once at the root by
-  dual ascent and held as integers over ``PRICE_SCALE``, so ``L`` is exact.
+  dual ascent in whole RBs, which leaves no camera's term negative at any
+  node, so ``L`` is the sum of the uncovered targets' prices.
 
-Each bound is rounded up to whole RBs because every cost is a whole number of
-RBs.  The root bound is reported as ``Diagnostics.root_bound`` and as
+The share bound is rounded up to whole RBs because every cost is a whole
+number of RBs.  The root bound is reported as ``Diagnostics.root_bound`` and as
 ``SearchBudgetExceeded.lower_bound``.
 
 Slots with the same capacity and the same runs for every camera are
@@ -51,9 +52,6 @@ from .solvers import (
 __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-# Lagrangian prices are integers in units of 1/PRICE_SCALE RB.
-PRICE_SCALE = 1 << 16
 
 MODES = ("with_exclusivity", "without_exclusivity")
 
@@ -91,8 +89,7 @@ class _Search:
     incumbent_updates: int = 0
     scale: int = field(init=False)
     shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
-    prices: dict[int, int] = field(init=False)  # target -> Lagrangian price over PRICE_SCALE
-    overpriced: frozenset[int] = field(init=False)  # cameras whose coverage costs more than min_phi
+    prices: dict[int, int] = field(init=False)  # target -> Lagrangian price in RBs
 
     def __post_init__(self) -> None:
         # A camera covering k uncovered targets charges each min_phi/k RBs;
@@ -103,32 +100,23 @@ class _Search:
             for cam_id, cov in self.coverage.items()
         }
         self.prices = {target: 0 for cov in self.coverage.values() for target in cov}
-        self.overpriced = frozenset()  # no camera is overpriced at zero prices
-
-    def set_prices(self, prices: dict[int, int]) -> None:
-        """Price every covered target (``u_t >= 0``, over PRICE_SCALE) for ``bound``."""
-        self.prices = prices
-        # With every price >= 0, a camera whose whole coverage costs at most
-        # its min_phi keeps a non-negative reduced cost at every node.
-        self.overpriced = frozenset(
-            cam_id
-            for cam_id, cov in self.coverage.items()
-            if sum(map(prices.__getitem__, cov)) > self.min_phi[cam_id] * PRICE_SCALE
-        )
 
     def ascend_prices(self, targets: frozenset[int], available: tuple[int, ...]) -> None:
         """Dual ascent: visit the targets hardest first (fewest covering
         cameras, then id) and raise each price to the smallest slack
         ``min_phi - sum of prices`` left among the cameras covering it.
 
-        No slack goes negative, so ``bound`` at these prices is at least the
-        sum of the uncovered targets' prices.
+        Slacks start at whole RBs and lose whole prices, so every price is a
+        whole number of RBs.  No slack goes negative, and a node only drops
+        targets and cameras, so no camera's reduced cost is negative at any
+        node below ``targets`` and ``available``: there the Lagrangian bound
+        is the sum of the uncovered targets' prices.
         """
         prices = dict.fromkeys(self.prices, 0)
         slack: dict[int, int] = {}
         covering: dict[int, list[int]] = {target: [] for target in targets}
         for cam_id in available:
-            slack[cam_id] = self.min_phi[cam_id] * PRICE_SCALE
+            slack[cam_id] = self.min_phi[cam_id]
             for target in self.coverage[cam_id] & targets:
                 covering[target].append(cam_id)
         for _, target in sorted((len(cams), target) for target, cams in covering.items()):
@@ -136,7 +124,7 @@ class _Search:
             price = prices[target] = min(map(slack.__getitem__, cams))
             for cam_id in cams:
                 slack[cam_id] -= price
-        self.set_prices(prices)
+        self.prices = prices
 
     def tick(self) -> None:
         self.nodes += 1
@@ -150,11 +138,9 @@ class _Search:
 
     def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
         """Admissible lower bound in whole RBs: the larger of the share bound
-        and the Lagrangian bound at ``prices``; None if some target is
-        uncoverable."""
+        and the Lagrangian bound at the ascent prices of :meth:`ascend_prices`;
+        None if some target is uncoverable."""
         best: dict[int, int] = {}
-        prices, overpriced = self.prices, self.overpriced
-        negative = 0  # sum of the negative reduced costs, over PRICE_SCALE
         for cam_id in available:
             hit = self.coverage[cam_id] & uncovered
             if hit:
@@ -162,12 +148,9 @@ class _Search:
                 for target in hit:
                     if share < best.get(target, share + 1):
                         best[target] = share
-                if cam_id in overpriced:
-                    negative += min(0, self.min_phi[cam_id] * PRICE_SCALE - sum(map(prices.__getitem__, hit)))
         if len(best) < len(uncovered):
             return None
-        lagrangian = sum(map(prices.__getitem__, uncovered)) + negative
-        return max(-(-sum(best.values()) // self.scale), -(-lagrangian // PRICE_SCALE))
+        return max(-(-sum(best.values()) // self.scale), sum(map(self.prices.__getitem__, uncovered)))
 
     def branch_order(self, uncovered: frozenset[int], available: tuple[int, ...]) -> list[int]:
         """Cameras covering the hardest uncovered target, cheapest first."""

@@ -15,6 +15,7 @@ pure functions, so concurrent use needs no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "ConstraintCheck",
     "FeasibilityReport",
     "robust_rate",
+    "runs_by_length",
     "candidate_runs",
     "enumerate_candidates",
     "verify_schedule",
@@ -291,18 +293,18 @@ class Scenario:
         return tuple(sorted(self.target_ids - covered))
 
 
-def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int, int, float]]:
-    """All (start, length, robust_rate) runs over one rate vector that just
-    achieve ``requirement``.
+def runs_by_length(rates: Sequence[float], requirement: float) -> dict[int, list[tuple[int, float]]]:
+    """All runs over one rate vector that just achieve ``requirement``, as
+    ``length -> [(start, robust_rate), ...]`` with each list in start order.
 
-    Results are ordered by start then length.  Runs containing a zero-rate
-    subchannel can never satisfy the membership condition and are skipped.
+    Runs containing a zero-rate subchannel can never satisfy the membership
+    condition and are skipped.
     """
     if not requirement > 0:
         raise ValueError("requirement must be positive")
     rates = [float(r) for r in rates]
     m = len(rates)
-    out: list[tuple[int, int, float]] = []
+    out: dict[int, list[tuple[int, float]]] = {}
 
     first = rates[0] if m else 0.0
     if m and first > 0 and all(r == first for r in rates):
@@ -313,7 +315,7 @@ def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int
         length = 1
         while first * length < requirement:
             length += 1
-        return [(start, length, first) for start in range(1, m - length + 2)]
+        return {length: list(zip(range(1, m - length + 2), repeat(first)))}
 
     # A run's robust rate is at least the smallest positive rate, so a run
     # longer than ``longest`` has robust*(length-1) >= requirement.
@@ -336,8 +338,16 @@ def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int
                 robust = r
             length = j - i + 1
             if robust * length >= requirement and robust * (length - 1) < requirement:
-                out.append((i + 1, length, robust))
+                out.setdefault(length, []).append((i + 1, robust))
     return out
+
+
+def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int, int, float]]:
+    """All (start, length, robust_rate) runs over one rate vector that just
+    achieve ``requirement``: :func:`runs_by_length` ordered by start then
+    length."""
+    by_len = runs_by_length(rates, requirement)
+    return sorted((start, length, robust) for length, runs in by_len.items() for start, robust in runs)
 
 
 def enumerate_candidates(camera: CameraNode, grid: FrameGrid) -> list[CandidateAllocation]:

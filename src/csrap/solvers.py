@@ -25,7 +25,7 @@ from .model import (
     Scenario,
     Schedule,
     TargetObject,
-    candidate_runs,
+    runs_by_length,
 )
 
 __all__ = [
@@ -191,76 +191,69 @@ class BoundParams:
 class CandidateTable:
     """Every camera's candidate runs, indexed by slot and by run length.
 
-    Slots with the same rate vector share one run list, computed once: a
-    camera without ``slot_rate_overrides`` scans its rates once for the whole
-    frame, and overridden slots are grouped by equal vectors.  Each distinct
-    list is grouped by run length once, so :meth:`runs_by_cost` walks the
-    candidates in cost order with no per-slot copy of the runs.
+    Slots with the same rate vector share one ``length -> [(start,
+    robust_rate)]`` index from :func:`~csrap.model.runs_by_length`, computed
+    once: a camera without ``slot_rate_overrides`` scans its rates once for
+    the whole frame, and overridden slots are grouped by equal vectors.
+    :meth:`runs_by_cost` walks the candidates in cost order with no per-slot
+    copy of the runs.
     """
 
     def __init__(self, cameras: Iterable[CameraNode], grid: FrameGrid):
         self.grid = grid
         num_slots = grid.num_slots
-        # Per camera id: one (runs, length -> [(start, robust_rate)]) entry
-        # per slot, the distinct entries in first-slot order, the sorted run
-        # lengths and the best robust rate.
-        self._slots: dict[int, list[tuple[list, dict]]] = {}
-        self._distinct: dict[int, list[tuple[list, dict]]] = {}
+        # Per camera id: the run index of each slot, shared by slots with
+        # equal rate vectors, and the sorted run lengths.
+        self._slots: dict[int, list[dict[int, list[tuple[int, float]]]]] = {}
         self._lengths: dict[int, list[int]] = {}
-        self._best: dict[int, float | None] = {}
         for cam in cameras:
             requirement = cam.rate_requirement
             if not cam.slot_rate_overrides:
-                entry = self._index(cam.per_subchannel_rate, requirement)
-                distinct = [entry]
-                slots = [entry] * num_slots
+                by_len = runs_by_length(cam.per_subchannel_rate, requirement)
+                distinct = [by_len]
+                slots = [by_len] * num_slots
             else:
-                cache: dict[tuple[float, ...], tuple[list, dict]] = {}
+                cache: dict[tuple[float, ...], dict[int, list[tuple[int, float]]]] = {}
                 slots = []
                 for slot in range(1, num_slots + 1):
                     rates = cam.rates_in_slot(slot)
-                    entry = cache.get(rates)
-                    if entry is None:
-                        entry = cache[rates] = self._index(rates, requirement)
-                    slots.append(entry)
-                distinct = list(cache.values())
+                    by_len = cache.get(rates)
+                    if by_len is None:
+                        by_len = cache[rates] = runs_by_length(rates, requirement)
+                    slots.append(by_len)
+                distinct = cache.values()
             self._slots[cam.id] = slots
-            self._distinct[cam.id] = distinct
-            self._lengths[cam.id] = sorted({length for _, by_len in distinct for length in by_len})
-            self._best[cam.id] = max((run[2] for runs, _ in distinct for run in runs), default=None)
+            self._lengths[cam.id] = sorted(set().union(*distinct))
 
-    @staticmethod
-    def _index(rates: Sequence[float], requirement: float) -> tuple[list, dict]:
-        """The runs over one rate vector, and the same runs grouped by length."""
-        runs = candidate_runs(rates, requirement)
-        by_len: dict[int, list[tuple[int, float]]] = {}
-        for start, length, robust in runs:
-            by_len.setdefault(length, []).append((start, robust))
-        return runs, by_len
+    def _distinct_runs(self, camera_id: int) -> Iterator[tuple[int, float]]:
+        """``(start, robust_rate)`` of the runs of each distinct slot rate vector, once each."""
+        for by_len in {id(by_len): by_len for by_len in self._slots[camera_id]}.values():
+            for runs in by_len.values():
+                yield from runs
 
     def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
         """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
         slots = self._slots[camera_id]
         if not 1 <= slot <= len(slots):
             raise KeyError(slot)
-        return slots[slot - 1][0]
+        return sorted((start, length, robust) for length, runs in slots[slot - 1].items() for start, robust in runs)
 
     def min_phi(self, camera_id: int) -> int | None:
         lengths = self._lengths[camera_id]
         return lengths[0] if lengths else None
 
     def best_robust(self, camera_id: int) -> float | None:
-        return self._best[camera_id]
+        return max((robust for _, robust in self._distinct_runs(camera_id)), default=None)
 
     def candidate_count(self, camera_id: int) -> int:
-        return sum(len(runs) for runs, _ in self._slots[camera_id])
+        return sum(len(runs) for by_len in self._slots[camera_id] for runs in by_len.values())
 
     def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
         """``(slot, start, length, robust_rate)`` ordered by length, then
         slot, then start, without building an allocation per candidate."""
         slots = self._slots[camera_id]
         for length in self._lengths[camera_id]:
-            for slot, (_, by_len) in enumerate(slots, 1):
+            for slot, by_len in enumerate(slots, 1):
                 for start, robust in by_len.get(length, ()):
                     yield slot, start, length, robust
 
@@ -282,7 +275,7 @@ class CandidateTable:
 
     def all_robust_rates(self) -> list[float]:
         """Robust rates of the runs of each camera's distinct rate vectors, once each."""
-        return [run[2] for distinct in self._distinct.values() for runs, _ in distinct for run in runs]
+        return [robust for camera_id in self._slots for _, robust in self._distinct_runs(camera_id)]
 
 
 class _Occupancy:
@@ -574,22 +567,10 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
     left-to-right scan allocator the baseline uses.
     """
     if table is None:
-        best = {cam.id: _best_robust(cam, scenario.grid.num_slots) for cam in scenario.cameras}
-        best_robust = best.__getitem__
-    else:
-        best_robust = table.best_robust
-    return _scan_schedule(scenario, lambda cam, slot, pos: best_robust(cam.id) or 0.0)
-
-
-def _best_robust(camera: CameraNode, num_slots: int) -> float | None:
-    """:meth:`CandidateTable.best_robust` without building a table: the
-    highest robust rate among the runs of the camera's distinct slot vectors,
-    taken in first-slot order as the table takes them."""
-    if camera.slot_rate_overrides:
-        vectors = dict.fromkeys(camera.rates_in_slot(slot) for slot in range(1, num_slots + 1))
-    else:
-        vectors = (camera.per_subchannel_rate,)
-    return max((run[2] for rates in vectors for run in candidate_runs(rates, camera.rate_requirement)), default=None)
+        table = CandidateTable(scenario.cameras, scenario.grid)
+    # The scan asks for a rate at every position, so read each camera's once.
+    best = {cam.id: table.best_robust(cam.id) or 0.0 for cam in scenario.cameras}
+    return _scan_schedule(scenario, lambda cam, slot, pos: best[cam.id])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional, candidate_runs, enumerate_candidates
+from csrap.model import runs_by_length
 from csrap.solvers import CandidateTable, _Occupancy
 from support import brute_force_runs
 
@@ -149,8 +150,17 @@ class TestOccupancy:
 
 
 @given(
-    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=1, max_size=12),
+    st.one_of(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=1, max_size=12),
+        # Uniform rates take the scan's one-length shortcut.
+        st.builds(lambda rate, m: [rate] * m, st.floats(0.01, 10.0), st.integers(1, 12)),
+    ),
     st.floats(0.01, 60.0),
 )
 def test_candidate_runs_matches_window_scan(rates, requirement):
-    assert candidate_runs(rates, requirement) == brute_force_runs(rates, requirement)
+    expected = brute_force_runs(rates, requirement)
+    assert candidate_runs(rates, requirement) == expected
+    by_len = {}
+    for start, length, rate in expected:
+        by_len.setdefault(length, []).append((start, rate))
+    assert runs_by_length(rates, requirement) == by_len

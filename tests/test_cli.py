@@ -180,6 +180,19 @@ class TestErrorPaths:
         assert main(["solve", str(p), "--quiet"]) == 2
         capsys.readouterr()
 
+    def test_invalid_generator_config_exits_two(self, tmp_path, capsys):
+        config = dict(small_config(), deployment="overall_grid")
+        config["geometry"] = {"kind": "directional", "view_distance": [30, 60], "fov": 90}
+        cfg = write(tmp_path / "config.json", config)
+        assert main(["generate", "--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: overall_grid requires omnidirectional cameras\n"
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["solve", scenario_path, "--out", out, "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["solve"]) == 2
         assert main(["frobnicate"]) == 2

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from csrap import (
     generate_scenario,
     verify_schedule,
 )
-from csrap.exact import PRICE_SCALE, _Search
+from csrap.exact import _Search
 from csrap.scenario import GeometrySpec
 from support import (
     RATE_TIERS,
@@ -285,33 +284,36 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
 @given(
     covers=st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=8), min_size=1, max_size=6),
     phis=st.lists(st.integers(1, 30), min_size=6, max_size=6),
-    uncovered=st.sets(st.integers(1, 8), min_size=1),
-    picks=st.lists(st.booleans(), min_size=6, max_size=6),
-    prices=st.lists(st.integers(0, 20 * PRICE_SCALE), min_size=8, max_size=8),
+    targets=st.sets(st.integers(1, 8), min_size=1),
+    root_picks=st.lists(st.booleans(), min_size=6, max_size=6),
+    node_targets=st.lists(st.booleans(), min_size=8, max_size=8),
+    node_picks=st.lists(st.booleans(), min_size=6, max_size=6),
 )
 @settings(max_examples=300, deadline=None)
-def test_lagrangian_bound_equals_fraction_reference(covers, phis, uncovered, picks, prices):
+def test_lagrangian_bound_equals_fraction_reference(covers, phis, targets, root_picks, node_targets, node_picks):
     coverage = {i + 1: frozenset(cov) for i, cov in enumerate(covers)}
     min_phi = {cam_id: phis[cam_id - 1] for cam_id in coverage}
-    available = tuple(c for c in coverage if picks[c - 1])
-    uncovered = frozenset(uncovered)
+    # A root whose every target some root camera covers, as the search requires.
+    root_cameras = tuple(c for c in coverage if root_picks[c - 1])
+    root_targets = frozenset(t for t in targets if any(t in coverage[c] for c in root_cameras))
     search = _Search(coverage, min_phi, budget=1)
-    search.set_prices({t: prices[t - 1] for t in range(1, 9)})
+    search.ascend_prices(root_targets, root_cameras)
+    assert all(price >= 0 for price in search.prices.values())
+    # A node below the root: some targets covered, some cameras chosen or tried.
+    uncovered = frozenset(t for t in root_targets if node_targets[t - 1])
+    available = tuple(c for c in root_cameras if node_picks[c - 1])
     bound = search.bound(uncovered, available)
     share = fraction_bound(coverage, min_phi, uncovered, available)
     optimum = residual_cover_optimum(coverage, min_phi, uncovered, available)
     assert (bound is None) == (share is None) == (optimum is None)
     if optimum is None:
         return
-    u = {t: Fraction(p, PRICE_SCALE) for t, p in search.prices.items()}
-    assert bound == max(math.ceil(share), math.ceil(lagrangian_bound(coverage, min_phi, uncovered, available, u)))
+    # Ascent prices leave no reduced cost negative at any node below the
+    # root, so the Lagrangian bound is the sum of the uncovered prices.
+    lagrangian = lagrangian_bound(coverage, min_phi, uncovered, available, search.prices)
+    assert lagrangian == sum(search.prices[t] for t in uncovered)
+    assert bound == max(math.ceil(share), lagrangian)
     assert bound <= optimum
-    # Dual ascent leaves no reduced cost negative, so its bound is at least
-    # the sum of the uncovered targets' prices.
-    search.ascend_prices(uncovered, available)
-    ascended = search.bound(uncovered, available)
-    assert ascended <= optimum
-    assert ascended * PRICE_SCALE >= sum(search.prices[t] for t in uncovered)
 
 
 def test_symmetry_keeps_slot_with_larger_capacity():

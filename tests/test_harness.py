@@ -25,7 +25,7 @@ from csrap import (
 )
 from csrap.harness import CSV_HEADER
 from csrap.scenario import ScenarioFormatError
-from csrap.solvers import CandidateTable, _best_robust
+from csrap.solvers import CandidateTable
 from support import random_instance
 
 
@@ -76,10 +76,9 @@ class TestGreedyBasedReference:
                 seen += 1
         assert seen > 40
 
-    def test_tableless_best_rate_equals_the_table(self):
-        # Without a table the reference reads each camera's best robust rate
-        # from its distinct slot vectors; it must be the table's value and
-        # give the same schedule.
+    def test_schedule_is_the_same_with_and_without_a_table(self):
+        # Without a table the reference builds its own; cameras with per-slot
+        # rate overrides must give the same schedule as with a shared table.
         rng = np.random.default_rng(23)
         overridden = 0
         for _ in range(150):
@@ -98,8 +97,6 @@ class TestGreedyBasedReference:
                 cameras.append(replace(camera, slot_rate_overrides=overrides or None))
             scn = replace(scn, cameras=tuple(cameras))
             table = CandidateTable(scn.cameras, scn.grid)
-            for camera in scn.cameras:
-                assert _best_robust(camera, t) == table.best_robust(camera.id)
             assert greedy_based_reference(scn) == greedy_based_reference(scn, table)
         assert overridden > 200
 
