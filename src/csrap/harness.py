@@ -12,18 +12,22 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .exact import DEFAULT_NODE_BUDGET, exact_solve
 from .model import CandidateAllocation, Scenario, Schedule, verify_schedule
 from .scenario import (
     ScenarioConfig,
     ScenarioFormatError,
+    build_field,
     config_from_document,
     generate_scenario,
     need_field,
     read_integer,
+    read_list,
     read_number,
+    read_object,
+    read_objects,
     read_string,
 )
 from .solvers import (
@@ -259,24 +263,19 @@ def _axis_value(axis: str, value: Any, path: str) -> Any:
 
 def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
     """Parse a sweep document; a malformed or unknown entry fails with its field name."""
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError("sweep: expected a JSON object")
+    doc = read_object(doc, "sweep")
     kwargs: dict[str, Any] = {}
-    if "config" in doc and doc["config"] is not None:
+    if doc.get("config") is not None:
         kwargs["config"] = config_from_document(doc["config"])
     axis = doc.get("axis", SweepSpec.axis)
     if axis not in SWEEP_AXES:
         raise ScenarioFormatError(f"axis: expected one of {SWEEP_AXES}")
     kwargs["axis"] = axis
     if "values" in doc:
-        values = doc["values"]
-        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-            raise ScenarioFormatError("values: expected a list")
+        values = read_list(doc["values"], "values")
         kwargs["values"] = tuple(_axis_value(axis, v, f"values[{i}]") for i, v in enumerate(values))
     if "algorithms" in doc:
-        algos = doc["algorithms"]
-        if not isinstance(algos, Sequence) or isinstance(algos, (str, bytes)):
-            raise ScenarioFormatError("algorithms: expected a list of names")
+        algos = read_list(doc["algorithms"], "algorithms")
         kwargs["algorithms"] = tuple(read_string(a, f"algorithms[{i}]") for i, a in enumerate(algos))
     for key in ("trials", "base_seed", "multiplicity"):
         if key in doc:
@@ -285,10 +284,7 @@ def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
         if not isinstance(doc["freeze_placement"], bool):
             raise ScenarioFormatError("freeze_placement: expected a boolean")
         kwargs["freeze_placement"] = doc["freeze_placement"]
-    try:
-        return SweepSpec(**kwargs)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+    return build_field("", SweepSpec, **kwargs)
 
 
 def schedule_to_document(result: SolverResult) -> dict:
@@ -310,26 +306,13 @@ def schedule_to_document(result: SolverResult) -> dict:
 
 def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
     """Rebuild a schedule document against a scenario for verification."""
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError("schedule: expected a JSON object")
-    raw = need_field(doc, "assignments", "")
-    if not isinstance(raw, Sequence):
-        raise ScenarioFormatError("assignments: expected a list")
+    doc = read_object(doc, "schedule")
     allocs = []
-    for i, entry in enumerate(raw):
-        path = f"assignments[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        run = [
-            read_integer(need_field(entry, key, f"{path}."), f"{path}.{key}")
-            for key in ("camera_id", "slot", "start", "length")
-        ]
-        robust = read_number(need_field(entry, "robust_rate", f"{path}."), f"{path}.robust_rate")
-        try:
-            allocs.append(CandidateAllocation(*run, robust))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{path}: {exc}") from exc
-    total = read_integer(need_field(doc, "total_rbs", ""), "total_rbs")
+    for entry, path in read_objects(*need_field(doc, "assignments")):
+        run = [read_integer(*need_field(entry, key, path)) for key in ("camera_id", "slot", "start", "length")]
+        robust = read_number(*need_field(entry, "robust_rate", path))
+        allocs.append(build_field(path, CandidateAllocation, *run, robust))
+    total = read_integer(*need_field(doc, "total_rbs"))
     covered: set[int] = set()
     cams = {c.id: c for c in scenario.cameras}
     for alloc in allocs:

@@ -14,6 +14,7 @@ pure functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
@@ -63,6 +64,9 @@ class FrameGrid:
             raise ValueError("num_subchannels must be >= 1")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
+        # A size no sequence can index is malformed, not merely large.
+        if max(self.num_subchannels, self.num_slots) > sys.maxsize:
+            raise ValueError(f"num_subchannels and num_slots must be at most {sys.maxsize}")
         if not self.frame_duration_ms > 0:
             raise ValueError("frame_duration_ms must be positive")
         cap = self.slot_capacity

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,9 +52,14 @@ __all__ = [
     "save_scenario",
     "config_from_document",
     "need_field",
+    "read_object",
+    "read_list",
+    "read_objects",
     "read_number",
+    "read_numbers",
     "read_integer",
     "read_string",
+    "build_field",
 ]
 
 DEPLOYMENTS = ("overall_grid", "partial_random", "cell_edge")
@@ -64,6 +69,8 @@ DEPLOYMENTS = ("overall_grid", "partial_random", "cell_edge")
 CELL_EDGE_ANNULUS = 0.8
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+
+_T = TypeVar("_T")
 
 
 class InvalidConfigError(ValueError):
@@ -460,13 +467,37 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
 
 # The field readers below are shared by every document loader (scenarios here,
 # schedules and sweeps in the harness): each raises ScenarioFormatError naming
-# the field's path.
+# the field's path, and a string is never a list.
 
 
-def need_field(doc: Mapping, key: str, path: str) -> Any:
+def need_field(doc: Mapping, key: str, path: str = "") -> tuple[Any, str]:
+    """A required field of the object at ``path`` (the document when empty),
+    with the field's own path."""
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise ScenarioFormatError(f"{path}{key}: missing")
-    return doc[key]
+        raise ScenarioFormatError(f"{where}: missing")
+    return doc[key], where
+
+
+def read_object(value: Any, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ScenarioFormatError(f"{path}: expected an object")
+    return value
+
+
+def read_list(value: Any, path: str, length: int | None = None) -> Sequence:
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ScenarioFormatError(f"{path}: expected a list")
+    if length is not None and len(value) != length:
+        raise ScenarioFormatError(f"{path}: expected a list of {length}")
+    return value
+
+
+def read_objects(value: Any, path: str) -> Iterator[tuple[Mapping, str]]:
+    """Each object of a list with its path, checked as it is reached."""
+    for i, item in enumerate(read_list(value, path)):
+        where = f"{path}[{i}]"
+        yield read_object(item, where), where
 
 
 def read_number(value: Any, path: str) -> float:
@@ -481,6 +512,14 @@ def read_number(value: Any, path: str) -> float:
     return number
 
 
+def read_numbers(value: Any, path: str, length: int | None = None) -> tuple[float, ...]:
+    """A list of finite numbers; an element's path is formatted only if it is bad."""
+    return tuple(
+        item if type(item) is float and math.isfinite(item) else read_number(item, f"{path}[{i}]")
+        for i, item in enumerate(read_list(value, path, length))
+    )
+
+
 def read_integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"{path}: expected an integer")
@@ -491,6 +530,15 @@ def read_string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ScenarioFormatError(f"{path}: expected a string")
     return value
+
+
+def build_field(path: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``build(*args, **kwargs)``, its ValueError reported at ``path`` (the
+    whole document when empty)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _channel_to_doc(channel: ChannelParams) -> dict:
@@ -505,9 +553,8 @@ def _channel_to_doc(channel: ChannelParams) -> dict:
     }
 
 
-def _channel_from_doc(doc: Mapping, path: str) -> ChannelParams:
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError(f"{path}: expected an object")
+def _channel_from_doc(doc: Any, path: str) -> ChannelParams:
+    doc = read_object(doc, path)
     kwargs = {}
     for key in (
         "tx_power_dbm",
@@ -520,53 +567,36 @@ def _channel_from_doc(doc: Mapping, path: str) -> ChannelParams:
         if key in doc:
             kwargs[key] = read_number(doc[key], f"{path}.{key}")
     if "mcs_table" in doc:
-        raw = doc["mcs_table"]
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-            raise ScenarioFormatError(f"{path}.mcs_table: expected a list of [threshold, rate] pairs")
-        table = []
-        for i, pair in enumerate(raw):
-            if not isinstance(pair, Sequence) or len(pair) != 2:
-                raise ScenarioFormatError(f"{path}.mcs_table[{i}]: expected a [threshold, rate] pair")
-            table.append((read_number(pair[0], f"{path}.mcs_table[{i}][0]"), read_number(pair[1], f"{path}.mcs_table[{i}][1]")))
-        kwargs["mcs_table"] = tuple(table)
-    try:
-        return ChannelParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+        table = f"{path}.mcs_table"
+        kwargs["mcs_table"] = tuple(
+            read_numbers(pair, f"{table}[{i}]", 2) for i, pair in enumerate(read_list(doc["mcs_table"], table))
+        )
+    return build_field(path, ChannelParams, **kwargs)
 
 
-def _frame_from_doc(doc: Mapping, path: str = "frame") -> FrameGrid:
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError(f"{path}: expected an object")
-    m = read_integer(need_field(doc, "M", f"{path}."), f"{path}.M")
-    t = read_integer(need_field(doc, "T", f"{path}."), f"{path}.T")
+def _frame_from_doc(doc: Any, path: str) -> FrameGrid:
+    doc = read_object(doc, path)
+    m = read_integer(*need_field(doc, "M", path))
+    t = read_integer(*need_field(doc, "T", path))
     cap = doc.get("slot_capacity")
     if cap is not None:
-        if not isinstance(cap, Sequence) or isinstance(cap, (str, bytes)):
-            raise ScenarioFormatError(f"{path}.slot_capacity: expected a list or null")
-        cap = tuple(read_integer(c, f"{path}.slot_capacity[{i}]") for i, c in enumerate(cap))
+        caps = f"{path}.slot_capacity"
+        cap = tuple(read_integer(c, f"{caps}[{i}]") for i, c in enumerate(read_list(cap, caps)))
     rho = read_number(doc.get("rho_ms", 10.0), f"{path}.rho_ms")
-    try:
-        return FrameGrid(m, t, cap, rho)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+    return build_field(path, FrameGrid, m, t, cap, rho)
 
 
 def _geometry_from_doc(doc: Any, path: str) -> Omnidirectional | Directional:
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError(f"{path}: expected an object")
-    kind = need_field(doc, "kind", f"{path}.")
-    view = read_number(need_field(doc, "view_distance", f"{path}."), f"{path}.view_distance")
-    try:
-        if kind == "omnidirectional":
-            return Omnidirectional(view)
-        if kind == "directional":
-            orientation = read_number(need_field(doc, "orientation", f"{path}."), f"{path}.orientation")
-            fov = read_number(need_field(doc, "fov", f"{path}."), f"{path}.fov")
-            return Directional(view, orientation, fov)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-    raise ScenarioFormatError(f"{path}.kind: expected 'omnidirectional' or 'directional'")
+    doc = read_object(doc, path)
+    kind, kind_path = need_field(doc, "kind", path)
+    view = read_number(*need_field(doc, "view_distance", path))
+    if kind == "omnidirectional":
+        return build_field(path, Omnidirectional, view)
+    if kind == "directional":
+        orientation = read_number(*need_field(doc, "orientation", path))
+        fov = read_number(*need_field(doc, "fov", path))
+        return build_field(path, Directional, view, orientation, fov)
+    raise ScenarioFormatError(f"{kind_path}: expected 'omnidirectional' or 'directional'")
 
 
 def _geometry_to_doc(geom: Omnidirectional | Directional) -> dict:
@@ -620,104 +650,73 @@ def load_scenario(doc: Mapping) -> Scenario:
     A camera without an explicit ``rates`` list gets rates from the channel
     model, seeded by the document seed and the camera id.
     """
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError("document: expected a JSON object")
-    area = read_number(need_field(doc, "area", ""), "area")
+    doc = read_object(doc, "document")
+    area = read_number(*need_field(doc, "area"))
     if not area > 0:
         raise ScenarioFormatError("area: must be positive")
-    grid = _frame_from_doc(need_field(doc, "frame", ""))
-    channel_doc = doc.get("channel")
-    channel = _channel_from_doc(channel_doc, "channel") if channel_doc is not None else None
+    grid = _frame_from_doc(*need_field(doc, "frame"))
+    channel = _channel_from_doc(doc["channel"], "channel") if doc.get("channel") is not None else None
     seed = doc.get("seed")
     if seed is not None:
         seed = read_integer(seed, "seed")
 
-    raw_targets = need_field(doc, "targets", "")
-    if not isinstance(raw_targets, Sequence):
-        raise ScenarioFormatError("targets: expected a list")
     targets = []
-    for i, entry in enumerate(raw_targets):
-        path = f"targets[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        targets.append(
-            TargetObject(
-                read_integer(need_field(entry, "id", f"{path}."), f"{path}.id"),
-                (read_number(need_field(entry, "x", f"{path}."), f"{path}.x"), read_number(need_field(entry, "y", f"{path}."), f"{path}.y")),
-            )
-        )
+    for entry, path in read_objects(*need_field(doc, "targets")):
+        target_id = read_integer(*need_field(entry, "id", path))
+        pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
+        targets.append(TargetObject(target_id, pos))
 
-    raw_cameras = need_field(doc, "cameras", "")
-    if not isinstance(raw_cameras, Sequence):
-        raise ScenarioFormatError("cameras: expected a list")
     center = (area / 2.0, area / 2.0)
     fields = []
-    for i, entry in enumerate(raw_cameras):
-        path = f"cameras[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        cam_id = read_integer(need_field(entry, "id", f"{path}."), f"{path}.id")
-        pos = (
-            read_number(need_field(entry, "x", f"{path}."), f"{path}.x"),
-            read_number(need_field(entry, "y", f"{path}."), f"{path}.y"),
-        )
-        geometry = _geometry_from_doc(need_field(entry, "geometry", f"{path}."), f"{path}.geometry")
-        requirement = read_number(need_field(entry, "rate_requirement", f"{path}."), f"{path}.rate_requirement")
-        if "rates" in entry and entry["rates"] is not None:
-            raw_rates = entry["rates"]
-            if not isinstance(raw_rates, Sequence) or isinstance(raw_rates, (str, bytes)):
-                raise ScenarioFormatError(f"{path}.rates: expected a list of numbers")
-            rates = tuple(read_number(r, f"{path}.rates[{j}]") for j, r in enumerate(raw_rates))
+    for entry, path in read_objects(*need_field(doc, "cameras")):
+        cam_id = read_integer(*need_field(entry, "id", path))
+        pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
+        geometry = _geometry_from_doc(*need_field(entry, "geometry", path))
+        requirement = read_number(*need_field(entry, "rate_requirement", path))
+        if entry.get("rates") is not None:
+            rates = read_numbers(entry["rates"], f"{path}.rates")
         else:
             if channel is None:
                 raise ScenarioFormatError(f"{path}.rates: missing and no channel model to derive from")
-            rng = np.random.default_rng([(seed or 0) % (2**63), 1, cam_id])
+            # numpy takes only non-negative seed words, and the id is one.
+            rng = build_field(f"{path}.id", np.random.default_rng, [(seed or 0) % (2**63), 1, cam_id])
             rates = tuple(derive_rates(pos, channel, rng, grid.num_subchannels, center))
         slot_overrides = None
-        if "slot_rates" in entry and entry["slot_rates"] is not None:
-            raw_sr = entry["slot_rates"]
-            if not isinstance(raw_sr, Mapping):
-                raise ScenarioFormatError(f"{path}.slot_rates: expected an object keyed by slot")
+        if entry.get("slot_rates") is not None:
+            slot_rates = f"{path}.slot_rates"
             slot_overrides = {}
-            for s, vec in raw_sr.items():
+            for s, vec in read_object(entry["slot_rates"], slot_rates).items():
                 try:
                     slot = int(s)
                 except (TypeError, ValueError):
-                    raise ScenarioFormatError(f"{path}.slot_rates: slot keys must be integers") from None
+                    raise ScenarioFormatError(f"{slot_rates}: slot keys must be integers") from None
                 if not 1 <= slot <= grid.num_slots:
-                    raise ScenarioFormatError(f"{path}.slot_rates[{s}]: slot must lie in 1..{grid.num_slots}")
-                if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
-                    raise ScenarioFormatError(f"{path}.slot_rates[{s}]: expected a list of numbers")
-                slot_overrides[slot] = tuple(read_number(r, f"{path}.slot_rates[{s}][{j}]") for j, r in enumerate(vec))
-        fields.append((cam_id, pos, geometry, requirement, rates, slot_overrides))
+                    raise ScenarioFormatError(f"{slot_rates}[{s}]: slot must lie in 1..{grid.num_slots}")
+                slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]")
+        fields.append((path, cam_id, pos, geometry, requirement, rates, slot_overrides))
 
     # One coverage matrix for all cameras, so cameras are built (and their
     # values checked) once every entry is parsed.
-    coverage = _coverage_sets([f[1] for f in fields], [f[2] for f in fields], targets)
-    cameras = []
-    for i, ((cam_id, pos, geometry, requirement, rates, slot_overrides), covered) in enumerate(zip(fields, coverage)):
-        try:
-            cameras.append(CameraNode(cam_id, pos, geometry, requirement, rates, covered, slot_overrides))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"cameras[{i}]: {exc}") from exc
-
-    try:
-        return Scenario(
-            grid=grid,
-            cameras=tuple(cameras),
-            targets=tuple(targets),
-            area_side=area,
-            channel=channel,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+    coverage = _coverage_sets([f[2] for f in fields], [f[3] for f in fields], targets)
+    cameras = tuple(
+        build_field(path, CameraNode, cam_id, pos, geometry, requirement, rates, covered, slot_overrides)
+        for (path, cam_id, pos, geometry, requirement, rates, slot_overrides), covered in zip(fields, coverage)
+    )
+    return build_field(
+        "",
+        Scenario,
+        grid=grid,
+        cameras=cameras,
+        targets=tuple(targets),
+        area_side=area,
+        channel=channel,
+        seed=seed,
+    )
 
 
 def config_from_document(doc: Mapping) -> ScenarioConfig:
     """Parse a generator configuration document; missing keys take defaults."""
-    if not isinstance(doc, Mapping):
-        raise ScenarioFormatError("config: expected a JSON object")
+    doc = read_object(doc, "config")
     kwargs: dict[str, Any] = {}
     if "area" in doc:
         kwargs["area_side"] = read_number(doc["area"], "area")
@@ -728,35 +727,21 @@ def config_from_document(doc: Mapping) -> ScenarioConfig:
     if "deployment" in doc:
         kwargs["deployment"] = doc["deployment"]
     if "geometry" in doc:
-        g = doc["geometry"]
-        if not isinstance(g, Mapping):
-            raise ScenarioFormatError("geometry: expected an object")
+        g = read_object(doc["geometry"], "geometry")
         gkw: dict[str, Any] = {}
         if "kind" in g:
             gkw["kind"] = g["kind"]
         if "view_distance" in g:
-            vd = g["view_distance"]
-            if not isinstance(vd, Sequence) or len(vd) != 2:
-                raise ScenarioFormatError("geometry.view_distance: expected [min, max]")
-            gkw["view_distance"] = (read_number(vd[0], "geometry.view_distance[0]"), read_number(vd[1], "geometry.view_distance[1]"))
+            gkw["view_distance"] = read_numbers(g["view_distance"], "geometry.view_distance", 2)
         if "fov" in g:
             gkw["fov_deg"] = read_number(g["fov"], "geometry.fov")
-        try:
-            kwargs["geometry"] = GeometrySpec(**gkw)
-        except ValueError as exc:
-            raise ScenarioFormatError(f"geometry: {exc}") from exc
+        kwargs["geometry"] = build_field("geometry", GeometrySpec, **gkw)
     if "rate_requirement" in doc:
-        rr = doc["rate_requirement"]
-        if not isinstance(rr, Sequence) or len(rr) != 2:
-            raise ScenarioFormatError("rate_requirement: expected [min, max]")
-        kwargs["rate_requirement_range"] = (read_number(rr[0], "rate_requirement[0]"), read_number(rr[1], "rate_requirement[1]"))
+        kwargs["rate_requirement_range"] = read_numbers(doc["rate_requirement"], "rate_requirement", 2)
     if "frame" in doc:
-        kwargs["frame"] = _frame_from_doc(doc["frame"])
-    if "channel" in doc and doc["channel"] is not None:
+        kwargs["frame"] = _frame_from_doc(doc["frame"], "frame")
+    if doc.get("channel") is not None:
         kwargs["channel"] = _channel_from_doc(doc["channel"], "channel")
     if "seed" in doc:
         kwargs["rng_seed"] = read_integer(doc["seed"], "seed")
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+    return build_field("", ScenarioConfig, **kwargs)

@@ -31,7 +31,6 @@ from .model import (
 __all__ = [
     "SolveStatus",
     "SolverResult",
-    "CoverageState",
     "GreedyStep",
     "RelocationStep",
     "Diagnostics",
@@ -107,20 +106,11 @@ class SolverResult:
 
 
 @dataclass(frozen=True)
-class CoverageState:
-    """Snapshot of which targets remain uncovered and by how many cameras
-    each is covered."""
-
-    uncovered: frozenset[int]
-    coverage_count: Mapping[int, int]
-
-
-@dataclass(frozen=True)
 class GreedyPhase:
     """Tentative assignment set from greedy scheduling; RBs may be shared."""
 
     assignments: tuple[CandidateAllocation, ...]
-    coverage: CoverageState
+    uncovered: frozenset[int]
     status: SolveStatus
     trace: tuple[GreedyStep, ...]
 
@@ -334,9 +324,7 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    target_ids = scenario.target_ids
-    uncovered = set(target_ids)
-    count = {t: 0 for t in sorted(target_ids)}
+    uncovered = set(scenario.target_ids)
     # (camera, minimum run length) by id; cameras with no candidate never win.
     pool = [
         (cam, phi)
@@ -365,11 +353,8 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
         assert alloc is not None
         chosen.append(alloc)
         trace.append(GreedyStep(best_cam.id, alloc, Fraction(best_phi, best_gain)))
-        for t in best_cam.coverage_set & target_ids:
-            count[t] += 1
         uncovered -= best_cam.coverage_set
-    coverage = CoverageState(frozenset(uncovered), dict(count))
-    return GreedyPhase(tuple(chosen), coverage, status, tuple(trace))
+    return GreedyPhase(tuple(chosen), frozenset(uncovered), status, tuple(trace))
 
 
 def mramc_relocate(
@@ -435,7 +420,7 @@ def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResu
         schedule = Schedule.build(phase.assignments, scenario.cameras, scenario.target_ids)
         diag = Diagnostics(
             greedy=phase.trace,
-            notes=(f"uncovered targets: {sorted(phase.coverage.uncovered)}",),
+            notes=(f"uncovered targets: {sorted(phase.uncovered)}",),
         )
         return SolverResult(schedule, phase.status, diag)
     return mramc_relocate(phase.assignments, scenario, table, phase.trace)

@@ -262,6 +262,7 @@ class TestMalformedNumbers:
         "inf_requirement": (with_camera(rate_requirement=float("inf")), "cameras[0].rate_requirement"),
         "slot_out_of_range": (with_camera(slot_rates={"99": [8, 4, 7]}), "cameras[0].slot_rates[99]"),
         "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
+        "negative_id_seeding_rates": ({**with_camera(id=-1, rates=None), "channel": {}}, "cameras[0].id"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -277,8 +278,13 @@ def schedule_doc(total_rbs=1, **fields):
     return {"assignments": [run], "total_rbs": total_rbs}
 
 
+def oversized_frame_config():
+    # A slot count no sequence can index, with slot capacities left to default.
+    return dict(small_config(), frame={"M": 6, "T": 10**400})
+
+
 class TestMalformedDocuments:
-    """Schedule and sweep documents whose fields have the wrong type."""
+    """Schedule, sweep and config documents whose fields have the wrong type."""
 
     CASES = {
         "string_slot": ("verify", schedule_doc(slot="1"), "assignments[0].slot"),
@@ -292,6 +298,9 @@ class TestMalformedDocuments:
         "list_target_count": ("sweep", sweep_doc(values=[[1]]), "values[0]"),
         "null_view_distance": ("sweep", sweep_doc(axis="view_distance", values=[None]), "values[0]"),
         "boolean_fov": ("sweep", sweep_doc(axis="fov", values=[True]), "values[0]"),
+        "string_targets_in_config": ("generate", dict(small_config(), num_targets="6"), "num_targets"),
+        "oversized_frame_config": ("generate", oversized_frame_config(), "frame"),
+        "oversized_frame_sweep": ("sweep", sweep_doc(config=oversized_frame_config()), "frame"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -300,6 +309,8 @@ class TestMalformedDocuments:
         path = write(tmp_path / "doc.json", doc)
         if command == "verify":
             args = ["verify", str(DATA / "small.json"), path, "--quiet"]
+        elif command == "generate":
+            args = ["generate", "--config", path, "--out", str(tmp_path / "out.json"), "--quiet"]
         else:
             args = ["sweep", path, "--out", str(tmp_path / "out.csv"), "--quiet"]
         assert main(args) == 2

@@ -25,8 +25,8 @@ from csrap import (
 )
 from csrap.harness import CSV_HEADER
 from csrap.scenario import ScenarioFormatError
-from csrap.solvers import CandidateTable
-from support import random_instance
+from csrap.solvers import CandidateTable, _scan_schedule
+from support import brute_force_runs, random_instance
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -77,8 +77,10 @@ class TestGreedyBasedReference:
         assert seen > 40
 
     def test_schedule_is_the_same_with_and_without_a_table(self):
-        # Without a table the reference builds its own; cameras with per-slot
-        # rate overrides must give the same schedule as with a shared table.
+        # With or without a shared table, the reference must equal the scan
+        # driven by each camera's best robust rate, found here by brute force
+        # over every window of every slot vector (0.0 for a camera with no
+        # run), on cameras with per-slot rate overrides.
         rng = np.random.default_rng(23)
         overridden = 0
         for _ in range(150):
@@ -96,8 +98,20 @@ class TestGreedyBasedReference:
                 overridden += bool(overrides)
                 cameras.append(replace(camera, slot_rate_overrides=overrides or None))
             scn = replace(scn, cameras=tuple(cameras))
-            table = CandidateTable(scn.cameras, scn.grid)
-            assert greedy_based_reference(scn) == greedy_based_reference(scn, table)
+            best = {
+                camera.id: max(
+                    (
+                        rate
+                        for slot in range(1, t + 1)
+                        for _, _, rate in brute_force_runs(camera.rates_in_slot(slot), camera.rate_requirement)
+                    ),
+                    default=0.0,
+                )
+                for camera in scn.cameras
+            }
+            expected = _scan_schedule(scn, lambda camera, slot, pos: best[camera.id])
+            assert greedy_based_reference(scn) == expected
+            assert greedy_based_reference(scn, CandidateTable(scn.cameras, scn.grid)) == expected
         assert overridden > 200
 
 

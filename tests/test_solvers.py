@@ -124,8 +124,7 @@ class TestGreedyPhase:
         phase = mramc_greedy(scn)
         assert [s.camera_id for s in phase.trace] == [1]
         assert phase.total_rbs == 1
-        assert phase.coverage.uncovered == frozenset()
-        assert phase.coverage.coverage_count == {1: 1, 2: 1}
+        assert phase.uncovered == frozenset()
 
     def test_conflicts_allowed_in_tentative_set(self):
         cameras = [cam(1, [8, 8], 8.0, {1}), cam(2, [8, 8], 8.0, {2})]
@@ -140,7 +139,7 @@ class TestGreedyPhase:
         scn = scenario_of(FrameGrid(2, 1), cameras, 2)
         phase = mramc_greedy(scn)
         assert phase.status is SolveStatus.INFEASIBLE_COVERAGE
-        assert phase.coverage.uncovered == {2}
+        assert phase.uncovered == {2}
 
     def test_matches_weighted_set_cover_greedy_on_unit_candidates(self):
         rng = np.random.default_rng(11)
