@@ -152,34 +152,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="csrap",
         description="Coverage-aware uplink resource-block scheduling for camera networks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output file ('-' or omitted for stdout)")
-    common.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    common.add_argument("--quiet", action="store_true", help="suppress summaries and timestamps")
+    # Each subcommand takes only the shared options it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file ('-' or omitted for stdout)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress summaries and timestamps")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a scenario document")
+    p = sub.add_parser("generate", parents=[out, seed, quiet], help="generate a scenario document")
     p.add_argument("--config", default=None, help="generator configuration JSON")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", parents=[common], help="solve a scenario document")
+    p = sub.add_parser("solve", parents=[out, quiet], help="solve a scenario document")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--algo", choices=sorted(SOLVERS), default="mramc")
     p.add_argument("--multiplicity", type=int, default=1, help="per-target camera count for m_mramc")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget for the exact solver")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", parents=[common], help="check a schedule against a scenario")
+    p = sub.add_parser("verify", parents=[quiet], help="check a schedule against a scenario")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("schedule", help="schedule JSON file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common], help="run a parameter sweep and emit CSV")
+    p = sub.add_parser("sweep", parents=[out, seed, quiet], help="run a parameter sweep and emit CSV")
     p.add_argument("spec", help="sweep specification JSON file")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bounds", parents=[common], help="print approximation-bound quantities")
+    p = sub.add_parser("bounds", help="print approximation-bound quantities")
     p.add_argument("scenario", help="scenario JSON file")
     p.set_defaults(func=cmd_bounds)
 

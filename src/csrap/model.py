@@ -30,20 +30,9 @@ __all__ = [
     "Scenario",
     "ConstraintCheck",
     "FeasibilityReport",
-    "robust_rate",
     "runs_by_length",
-    "candidate_runs",
-    "enumerate_candidates",
     "verify_schedule",
 ]
-
-
-def robust_rate(rates: Sequence[float]) -> float:
-    """Usable per-RB rate of a contiguous run: the minimum over the run."""
-    rates = list(rates)
-    if not rates:
-        raise ValueError("robust_rate requires a non-empty rate list")
-    return min(rates)
 
 
 @dataclass(frozen=True)
@@ -84,10 +73,6 @@ class FrameGrid:
     def capacity(self, slot: int) -> int:
         """Allocatable RB count for a 1-based slot index."""
         return self.slot_capacity[slot - 1]
-
-    @property
-    def total_rbs(self) -> int:
-        return self.num_subchannels * self.num_slots
 
 
 @dataclass(frozen=True)
@@ -224,9 +209,9 @@ class Schedule:
         cls,
         assignments: Iterable[CandidateAllocation],
         cameras: Iterable[CameraNode],
-        target_ids: Iterable[int] | None = None,
+        target_ids: Iterable[int],
     ) -> "Schedule":
-        """Assemble a schedule, deriving totals and covered targets."""
+        """Assemble a schedule, deriving totals and the covered ones of ``target_ids``."""
         cams = {c.id: c for c in cameras}
         ordered = tuple(sorted(assignments, key=CandidateAllocation.sort_key))
         covered: set[int] = set()
@@ -234,8 +219,7 @@ class Schedule:
             if alloc.camera_id not in cams:
                 raise ValueError(f"assignment references unknown camera {alloc.camera_id}")
             covered |= cams[alloc.camera_id].coverage_set
-        if target_ids is not None:
-            covered &= set(target_ids)
+        covered &= set(target_ids)
         return cls(
             assignments=ordered,
             total_rbs=sum(a.length for a in ordered),
@@ -278,12 +262,6 @@ class Scenario:
                 raise ValueError(
                     f"camera {cam.id} has {len(cam.per_subchannel_rate)} subchannel rates, expected {m}"
                 )
-
-    def camera(self, camera_id: int) -> CameraNode:
-        for cam in self.cameras:
-            if cam.id == camera_id:
-                return cam
-        raise KeyError(camera_id)
 
     @property
     def target_ids(self) -> frozenset[int]:
@@ -346,30 +324,6 @@ def runs_by_length(rates: Sequence[float], requirement: float) -> dict[int, list
     return out
 
 
-def candidate_runs(rates: Sequence[float], requirement: float) -> list[tuple[int, int, float]]:
-    """All (start, length, robust_rate) runs over one rate vector that just
-    achieve ``requirement``: :func:`runs_by_length` ordered by start then
-    length."""
-    by_len = runs_by_length(rates, requirement)
-    return sorted((start, length, robust) for length, runs in by_len.items() for start, robust in runs)
-
-
-def enumerate_candidates(camera: CameraNode, grid: FrameGrid) -> list[CandidateAllocation]:
-    """Every candidate allocation for ``camera`` in the frame, ordered by
-    slot, then start, then length.
-
-    Returns an empty list when no contiguous run in any slot can achieve the
-    camera's rate requirement.
-    """
-    if len(camera.per_subchannel_rate) != grid.num_subchannels:
-        raise ValueError("camera rate vector length must equal the number of subchannels")
-    return [
-        CandidateAllocation(camera.id, slot, start, length, robust)
-        for slot in range(1, grid.num_slots + 1)
-        for start, length, robust in candidate_runs(camera.rates_in_slot(slot), camera.rate_requirement)
-    ]
-
-
 @dataclass(frozen=True)
 class ConstraintCheck:
     """Outcome of one feasibility rule; ``violations`` lists offending entities."""
@@ -426,11 +380,13 @@ def verify_schedule(schedule: Schedule, scenario: Scenario) -> FeasibilityReport
     checks: list[ConstraintCheck] = []
 
     bad_allocs: list[tuple[int, str]] = []
+    in_frame: list[CandidateAllocation] = []
     for alloc in schedule.assignments:
         cam = cams[alloc.camera_id]
         if alloc.slot > grid.num_slots or alloc.start + alloc.length - 1 > grid.num_subchannels:
             bad_allocs.append((alloc.camera_id, "run outside frame"))
             continue
+        in_frame.append(alloc)
         rates = cam.rates_in_slot(alloc.slot)
         run = rates[alloc.start - 1 : alloc.start - 1 + alloc.length]
         expect = min(run)
@@ -458,8 +414,10 @@ def verify_schedule(schedule: Schedule, scenario: Scenario) -> FeasibilityReport
     )
     checks.append(ConstraintCheck("slot_capacity", not over, over))
 
+    # A run outside the frame is already flagged above, and its cells may be
+    # too many to enumerate.
     cell_owners: dict[tuple[int, int], list[int]] = {}
-    for alloc in schedule.assignments:
+    for alloc in in_frame:
         for cell in alloc.cells():
             cell_owners.setdefault(cell, []).append(alloc.camera_id)
     clashes = tuple(

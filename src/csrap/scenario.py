@@ -674,7 +674,7 @@ def load_scenario(doc: Mapping) -> Scenario:
         geometry = _geometry_from_doc(*need_field(entry, "geometry", path))
         requirement = read_number(*need_field(entry, "rate_requirement", path))
         if entry.get("rates") is not None:
-            rates = read_numbers(entry["rates"], f"{path}.rates")
+            rates = read_numbers(entry["rates"], f"{path}.rates", grid.num_subchannels)
         else:
             if channel is None:
                 raise ScenarioFormatError(f"{path}.rates: missing and no channel model to derive from")
@@ -692,7 +692,7 @@ def load_scenario(doc: Mapping) -> Scenario:
                     raise ScenarioFormatError(f"{slot_rates}: slot keys must be integers") from None
                 if not 1 <= slot <= grid.num_slots:
                     raise ScenarioFormatError(f"{slot_rates}[{s}]: slot must lie in 1..{grid.num_slots}")
-                slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]")
+                slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]", grid.num_subchannels)
         fields.append((path, cam_id, pos, geometry, requirement, rates, slot_overrides))
 
     # One coverage matrix for all cameras, so cameras are built (and their

@@ -215,12 +215,6 @@ class CandidateTable:
             self._slots[cam.id] = slots
             self._lengths[cam.id] = sorted(set().union(*distinct))
 
-    def _distinct_runs(self, camera_id: int) -> Iterator[tuple[int, float]]:
-        """``(start, robust_rate)`` of the runs of each distinct slot rate vector, once each."""
-        for by_len in {id(by_len): by_len for by_len in self._slots[camera_id]}.values():
-            for runs in by_len.values():
-                yield from runs
-
     def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
         """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
         slots = self._slots[camera_id]
@@ -232,8 +226,10 @@ class CandidateTable:
         lengths = self._lengths[camera_id]
         return lengths[0] if lengths else None
 
-    def best_robust(self, camera_id: int) -> float | None:
-        return max((robust for _, robust in self._distinct_runs(camera_id)), default=None)
+    def robust_rates(self, camera_id: int) -> list[float]:
+        """Robust rates of the runs of each distinct slot rate vector, once each."""
+        distinct = {id(by_len): by_len for by_len in self._slots[camera_id]}.values()
+        return [robust for by_len in distinct for runs in by_len.values() for _, robust in runs]
 
     def candidate_count(self, camera_id: int) -> int:
         return sum(len(runs) for by_len in self._slots[camera_id] for runs in by_len.values())
@@ -247,13 +243,9 @@ class CandidateTable:
                 for start, robust in by_len.get(length, ()):
                     yield slot, start, length, robust
 
-    def iter_by_cost(self, camera_id: int) -> Iterator[CandidateAllocation]:
-        """Candidates in :meth:`runs_by_cost` order."""
-        for run in self.runs_by_cost(camera_id):
-            yield CandidateAllocation(camera_id, *run)
-
     def min_allocation(self, camera_id: int) -> CandidateAllocation | None:
-        return next(self.iter_by_cost(camera_id), None)
+        run = next(self.runs_by_cost(camera_id), None)
+        return None if run is None else CandidateAllocation(camera_id, *run)
 
     def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
         """The first candidate in :meth:`runs_by_cost` order that ``occupancy``
@@ -262,10 +254,6 @@ class CandidateTable:
             if occupancy.fits(slot, start, length):
                 return CandidateAllocation(camera_id, slot, start, length, robust)
         return None
-
-    def all_robust_rates(self) -> list[float]:
-        """Robust rates of the runs of each camera's distinct rate vectors, once each."""
-        return [robust for camera_id in self._slots for _, robust in self._distinct_runs(camera_id)]
 
 
 class _Occupancy:
@@ -283,12 +271,6 @@ class _Occupancy:
         self.capacity = (0,) + grid.slot_capacity
         self.load = [0] * (grid.num_slots + 1)
         self.used = [0] * (grid.num_slots + 1)
-
-    def admits(self, alloc: CandidateAllocation) -> bool:
-        return self.fits(alloc.slot, alloc.start, alloc.length)
-
-    def add(self, alloc: CandidateAllocation) -> None:
-        self.place(alloc.slot, alloc.start, alloc.length)
 
     def fits(self, slot: int, start: int, length: int) -> bool:
         """Whether a run of ``length`` RBs from ``start`` is free and within capacity."""
@@ -380,7 +362,7 @@ def mramc_relocate(
 
     def fix(camera_id: int, alloc: CandidateAllocation, moved: bool) -> None:
         fixed.append(alloc)
-        occupancy.add(alloc)
+        occupancy.place(alloc.slot, alloc.start, alloc.length)
         trace.append(RelocationStep(camera_id, alloc, moved))
         del unadjusted[camera_id]
 
@@ -388,11 +370,11 @@ def mramc_relocate(
     while unadjusted and failed is None:
         cam_id = min(unadjusted, key=lambda c: (unadjusted[c].length, c))
         alloc = unadjusted[cam_id]
-        if occupancy.admits(alloc):
+        if occupancy.fits(alloc.slot, alloc.start, alloc.length):
             fix(cam_id, alloc, moved=False)
         # Otherwise cam_id is the first conflicted camera and moves below.
         while failed is None:
-            conflicted = [c for c in unadjusted if not occupancy.admits(unadjusted[c])]
+            conflicted = [c for c, a in unadjusted.items() if not occupancy.fits(a.slot, a.start, a.length)]
             if not conflicted:
                 break
             nxt = min(conflicted, key=lambda c: (unadjusted[c].length, c))
@@ -554,7 +536,7 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
     # The scan asks for a rate at every position, so read each camera's once.
-    best = {cam.id: table.best_robust(cam.id) or 0.0 for cam in scenario.cameras}
+    best = {cam.id: max(table.robust_rates(cam.id), default=0.0) for cam in scenario.cameras}
     return _scan_schedule(scenario, lambda cam, slot, pos: best[cam.id])
 
 
@@ -590,14 +572,15 @@ def m_mramc(
     if base.status is not SolveStatus.FEASIBLE:
         return base
 
+    cams = {cam.id: cam for cam in scenario.cameras}
     occupancy = _Occupancy(scenario.grid)
     fixed: dict[int, CandidateAllocation] = {}
     for alloc in base.schedule.assignments:
-        occupancy.add(alloc)
+        occupancy.place(alloc.slot, alloc.start, alloc.length)
         fixed[alloc.camera_id] = alloc
     count = {t: 0 for t in desired}
     for cam_id in fixed:
-        for t in scenario.camera(cam_id).coverage_set & target_ids:
+        for t in cams[cam_id].coverage_set & target_ids:
             count[t] += 1
 
     covering: dict[int, list[CameraNode]] = {t: [] for t in desired}
@@ -627,9 +610,9 @@ def m_mramc(
                 continue
             _, cam_id, alloc = best
             fixed[cam_id] = alloc
-            occupancy.add(alloc)
+            occupancy.place(alloc.slot, alloc.start, alloc.length)
             extra_trace.append(RelocationStep(cam_id, alloc, True))
-            for covered in scenario.camera(cam_id).coverage_set & target_ids:
+            for covered in cams[cam_id].coverage_set & target_ids:
                 count[covered] += 1
             progress = True
         if not progress:
@@ -800,7 +783,7 @@ def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> Bou
     d_star = max(len(cam.coverage_set & scenario.target_ids) for cam in scenario.cameras)
     if d_star == 0:
         raise ValueError("no camera covers any target")
-    rates = [r for r in table.all_robust_rates() if r > 0]
+    rates = [r for cam in scenario.cameras for r in table.robust_rates(cam.id) if r > 0]
     if not rates:
         raise ValueError("no candidate allocations in the instance")
     return BoundParams(d_star=d_star, h_d_star=harmonic(d_star), r_max=max(rates), r_min=min(rates))

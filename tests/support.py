@@ -19,7 +19,6 @@ from csrap import (
     Omnidirectional,
     Scenario,
     TargetObject,
-    enumerate_candidates,
 )
 
 RATE_TIERS = (2.0, 4.0, 6.0, 8.0)
@@ -231,7 +230,7 @@ def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | Non
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     grid = scenario.grid
-    cands = [c for cam in scenario.cameras for c in enumerate_candidates(cam, grid)]
+    cands = [c for cam in scenario.cameras for c in _camera_candidates(cam, grid)]
     coverage = {cam.id: cam.coverage_set for cam in scenario.cameras}
     targets = sorted(scenario.target_ids)
     if not targets:

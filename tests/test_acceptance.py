@@ -16,6 +16,7 @@ import pytest
 from csrap import (
     CameraNode,
     CandidateAllocation,
+    CandidateTable,
     ChannelParams,
     FrameGrid,
     GeometrySpec,
@@ -28,7 +29,6 @@ from csrap import (
     TrafficItem,
     baseline_schedule,
     bound_params,
-    enumerate_candidates,
     exact_solve,
     greedy_based_reference,
     greedy_weighted_set_cover,
@@ -397,7 +397,8 @@ def test_criterion_09_worked_micro_example():
         per_subchannel_rate=(8.0, 4.0, 7.0),
         coverage_set=frozenset({1}),
     )
-    cands = enumerate_candidates(camera, FrameGrid(3, 1))
+    table = CandidateTable([camera], FrameGrid(3, 1))
+    cands = [CandidateAllocation(1, 1, *run) for run in table.runs(1, 1)]
     expected = CandidateAllocation(1, 1, 1, 3, 4.0)
     ok = cands == [expected] and 4.0 * 3 >= 9.0 > 4.0 * 2
     scn = Scenario(FrameGrid(3, 1), (camera,), (TargetObject(1, (0.0, 0.0)),))

@@ -5,7 +5,7 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional, candidate_runs, enumerate_candidates
+from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional
 from csrap.model import runs_by_length
 from csrap.solvers import CandidateTable, _Occupancy
 from support import brute_force_runs
@@ -57,29 +57,27 @@ class TestCandidateIndex:
         grid, cameras = case
         table = CandidateTable(cameras, grid)
         for cam in cameras:
-            listed = enumerate_candidates(cam, grid)
-            assert listed == brute_candidates(cam, grid)
-            expected = sorted(listed, key=lambda c: (c.length, c.slot, c.start))
-            assert list(table.iter_by_cost(cam.id)) == expected
+            expected = sorted(brute_candidates(cam, grid), key=lambda c: (c.length, c.slot, c.start))
+            assert [CandidateAllocation(cam.id, *run) for run in table.runs_by_cost(cam.id)] == expected
             assert table.min_allocation(cam.id) == (expected[0] if expected else None)
 
     @given(frame_cameras())
     def test_summaries_match_brute_force(self, case):
         grid, cameras = case
         table = CandidateTable(cameras, grid)
-        rates = Counter()
         for cam in cameras:
             cands = brute_candidates(cam, grid)
             assert table.candidate_count(cam.id) == len(cands)
             assert table.min_phi(cam.id) == min((c.length for c in cands), default=None)
-            assert table.best_robust(cam.id) == max((c.robust_rate for c in cands), default=None)
+            assert max(table.robust_rates(cam.id), default=None) == max((c.robust_rate for c in cands), default=None)
             for slot in range(1, grid.num_slots + 1):
                 runs = brute_force_runs(cam.rates_in_slot(slot), cam.rate_requirement)
                 assert table.runs(cam.id, slot) == runs
             # Each distinct slot rate vector counts once.
+            rates = Counter()
             for vec in {cam.rates_in_slot(s) for s in range(1, grid.num_slots + 1)}:
                 rates.update(r for _, _, r in brute_force_runs(vec, cam.rate_requirement))
-        assert Counter(table.all_robust_rates()) == rates
+            assert Counter(table.robust_rates(cam.id)) == rates
 
 
 @st.composite
@@ -120,12 +118,12 @@ class TestOccupancy:
         grid, allocs = case
         occ, ref = _Occupancy(grid), Reference(grid)
         for alloc, add in allocs:
-            assert occ.admits(alloc) == ref.admits(alloc)
+            assert occ.fits(alloc.slot, alloc.start, alloc.length) == ref.admits(alloc)
             if add:
-                occ.add(alloc)
+                occ.place(alloc.slot, alloc.start, alloc.length)
                 ref.add(alloc)
         for alloc, _ in allocs:
-            assert occ.admits(alloc) == ref.admits(alloc)
+            assert occ.fits(alloc.slot, alloc.start, alloc.length) == ref.admits(alloc)
 
     @given(occupancy_cases())
     def test_fork_is_independent(self, case):
@@ -133,20 +131,20 @@ class TestOccupancy:
         occ, ref = _Occupancy(grid), Reference(grid)
         for alloc, add in allocs:
             if add:
-                occ.add(alloc)
+                occ.place(alloc.slot, alloc.start, alloc.length)
                 ref.add(alloc)
         forked, child = occ.fork(), Reference(grid)
         child.cells, child.load = set(ref.cells), Counter(ref.load)
         later = [alloc for alloc, add in allocs if not add]
         for alloc in later[::2]:
-            forked.add(alloc)
+            forked.place(alloc.slot, alloc.start, alloc.length)
             child.add(alloc)
         for alloc in later[1::2]:
-            occ.add(alloc)
+            occ.place(alloc.slot, alloc.start, alloc.length)
             ref.add(alloc)
         for alloc, _ in allocs:
-            assert occ.admits(alloc) == ref.admits(alloc)
-            assert forked.admits(alloc) == child.admits(alloc)
+            assert occ.fits(alloc.slot, alloc.start, alloc.length) == ref.admits(alloc)
+            assert forked.fits(alloc.slot, alloc.start, alloc.length) == child.admits(alloc)
 
 
 @given(
@@ -158,9 +156,7 @@ class TestOccupancy:
     st.floats(0.01, 60.0),
 )
 def test_candidate_runs_matches_window_scan(rates, requirement):
-    expected = brute_force_runs(rates, requirement)
-    assert candidate_runs(rates, requirement) == expected
     by_len = {}
-    for start, length, rate in expected:
+    for start, length, rate in brute_force_runs(rates, requirement):
         by_len.setdefault(length, []).append((start, rate))
     assert runs_by_length(rates, requirement) == by_len

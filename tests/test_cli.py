@@ -198,6 +198,28 @@ class TestErrorPaths:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bounds", "{scn}", "--out", "{out}"],
+            ["verify", "{scn}", "{scn}", "--out", "{out}"],
+            ["solve", "{scn}", "--seed", "3"],
+        ],
+        ids=["bounds_out", "verify_out", "solve_seed"],
+    )
+    def test_option_the_command_does_not_read_exits_two(self, tmp_path, capsys, args):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        out = tmp_path / "out.txt"
+        assert main([a.format(scn=scenario_path, out=out) for a in args]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_flags_a_run_far_outside_the_frame(self, tmp_path, capsys):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        schedule_path = write(tmp_path / "schedule.json", schedule_doc(total_rbs=10**18, length=10**18))
+        assert main(["verify", scenario_path, schedule_path]) == 1
+        assert "allocation_validity: FAIL  ((1, 'run outside frame'),)" in capsys.readouterr().out
+
     def test_budget_exhaustion_exits_three(self, tmp_path, capsys):
         cfg = write(tmp_path / "config.json", small_config())
         scenario_path = str(tmp_path / "scenario.json")
@@ -260,6 +282,8 @@ class TestMalformedNumbers:
             "cameras[0].slot_rates[1][0]",
         ),
         "inf_requirement": (with_camera(rate_requirement=float("inf")), "cameras[0].rate_requirement"),
+        "short_rates": (with_camera(rates=[8, 4]), "cameras[0].rates"),
+        "long_slot_rates": (with_camera(slot_rates={"1": [8, 4, 7, 7]}), "cameras[0].slot_rates[1]"),
         "slot_out_of_range": (with_camera(slot_rates={"99": [8, 4, 7]}), "cameras[0].slot_rates[99]"),
         "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
         "negative_id_seeding_rates": ({**with_camera(id=-1, rates=None), "channel": {}}, "cameras[0].id"),

@@ -7,15 +7,15 @@ from hypothesis import given, strategies as st
 from csrap import (
     CameraNode,
     CandidateAllocation,
+    CandidateTable,
     FrameGrid,
     Omnidirectional,
     Scenario,
     Schedule,
     TargetObject,
-    enumerate_candidates,
-    robust_rate,
     verify_schedule,
 )
+from csrap.model import runs_by_length
 from support import brute_force_runs, ilp_constraints_hold, random_instance
 
 
@@ -30,47 +30,53 @@ def make_camera(rates, requirement, cam_id=1, coverage=frozenset({1})):
     )
 
 
+def table_candidates(cam, grid):
+    """Every candidate of ``cam`` by slot, start and length, read from its table."""
+    table = CandidateTable([cam], grid)
+    return [
+        CandidateAllocation(cam.id, slot, *run)
+        for slot in range(1, grid.num_slots + 1)
+        for run in table.runs(cam.id, slot)
+    ]
+
+
 class TestRobustRate:
+    """A run's robust rate is the minimum rate over the run."""
+
     def test_mixed_run(self):
-        assert robust_rate([8, 4, 7]) == 4
+        assert runs_by_length([8, 4, 7], 9.0) == {3: [(1, 4.0)]}
 
     def test_singleton(self):
-        assert robust_rate([5]) == 5
+        assert runs_by_length([5], 5.0) == {1: [(1, 5.0)]}
 
     def test_constant(self):
-        assert robust_rate([3, 3, 3]) == 3
+        assert runs_by_length([3, 3, 3], 9.0) == {3: [(1, 3.0)]}
 
-    def test_empty_is_an_error(self):
-        with pytest.raises(ValueError):
-            robust_rate([])
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12))
-    def test_equals_minimum(self, rates):
-        assert robust_rate(rates) == min(rates)
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8), st.randoms())
-    def test_permutation_invariant_and_duplication_idempotent(self, rates, rnd):
-        shuffled = list(rates)
-        rnd.shuffle(shuffled)
-        assert robust_rate(shuffled) == robust_rate(rates)
-        assert robust_rate(rates + rates) == robust_rate(rates)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_equals_minimum(self, rates, requirement):
+        for length, runs in runs_by_length(rates, requirement).items():
+            for start, robust in runs:
+                assert robust == min(rates[start - 1 : start - 1 + length])
 
 
 class TestEnumerateCandidates:
     def test_three_rb_run_just_achieves(self):
         # 4*2 = 8 < 9 while 4*3 = 12 >= 9, so the full-width run qualifies.
         cam = make_camera([8, 4, 7], 9.0)
-        cands = enumerate_candidates(cam, FrameGrid(3, 1))
+        cands = table_candidates(cam, FrameGrid(3, 1))
         assert CandidateAllocation(1, 1, 1, 3, 4.0) in cands
 
     def test_single_rb_exact_fit(self):
         cam = make_camera([10], 10.0)
-        cands = enumerate_candidates(cam, FrameGrid(1, 1))
+        cands = table_candidates(cam, FrameGrid(1, 1))
         assert cands == [CandidateAllocation(1, 1, 1, 1, 10.0)]
 
     def test_rate_drop_admits_two_lengths_from_same_start(self):
         cam = make_camera([8, 4], 8.0)
-        cands = enumerate_candidates(cam, FrameGrid(2, 1))
+        cands = table_candidates(cam, FrameGrid(2, 1))
         assert cands == [
             CandidateAllocation(1, 1, 1, 1, 8.0),
             CandidateAllocation(1, 1, 1, 2, 4.0),
@@ -80,19 +86,14 @@ class TestEnumerateCandidates:
 
     def test_no_candidates_when_unachievable(self):
         cam = make_camera([1, 1], 10.0)
-        assert enumerate_candidates(cam, FrameGrid(2, 1)) == []
+        assert table_candidates(cam, FrameGrid(2, 1)) == []
 
     def test_zero_rate_subchannels_never_appear_inside_runs(self):
         cam = make_camera([8, 0, 8], 9.0)
-        cands = enumerate_candidates(cam, FrameGrid(3, 2))
+        cands = table_candidates(cam, FrameGrid(3, 2))
         for c in cands:
             rates = cam.per_subchannel_rate[c.start - 1 : c.start - 1 + c.length]
             assert all(r > 0 for r in rates)
-
-    def test_rate_vector_length_must_match_grid(self):
-        cam = make_camera([8, 4], 8.0)
-        with pytest.raises(ValueError):
-            enumerate_candidates(cam, FrameGrid(3, 1))
 
     def test_matches_brute_force_on_random_rate_vectors(self):
         rng = np.random.default_rng(7)
@@ -103,7 +104,7 @@ class TestEnumerateCandidates:
             cam = make_camera(rates, req)
             t = int(rng.integers(1, 3))
             grid = FrameGrid(m, t)
-            got = enumerate_candidates(cam, grid)
+            got = table_candidates(cam, grid)
             expected = [
                 CandidateAllocation(1, slot, start, length, rate)
                 for slot in range(1, t + 1)
@@ -118,7 +119,7 @@ class TestEnumerateCandidates:
             m = int(rng.integers(1, 8))
             rates = [float(rng.choice([0, 2, 4, 8])) for _ in range(m)]
             cam = make_camera(rates, float(rng.integers(2, 25)))
-            for c in enumerate_candidates(cam, FrameGrid(m, 1)):
+            for c in table_candidates(cam, FrameGrid(m, 1)):
                 assert 1 <= c.start and c.start + c.length - 1 <= m
                 window = rates[c.start - 1 : c.start - 1 + c.length]
                 assert c.robust_rate == min(window)
@@ -127,7 +128,7 @@ class TestEnumerateCandidates:
 
     def test_deterministic_ordering(self):
         cam = make_camera([4, 4, 4, 4], 7.0)
-        cands = enumerate_candidates(cam, FrameGrid(4, 2))
+        cands = table_candidates(cam, FrameGrid(4, 2))
         keys = [(c.slot, c.start, c.length) for c in cands]
         assert keys == sorted(keys)
 
@@ -175,7 +176,7 @@ class TestTypes:
         )
         assert cam.rates_in_slot(1) == (8.0, 8.0)
         assert cam.rates_in_slot(2) == (2.0, 2.0)
-        cands = enumerate_candidates(cam, FrameGrid(2, 2))
+        cands = table_candidates(cam, FrameGrid(2, 2))
         # Slot 1 admits single-RB runs at rate 8; slot 2 needs no run at all
         # since 2*2 = 4 < 5, so only slot-1 candidates exist.
         assert [(c.slot, c.start, c.length) for c in cands] == [(1, 1, 1), (1, 2, 1)]
