@@ -313,15 +313,5 @@ def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
         robust = read_number(*need_field(entry, "robust_rate", path))
         allocs.append(build_field(path, CandidateAllocation, *run, robust))
     total = read_integer(*need_field(doc, "total_rbs"))
-    covered: set[int] = set()
-    cams = {c.id: c for c in scenario.cameras}
-    for alloc in allocs:
-        cam = cams.get(alloc.camera_id)
-        if cam is None:
-            raise ScenarioFormatError(f"assignments: unknown camera {alloc.camera_id}")
-        covered |= cam.coverage_set
-    return Schedule(
-        assignments=tuple(sorted(allocs, key=CandidateAllocation.sort_key)),
-        total_rbs=total,
-        covered_targets=frozenset(covered & scenario.target_ids),
-    )
+    schedule = build_field("assignments", Schedule.build, allocs, scenario.cameras, scenario.target_ids)
+    return replace(schedule, total_rbs=total)

@@ -22,7 +22,7 @@ value is configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -715,33 +715,37 @@ def load_scenario(doc: Mapping) -> Scenario:
 
 
 def config_from_document(doc: Mapping) -> ScenarioConfig:
-    """Parse a generator configuration document; missing keys take defaults."""
+    """Parse a generator configuration document; missing keys take defaults.
+
+    Each value is set on its own, so a rejected one is reported at its key.
+    """
     doc = read_object(doc, "config")
-    kwargs: dict[str, Any] = {}
+    config = ScenarioConfig()
     if "area" in doc:
-        kwargs["area_side"] = read_number(doc["area"], "area")
-    if "num_targets" in doc:
-        kwargs["num_targets"] = read_integer(doc["num_targets"], "num_targets")
-    if "num_cameras" in doc:
-        kwargs["num_cameras"] = read_integer(doc["num_cameras"], "num_cameras")
+        config = build_field("area", replace, config, area_side=read_number(doc["area"], "area"))
+    for key in ("num_targets", "num_cameras"):
+        if key in doc:
+            config = build_field(key, replace, config, **{key: read_integer(doc[key], key)})
     if "deployment" in doc:
-        kwargs["deployment"] = doc["deployment"]
+        config = build_field("deployment", replace, config, deployment=doc["deployment"])
     if "geometry" in doc:
         g = read_object(doc["geometry"], "geometry")
-        gkw: dict[str, Any] = {}
+        geometry = GeometrySpec()
         if "kind" in g:
-            gkw["kind"] = g["kind"]
+            geometry = build_field("geometry.kind", replace, geometry, kind=g["kind"])
         if "view_distance" in g:
-            gkw["view_distance"] = read_numbers(g["view_distance"], "geometry.view_distance", 2)
+            path = "geometry.view_distance"
+            geometry = build_field(path, replace, geometry, view_distance=read_numbers(g["view_distance"], path, 2))
         if "fov" in g:
-            gkw["fov_deg"] = read_number(g["fov"], "geometry.fov")
-        kwargs["geometry"] = build_field("geometry", GeometrySpec, **gkw)
+            geometry = build_field("geometry.fov", replace, geometry, fov_deg=read_number(g["fov"], "geometry.fov"))
+        config = replace(config, geometry=geometry)
     if "rate_requirement" in doc:
-        kwargs["rate_requirement_range"] = read_numbers(doc["rate_requirement"], "rate_requirement", 2)
+        path = "rate_requirement"
+        config = build_field(path, replace, config, rate_requirement_range=read_numbers(doc[path], path, 2))
     if "frame" in doc:
-        kwargs["frame"] = _frame_from_doc(doc["frame"], "frame")
+        config = replace(config, frame=_frame_from_doc(doc["frame"], "frame"))
     if doc.get("channel") is not None:
-        kwargs["channel"] = _channel_from_doc(doc["channel"], "channel")
+        config = replace(config, channel=_channel_from_doc(doc["channel"], "channel"))
     if "seed" in doc:
-        kwargs["rng_seed"] = read_integer(doc["seed"], "seed")
-    return build_field("", ScenarioConfig, **kwargs)
+        config = replace(config, rng_seed=read_integer(doc["seed"], "seed"))
+    return config

@@ -65,7 +65,7 @@ class GreedyStep:
 
     camera_id: int
     allocation: CandidateAllocation
-    average_cost: Fraction | float
+    average_cost: Fraction
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ class TrafficItem:
     per_subchannel_rate: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.kind not in ("surveillance", "traditional"):
             raise ValueError("kind must be 'surveillance' or 'traditional'")
         if self.kind == "surveillance" and self.camera is None:
@@ -296,6 +296,43 @@ class _Occupancy:
 # ---------------------------------------------------------------------------
 
 
+def _cover_greedy(
+    pool: Iterable[tuple[int, frozenset, int | Fraction]],
+    universe: Iterable,
+    table: CandidateTable,
+) -> GreedyPhase:
+    """Weighted set-cover greedy over ``(id, covers, price)`` entries: take
+    the entry with the least price per newly covered element of ``universe``
+    (ties to the lowest id) at its minimum-cost candidate, until the universe
+    is covered or no entry covers anything still uncovered."""
+    pool = sorted(pool, key=lambda entry: entry[0])
+    uncovered = set(universe)
+    chosen: list[CandidateAllocation] = []
+    trace: list[GreedyStep] = []
+    status = SolveStatus.FEASIBLE
+    while uncovered:
+        # Cost price/gain, compared as price*best_gain < best_price*gain so
+        # that an integer price needs no Fraction; the first entry wins ties.
+        best_idx = -1
+        best_price, best_gain = 0, 0
+        for idx, (_, covers, price) in enumerate(pool):
+            gain = len(covers & uncovered)
+            if gain == 0:
+                continue
+            if best_idx < 0 or price * best_gain < best_price * gain:
+                best_idx, best_price, best_gain = idx, price, gain
+        if best_idx < 0:
+            status = SolveStatus.INFEASIBLE_COVERAGE
+            break
+        best_id, covers, _ = pool.pop(best_idx)
+        alloc = table.min_allocation(best_id)
+        assert alloc is not None
+        chosen.append(alloc)
+        trace.append(GreedyStep(best_id, alloc, Fraction(best_price, best_gain)))
+        uncovered -= covers
+    return GreedyPhase(tuple(chosen), frozenset(uncovered), status, tuple(trace))
+
+
 def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> GreedyPhase:
     """Coverage-greedy selection, ignoring RB exclusivity.
 
@@ -306,37 +343,13 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    uncovered = set(scenario.target_ids)
-    # (camera, minimum run length) by id; cameras with no candidate never win.
+    # Cameras with no candidate never win, so they stay out of the pool.
     pool = [
-        (cam, phi)
-        for cam in sorted(scenario.cameras, key=lambda c: c.id)
+        (cam.id, cam.coverage_set, phi)
+        for cam in scenario.cameras
         if (phi := table.min_phi(cam.id)) is not None
     ]
-    chosen: list[CandidateAllocation] = []
-    trace: list[GreedyStep] = []
-    status = SolveStatus.FEASIBLE
-    while uncovered:
-        # Cost phi/gain, compared as phi*best_gain < best_phi*gain so that no
-        # Fraction is built per candidate; the first camera wins ties.
-        best_idx = -1
-        best_phi, best_gain = 0, 0
-        for idx, (cam, phi) in enumerate(pool):
-            gain = len(cam.coverage_set & uncovered)
-            if gain == 0:
-                continue
-            if best_idx < 0 or phi * best_gain < best_phi * gain:
-                best_idx, best_phi, best_gain = idx, phi, gain
-        if best_idx < 0:
-            status = SolveStatus.INFEASIBLE_COVERAGE
-            break
-        best_cam = pool.pop(best_idx)[0]
-        alloc = table.min_allocation(best_cam.id)
-        assert alloc is not None
-        chosen.append(alloc)
-        trace.append(GreedyStep(best_cam.id, alloc, Fraction(best_phi, best_gain)))
-        uncovered -= best_cam.coverage_set
-    return GreedyPhase(tuple(chosen), frozenset(uncovered), status, tuple(trace))
+    return _cover_greedy(pool, scenario.target_ids, table)
 
 
 def mramc_relocate(
@@ -393,18 +406,19 @@ def mramc_relocate(
     return SolverResult(schedule, SolveStatus.INFEASIBLE_RELOCATION, diag)
 
 
+def _unrelocated(phase: GreedyPhase, scenario: Scenario, status: SolveStatus, note: str) -> SolverResult:
+    """The result of a greedy phase that stops before relocation."""
+    schedule = Schedule.build(phase.assignments, scenario.cameras, scenario.target_ids)
+    return SolverResult(schedule, status, Diagnostics(greedy=phase.trace, notes=(note,)))
+
+
 def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
     """Greedy coverage selection followed by RB relocation."""
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
     phase = mramc_greedy(scenario, table)
     if phase.status is not SolveStatus.FEASIBLE:
-        schedule = Schedule.build(phase.assignments, scenario.cameras, scenario.target_ids)
-        diag = Diagnostics(
-            greedy=phase.trace,
-            notes=(f"uncovered targets: {sorted(phase.uncovered)}",),
-        )
-        return SolverResult(schedule, phase.status, diag)
+        return _unrelocated(phase, scenario, phase.status, f"uncovered targets: {sorted(phase.uncovered)}")
     return mramc_relocate(phase.assignments, scenario, table, phase.trace)
 
 
@@ -490,7 +504,7 @@ def _scan_schedule(
         if achieved:
             alloc = CandidateAllocation(cam.id, slot, pos, length, robust)
             assignments.append(alloc)
-            trace.append(GreedyStep(cam.id, alloc, float(length)))
+            trace.append(GreedyStep(cam.id, alloc, Fraction(length)))
             scheduled.add(cam.id)
             uncovered -= cam.coverage_set
             pos += length
@@ -634,28 +648,6 @@ def m_mramc(
 # ---------------------------------------------------------------------------
 
 
-def _traffic_cameras(traffic: Sequence[TrafficItem]) -> list[CameraNode]:
-    ids = [item.id for item in traffic]
-    if len(set(ids)) != len(ids):
-        raise ValueError("traffic item ids must be unique")
-    cams = []
-    for item in traffic:
-        if item.kind == "surveillance":
-            cams.append(item.camera)
-        else:
-            cams.append(
-                CameraNode(
-                    id=item.id,
-                    position=(0.0, 0.0),
-                    geometry=Omnidirectional(1.0),
-                    rate_requirement=item.rate_requirement,
-                    per_subchannel_rate=item.per_subchannel_rate,
-                    coverage_set=frozenset(),
-                )
-            )
-    return cams
-
-
 def traffic_scenario(
     traffic: Sequence[TrafficItem],
     grid: FrameGrid,
@@ -667,13 +659,21 @@ def traffic_scenario(
     ``target_ids`` is omitted the universe is the union of the surveillance
     coverage sets.
     """
-    cams = _traffic_cameras(traffic)
+    cams = [
+        item.camera
+        if item.kind == "surveillance"
+        else CameraNode(
+            id=item.id,
+            position=(0.0, 0.0),
+            geometry=Omnidirectional(1.0),
+            rate_requirement=item.rate_requirement,
+            per_subchannel_rate=item.per_subchannel_rate,
+            coverage_set=frozenset(),
+        )
+        for item in traffic
+    ]
     if target_ids is None:
-        ids: set[int] = set()
-        for item in traffic:
-            if item.kind == "surveillance":
-                ids |= item.camera.coverage_set
-        target_ids = ids
+        target_ids = frozenset().union(*(cam.coverage_set for cam in cams))
     targets = tuple(TargetObject(t, (0.0, 0.0)) for t in sorted(target_ids))
     return Scenario(grid=grid, cameras=tuple(cams), targets=targets)
 
@@ -685,72 +685,41 @@ def joint_schedule(
 ) -> SolverResult:
     """Schedule surveillance and traditional traffic in one priority order.
 
-    Each round selects the item with the smallest weighted cost: run length
-    over ``alpha`` times newly covered targets for surveillance items, run
-    length over ``alpha`` for traditional ones.  The loop ends when coverage
-    is complete and every traditional item is scheduled or unschedulable;
-    relocation then resolves RB sharing exactly as in the pure surveillance
-    case.
+    Each round selects the item with the smallest weighted cost, compared
+    exactly with ties to the lowest id: run length over ``alpha`` times newly
+    covered targets for surveillance items, run length over ``alpha`` for
+    traditional ones.  The loop ends when coverage is complete and every
+    traditional item is scheduled or unschedulable; relocation then resolves
+    RB sharing exactly as in the pure surveillance case.
     """
     scn = traffic_scenario(traffic, grid, target_ids)
     table = CandidateTable(scn.cameras, grid)
-    items = {item.id: item for item in traffic}
-    uncovered = set(scn.target_ids)
-    unscheduled = set(items)
-    tentative: list[CandidateAllocation] = []
-    trace: list[GreedyStep] = []
+    # A traditional item covers a token of its own, so the greedy prices it
+    # at min_phi/alpha until it is scheduled.
+    tokens = frozenset(("item", item.id) for item in traffic if item.kind == "traditional")
+    pool = []
+    for item in traffic:
+        if (phi := table.min_phi(item.id)) is not None:
+            covers = item.camera.coverage_set if item.kind == "surveillance" else frozenset({("item", item.id)})
+            pool.append((item.id, covers, Fraction(phi) / Fraction(item.alpha)))
+    phase = _cover_greedy(pool, scn.target_ids | tokens, table)
 
-    while True:
-        best_key: float | None = None
-        best_id: int | None = None
-        for item_id in sorted(unscheduled):
-            item = items[item_id]
-            phi = table.min_phi(item_id)
-            if phi is None:
-                continue
-            if item.kind == "surveillance":
-                if not uncovered:
-                    continue
-                gain = len(item.camera.coverage_set & uncovered)
-                if gain == 0:
-                    continue
-                key = phi / (item.alpha * gain)
-            else:
-                key = phi / item.alpha
-            if best_key is None or key < best_key:
-                best_key = key
-                best_id = item_id
-        if best_id is None:
-            break
-        alloc = table.min_allocation(best_id)
-        assert alloc is not None
-        tentative.append(alloc)
-        trace.append(GreedyStep(best_id, alloc, best_key))
-        unscheduled.discard(best_id)
-        if items[best_id].kind == "surveillance":
-            uncovered -= items[best_id].camera.coverage_set
-
+    uncovered = sorted(phase.uncovered - tokens)
     if uncovered:
-        schedule = Schedule.build(tentative, scn.cameras, scn.target_ids)
-        diag = Diagnostics(greedy=tuple(trace), notes=(f"uncovered targets: {sorted(uncovered)}",))
-        return SolverResult(schedule, SolveStatus.INFEASIBLE_COVERAGE, diag)
-    stranded = sorted(i for i in unscheduled if items[i].kind == "traditional")
+        return _unrelocated(phase, scn, SolveStatus.INFEASIBLE_COVERAGE, f"uncovered targets: {uncovered}")
+    stranded = sorted(item_id for _, item_id in phase.uncovered)
     if stranded:
-        schedule = Schedule.build(tentative, scn.cameras, scn.target_ids)
-        diag = Diagnostics(
-            greedy=tuple(trace),
-            notes=(f"traditional items with no achievable allocation: {stranded}",),
-        )
-        return SolverResult(schedule, SolveStatus.INFEASIBLE_CAPACITY, diag)
+        note = f"traditional items with no achievable allocation: {stranded}"
+        return _unrelocated(phase, scn, SolveStatus.INFEASIBLE_CAPACITY, note)
 
-    result = mramc_relocate(tentative, scn, table, tuple(trace))
+    result = mramc_relocate(phase.assignments, scn, table, phase.trace)
     failed = result.diagnostics.failed_camera
     if failed is None:
         return result
     note = f"item {failed} has no candidate disjoint from fixed allocations"
     return replace(
         result,
-        status=SolveStatus.INFEASIBLE_CAPACITY if items[failed].kind == "traditional" else result.status,
+        status=SolveStatus.INFEASIBLE_CAPACITY if ("item", failed) in tokens else result.status,
         diagnostics=replace(result.diagnostics, notes=(note,)),
     )
 

@@ -128,3 +128,41 @@ def test_wrong_value_raises_only_a_format_error(kind, data):
         load(replaced(doc, path, value))
     except ScenarioFormatError as exc:
         assert str(exc)
+
+
+# A value of the right type that its object rejects, and the whole message.
+REJECTED_VALUES = {
+    "area": ("config", ("area",), -1.0, "area: area_side must be positive"),
+    "num_targets": ("config", ("num_targets",), 0, "num_targets: num_targets must be >= 1"),
+    "deployment": ("config", ("deployment",), "ring", "deployment: deployment must be one of"),
+    "geometry_kind": ("config", ("geometry", "kind"), "fisheye", "geometry.kind: geometry kind must be"),
+    "geometry_view_distance": (
+        "config",
+        ("geometry", "view_distance"),
+        [60, 30],
+        "geometry.view_distance: view_distance range must satisfy 0 < min <= max",
+    ),
+    "geometry_fov": ("config", ("geometry", "fov"), 400, "geometry.fov: fov_deg must lie in (0, 360]"),
+    "rate_requirement": (
+        "config",
+        ("rate_requirement",),
+        [12, 4],
+        "rate_requirement: rate_requirement_range must satisfy 0 < min <= max",
+    ),
+    "sweep_config_fov": ("sweep", ("config", "geometry", "fov"), 0, "geometry.fov: fov_deg must lie in (0, 360]"),
+    "unknown_camera": (
+        "schedule",
+        ("assignments", 1, "camera_id"),
+        99,
+        "assignments: assignment references unknown camera 99",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+def test_rejected_value_is_reported_at_its_key(case):
+    kind, path, value, message = REJECTED_VALUES[case]
+    doc, load = LOADERS[kind]
+    with pytest.raises(ScenarioFormatError) as exc:
+        load(replaced(doc, path, value))
+    assert str(exc.value).startswith(message)

@@ -27,7 +27,7 @@ from csrap import (
     traffic_scenario,
     verify_schedule,
 )
-from support import random_instance
+from support import brute_force_runs, random_instance
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -348,6 +348,49 @@ class TestJointSchedule:
         scheduled = {a.camera_id for a in result.schedule.assignments}
         assert {10, 11} <= scheduled
 
+    def test_equal_costs_go_to_the_lowest_id(self):
+        # 1/0.1 and 3/(0.1*3) are equal, but the second reads
+        # 9.999999999999998 in floating point.
+        items = [
+            TrafficItem.traditional(1, 8.0, [8, 8, 8, 8], alpha=0.1),
+            TrafficItem.surveillance(cam(2, [3, 3, 3, 3], 9.0, {1, 2, 3}), alpha=0.1),
+        ]
+        result = joint_schedule(items, self.grid())
+        assert [s.camera_id for s in result.diagnostics.greedy] == [1, 2]
+        assert [s.average_cost for s in result.diagnostics.greedy] == [1 / Fraction(0.1)] * 2
+
+    def test_order_equals_weighted_set_cover_greedy(self):
+        # Each item is a set weighted min_phi/alpha; a traditional item's set
+        # is a token of its own.  Decimal alphas make near-ties in floating
+        # point, which the exact comparison must break as the reference does.
+        rng = np.random.default_rng(4404)
+        alphas = (0.1, 0.2, 0.3, 0.6, 0.9, 1.0, 1.5)
+        for _ in range(400):
+            scn = random_instance(rng)
+            m = scn.grid.num_subchannels
+            items = [TrafficItem.surveillance(c, alpha=float(rng.choice(alphas))) for c in scn.cameras]
+            for j in range(int(rng.integers(0, 3))):
+                rates = [float(rng.choice([0.0, 2.0, 4.0, 8.0])) for _ in range(m)]
+                requirement = float(rng.integers(2, 17))
+                items.append(TrafficItem.traditional(100 + j, requirement, rates, float(rng.choice(alphas))))
+            sets, weights = {}, {}
+            for item in items:
+                if item.kind == "surveillance":
+                    c = item.camera
+                    slots = range(1, scn.grid.num_slots + 1)
+                    runs = [brute_force_runs(c.rates_in_slot(s), c.rate_requirement) for s in slots]
+                    covers = c.coverage_set & scn.target_ids
+                else:
+                    runs = [brute_force_runs(item.per_subchannel_rate, item.rate_requirement)]
+                    covers = {("item", item.id)}
+                lengths = [length for slot_runs in runs for _, length, _ in slot_runs]
+                if lengths:
+                    sets[item.id] = covers
+                    weights[item.id] = Fraction(min(lengths)) / Fraction(item.alpha)
+            reference = greedy_weighted_set_cover(set().union(*sets.values()), sets, weights)
+            result = joint_schedule(items, scn.grid, scn.target_ids)
+            assert [s.camera_id for s in result.diagnostics.greedy] == reference
+
     def test_duplicate_item_ids_rejected(self):
         items = [
             TrafficItem.surveillance(cam(1, [8] * 4, 8.0, {1})),
@@ -357,8 +400,10 @@ class TestJointSchedule:
             joint_schedule(items, self.grid())
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TrafficItem.traditional(1, 4.0, [8], alpha=0.0)
+        # An infinite alpha has no exact cost to compare.
+        for alpha in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                TrafficItem.traditional(1, 4.0, [8], alpha=alpha)
 
 
 class TestBoundsAndSetCover:
