@@ -19,19 +19,39 @@ so both are admissible:
   node, so ``L`` is the sum of the uncovered targets' prices.
 
 The share bound is rounded up to whole RBs because every cost is a whole
-number of RBs.  The root bound is reported as ``Diagnostics.root_bound`` and as
-``SearchBudgetExceeded.lower_bound``.
+number of RBs.
+
+The relaxed mode drops RB exclusivity and capacity coupling and solves the
+residual weighted covering problem exactly; its optimum R never exceeds the
+strict one, which makes it a useful reference point for the approximation
+bounds.  The strict mode runs that covering search first, with the same
+prices and the same node counter, and uses R twice:
+
+* as a floor: the strict search stops at the first schedule that costs R.
+  It replaces its incumbent only on a strict improvement, so the schedule
+  it returns is the one it would have returned without the floor;
+* as a certificate: once the two searches have expanded
+  ``min(node_budget, CERTIFICATE_NODES)`` nodes, the solver looks once for an
+  overlap-free layout of the minimum runs of R's cameras.  Such a layout
+  is a schedule of cost R, hence optimal, and is returned with a note in
+  ``Diagnostics.notes``.  Otherwise the strict search goes on where it
+  was, up to the full budget.  Where the strict search needs more nodes
+  than that, the certified schedule can differ from the one it would
+  have found, at the same cost.
+
+Covering nodes count against ``node_budget`` and in ``nodes_expanded``; the
+certificate's layout steps are bounded on their own (see
+:func:`_certificate`).  A root bound above the frame's capacity ends the
+covering search at its first node, and a strict solve never starts.  The
+strict mode reports the larger of the root bound and R as
+``Diagnostics.root_bound`` and as ``SearchBudgetExceeded.lower_bound``; the
+relaxed mode reports the root bound.
 
 Slots with the same capacity and the same runs for every camera are
 interchangeable.  The strict search skips a candidate in such a slot while a
 lower twin slot holds exactly the same RBs: swapping the two slots maps that
 subtree onto the twin's, searched first at equal cost (orbit pruning in the
 sense of Margot, "Symmetry in Integer Linear Programming", 2010).
-
-The relaxed mode drops RB exclusivity and capacity coupling and solves the
-residual weighted covering problem exactly; its optimum never exceeds the
-strict one, which makes it a useful reference point for the approximation
-bounds.
 """
 
 from __future__ import annotations
@@ -53,6 +73,10 @@ __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
+# Nodes expanded, covering nodes included, before the relaxed optimum's
+# layout is tried.
+CERTIFICATE_NODES = 20_000
+
 MODES = ("with_exclusivity", "without_exclusivity")
 
 # A chosen run as CandidateAllocation fields (camera, slot, start, length,
@@ -64,8 +88,8 @@ class SearchBudgetExceeded(RuntimeError):
     """The instance exceeded the configured node-expansion budget.
 
     ``nodes`` counts the expansions made, ``incumbent`` is the cost of the
-    best schedule found (None before one exists) and ``lower_bound`` the root
-    bound in RBs.
+    best schedule found (None before one exists) and ``lower_bound`` the
+    search's lower bound in RBs (see ``Diagnostics.root_bound``).
     """
 
     def __init__(self, reason: str, nodes: int = 0, incumbent: int | None = None, lower_bound: int = 0):
@@ -76,6 +100,14 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {lower_bound} RBs)")
 
 
+class _Certified(Exception):
+    """Unwinds the strict search once the certificate holds."""
+
+    def __init__(self, layout: list[_Run]):
+        super().__init__()
+        self.layout = layout
+
+
 @dataclass
 class _Search:
     coverage: dict[int, frozenset[int]]
@@ -83,10 +115,13 @@ class _Search:
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
-    root_bound: int = 0  # the root's bound, set before the first node
+    incumbent: int | None = None  # cost of the current pass's best leaf, reported on an overrun
+    root_bound: int = 0  # the lower bound reported, set before the first node
     bound_prunes: int = 0
     symmetry_skips: int = 0
     incumbent_updates: int = 0
+    # (node count, action): the action runs once, at the first node that reaches the count
+    checkpoint: tuple[int, Callable[[], None]] | None = None
     scale: int = field(init=False)
     shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
     prices: dict[int, int] = field(init=False)  # target -> Lagrangian price in RBs
@@ -126,15 +161,22 @@ class _Search:
                 slack[cam_id] -= price
         self.prices = prices
 
+    def overrun(self) -> SearchBudgetExceeded:
+        return SearchBudgetExceeded(
+            f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
+            self.nodes,
+            self.incumbent,
+            self.root_bound,
+        )
+
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
-            raise SearchBudgetExceeded(
-                f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
-                self.nodes,
-                self.best_cost if self.incumbent_updates else None,
-                self.root_bound,
-            )
+            raise self.overrun()
+        if self.checkpoint is not None and self.nodes >= self.checkpoint[0]:
+            _, action = self.checkpoint
+            self.checkpoint = None
+            action()
 
     def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
         """Admissible lower bound in whole RBs: the larger of the share bound
@@ -199,6 +241,7 @@ def exact_solve(
     relaxed = mode == "without_exclusivity"
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
+    grid = scenario.grid
     target_ids = scenario.target_ids
 
     coverage: dict[int, frozenset[int]] = {}
@@ -225,19 +268,49 @@ def exact_solve(
 
     search = _Search(coverage, min_phi, node_budget)
     available = tuple(sorted(coverage))
-    if relaxed:
-        # Each camera is chosen once at its minimum run length; RBs may overlap.
-        def once(cam_id: int, state: None, cost: int) -> tuple[tuple[int, int, None]]:
-            return ((cam_id, cost + min_phi[cam_id], state),)
+    search.ascend_prices(target_ids, available)
+    root_bound = search.bound(target_ids, available)
+    assert root_bound is not None  # coverage reachability was checked above
+    search.root_bound = root_bound
 
-        ceiling = sum(min_phi[c] for c in available) + 1
+    # The covering search: each camera is chosen once at its minimum run
+    # length, and RBs may overlap.
+    def once(cam_id: int, state: None, cost: int) -> tuple[tuple[int, int, None]]:
+        return ((cam_id, cost + min_phi[cam_id], state),)
+
+    if relaxed:
+        ceiling = sum(min_phi.values()) + 1
         chosen = _branch_and_bound(search, target_ids, available, once, None, ceiling)
-        assert chosen is not None  # coverage reachability was checked above
-        assignments = _realize_relaxed(search, chosen, table, scenario.grid)
+        assert chosen is not None  # the ceiling exceeds every cover's cost
+        layout = _overlap_free_layout(chosen, min_phi, table, grid, search.tick)
+        if layout is None:
+            # No overlap-free layout of minimum runs; RB sharing is allowed here.
+            assignments = [table.min_allocation(cam_id) for cam_id in sorted(chosen)]
+        else:
+            assignments = [CandidateAllocation(*run) for run in layout]
         schedule = Schedule.build(assignments, scenario.cameras, target_ids)
         return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=True)
 
-    twins = _slot_twins(scenario.grid, table, available)
+    # Any schedule fits within the per-slot capacities, so this ceiling is
+    # safe; a cover above it leaves no strict schedule either.
+    ceiling = sum(grid.slot_capacity) + 1
+    try:
+        cover = _branch_and_bound(search, target_ids, available, once, None, ceiling)
+    except SearchBudgetExceeded:
+        search.incumbent = None  # a cover may share RBs, so it is no schedule
+        raise search.overrun() from None
+    if cover is None:
+        return SolverResult(
+            Schedule.empty(),
+            SolveStatus.INFEASIBLE_CAPACITY,
+            search.diagnostics(("no conflict-free assignment exists",)),
+        )
+    floor = sum(min_phi[cam_id] for cam_id in cover)
+    search.root_bound = max(search.root_bound, floor)
+    checkpoint = min(node_budget, CERTIFICATE_NODES)
+    search.checkpoint = (checkpoint, lambda: _certificate(cover, min_phi, table, grid, checkpoint))
+
+    twins = _slot_twins(grid, table, available)
 
     def placements(cam_id: int, occupancy: _Occupancy, cost: int) -> Iterator[tuple[_Run, int, _Occupancy]]:
         # A slot holding the same RBs as a lower twin offers only mirror
@@ -259,10 +332,12 @@ def exact_solve(
                 forked.place(slot, start, length)
                 yield (cam_id, slot, start, length, robust), cost + length, forked
 
-    # Any schedule fits within the per-slot capacities, so this ceiling is safe.
-    ceiling = sum(scenario.grid.slot_capacity) + 1
-    root = _Occupancy(scenario.grid)
-    runs = _branch_and_bound(search, target_ids, available, placements, root, ceiling)
+    notes: tuple[str, ...] = ()
+    try:
+        runs = _branch_and_bound(search, target_ids, available, placements, _Occupancy(grid), ceiling, floor)
+    except _Certified as proof:
+        runs = proof.layout
+        notes = (f"optimal by certificate: the relaxed optimum's runs ({floor} RBs) fit without overlap",)
     if runs is None:
         return SolverResult(
             Schedule.empty(),
@@ -271,7 +346,7 @@ def exact_solve(
         )
     assignments = [CandidateAllocation(*run) for run in runs]
     schedule = Schedule.build(assignments, scenario.cameras, target_ids)
-    return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics())
+    return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(notes))
 
 
 def _slot_twins(grid: FrameGrid, table: CandidateTable, cameras: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -302,6 +377,7 @@ def _branch_and_bound(
     options: Callable[[int, Any, int], Iterable[tuple[Any, int, Any]]],
     root: Any,
     ceiling: int,
+    floor: int = 0,
 ) -> list | None:
     """Depth-first search for the cheapest covering choice list below ``ceiling``.
 
@@ -309,13 +385,11 @@ def _branch_and_bound(
     ``options(cam_id, state, cost)`` yields that camera's choices as
     ``(choice, cost after it, child state)`` and may stop early against
     ``search.best_cost``.  A camera already tried at a node is left out of
-    its later siblings' subtrees.
+    its later siblings' subtrees.  The search stops at the first leaf that
+    costs ``floor`` or less, a proven lower bound on every leaf.
     """
     search.best_cost = ceiling
-    search.ascend_prices(targets, available)
-    root_bound = search.bound(targets, available)
-    assert root_bound is not None  # callers check that every target is reachable
-    search.root_bound = root_bound
+    search.incumbent = None
     best: list | None = None
 
     def dfs(uncovered: frozenset[int], avail: tuple[int, ...], state: Any, cost: int, chosen: list) -> None:
@@ -323,7 +397,7 @@ def _branch_and_bound(
         search.tick()
         if not uncovered:
             if cost < search.best_cost:
-                search.best_cost = cost
+                search.best_cost = search.incumbent = cost
                 search.incumbent_updates += 1
                 best = list(chosen)
             return
@@ -339,32 +413,64 @@ def _branch_and_bound(
                 chosen.append(choice)
                 dfs(left, remaining, child, child_cost, chosen)
                 chosen.pop()
+                if search.best_cost <= floor:
+                    return
             tried.append(cam_id)
 
     dfs(targets, available, root, 0, [])
     return best
 
 
-def _realize_relaxed(
-    search: _Search,
+def _certificate(cover: list[int], min_phi: dict[int, int], table: CandidateTable, grid: FrameGrid, steps: int) -> None:
+    """Raise :class:`_Certified` with an overlap-free layout of the minimum
+    runs of ``cover``'s cameras, if one is found within ``steps`` layout
+    steps.
+
+    The layout steps are not search nodes: they neither count in
+    ``nodes_expanded`` nor against the node budget, and the bound of
+    ``min(node_budget, CERTIFICATE_NODES)`` steps keeps the certificate's
+    cost within that of the strict nodes before it.
+    """
+    taken = 0
+
+    def step() -> None:
+        nonlocal taken
+        taken += 1
+        if taken > steps:
+            raise SearchBudgetExceeded(f"exceeded {steps} layout steps", taken)
+
+    try:
+        layout = _overlap_free_layout(cover, min_phi, table, grid, step)
+    except SearchBudgetExceeded:
+        return
+    if layout is not None:
+        raise _Certified(layout)
+
+
+def _overlap_free_layout(
     chosen: list[int],
+    min_phi: dict[int, int],
     table: CandidateTable,
     grid: FrameGrid,
-) -> list[CandidateAllocation]:
-    """Place each selected camera's minimum-length run, preferring an
-    overlap-free layout when one exists among minimum-length candidates.
+    tick: Callable[[], None],
+) -> list[_Run] | None:
+    """An overlap-free placement of each selected camera's minimum-length
+    run, or None when none exists.
 
-    Every layout step is a node of ``search`` and counts against its budget.
+    ``tick`` runs at every layout step and may raise to stop the search.
     """
+    # Runs that together exceed the frame's capacity cannot be laid out.
+    if sum(min_phi[cam_id] for cam_id in chosen) > sum(grid.slot_capacity):
+        return None
     order = sorted(chosen)
     layout: list[_Run] = []
 
     def backtrack(i: int, occupancy: _Occupancy) -> bool:
-        search.tick()
+        tick()
         if i == len(order):
             return True
         cam_id = order[i]
-        phi = search.min_phi[cam_id]
+        phi = min_phi[cam_id]
         for slot, start, length, robust in table.runs_by_cost(cam_id):
             if length > phi:
                 break
@@ -377,9 +483,4 @@ def _realize_relaxed(
                 layout.pop()
         return False
 
-    # Runs that together exceed the frame's capacity cannot be laid out.
-    fits = sum(search.min_phi[cam_id] for cam_id in order) <= sum(grid.slot_capacity)
-    if fits and backtrack(0, _Occupancy(grid)):
-        return [CandidateAllocation(*run) for run in layout]
-    # No overlap-free layout of minimum runs; RB sharing is allowed here.
-    return [table.min_allocation(cam_id) for cam_id in order]
+    return layout if backtrack(0, _Occupancy(grid)) else None

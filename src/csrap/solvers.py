@@ -688,9 +688,12 @@ def joint_schedule(
     Each round selects the item with the smallest weighted cost, compared
     exactly with ties to the lowest id: run length over ``alpha`` times newly
     covered targets for surveillance items, run length over ``alpha`` for
-    traditional ones.  The loop ends when coverage is complete and every
-    traditional item is scheduled or unschedulable; relocation then resolves
-    RB sharing exactly as in the pure surveillance case.
+    traditional ones.  ``alpha`` counts as the decimal it prints as
+    (``Fraction(str(alpha))``), so costs equal in decimal are ties; its
+    binary value would break them, e.g. 1/(0.6*3) against 1/(0.9*2).  The
+    loop ends when coverage is complete and every traditional item is
+    scheduled or unschedulable; relocation then resolves RB sharing exactly
+    as in the pure surveillance case.
     """
     scn = traffic_scenario(traffic, grid, target_ids)
     table = CandidateTable(scn.cameras, grid)
@@ -701,7 +704,7 @@ def joint_schedule(
     for item in traffic:
         if (phi := table.min_phi(item.id)) is not None:
             covers = item.camera.coverage_set if item.kind == "surveillance" else frozenset({("item", item.id)})
-            pool.append((item.id, covers, Fraction(phi) / Fraction(item.alpha)))
+            pool.append((item.id, covers, Fraction(phi) / Fraction(str(item.alpha))))
     phase = _cover_greedy(pool, scn.target_ids | tokens, table)
 
     uncovered = sorted(phase.uncovered - tokens)

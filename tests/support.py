@@ -113,8 +113,12 @@ def brute_force_coverage(camera: CameraNode, targets) -> set[int]:
 def _camera_candidates(camera: CameraNode, grid: FrameGrid):
     """All candidate allocations of one camera via the brute-force window scan."""
     out = []
+    runs: dict[tuple[float, ...], list] = {}  # slots with the same rates have the same runs
     for slot in range(1, grid.num_slots + 1):
-        for start, length, rate in brute_force_runs(camera.rates_in_slot(slot), camera.rate_requirement):
+        rates = tuple(camera.rates_in_slot(slot))
+        if rates not in runs:
+            runs[rates] = brute_force_runs(rates, camera.rate_requirement)
+        for start, length, rate in runs[rates]:
             out.append(CandidateAllocation(camera.id, slot, start, length, rate))
     return out
 
@@ -242,26 +246,30 @@ def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | Non
     lower: list[float] = []
     upper: list[float] = []
 
-    def row(entries, lo, hi):
-        r = np.zeros(len(cands))
-        for j, value in entries:
-            r[j] = value
-        rows.append(r)
+    def row(coefficients, lo, hi):
+        rows.append(np.asarray(coefficients, dtype=float))
         lower.append(lo)
         upper.append(hi)
 
+    # Columns as arrays: a row is a mask over the candidates, or a mask
+    # times their lengths.
+    cam_of = np.array([c.camera_id for c in cands])
+    slot_of = np.array([c.slot for c in cands])
+    start_of = np.array([c.start for c in cands])
+    length_of = np.array([c.length for c in cands])
     for t in targets:
-        row([(j, 1) for j, c in enumerate(cands) if t in coverage[c.camera_id]], 1, np.inf)
+        row(np.isin(cam_of, [cam_id for cam_id, cov in coverage.items() if t in cov]), 1, np.inf)
     for cam in scenario.cameras:
-        row([(j, 1) for j, c in enumerate(cands) if c.camera_id == cam.id], 0, 1)
+        row(cam_of == cam.id, 0, 1)
     if with_exclusivity:
         for slot in range(1, grid.num_slots + 1):
+            in_slot = slot_of == slot
             for m in range(1, grid.num_subchannels + 1):
-                row([(j, 1) for j, c in enumerate(cands) if (slot, m) in c.cells()], 0, 1)
-            row([(j, c.length) for j, c in enumerate(cands) if c.slot == slot], 0, grid.capacity(slot))
+                row(in_slot & (start_of <= m) & (m < start_of + length_of), 0, 1)
+            row(in_slot * length_of, 0, grid.capacity(slot))
 
     res = milp(
-        c=np.array([c.length for c in cands], dtype=float),
+        c=length_of.astype(float),
         integrality=np.ones(len(cands)),
         bounds=Bounds(0, 1),
         constraints=LinearConstraint(np.array(rows), lower, upper),

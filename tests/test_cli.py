@@ -228,14 +228,18 @@ class TestErrorPaths:
         capsys.readouterr()
 
     def test_budget_exhaustion_reports_search_progress(self, tmp_path, capsys):
+        # Weak rates: the relaxed optimum (11 RBs) has no overlap-free layout,
+        # so the search runs to the budget.
         config = {
             "area": 200,
-            "num_targets": 8,
-            "num_cameras": 12,
+            "num_targets": 12,
+            "num_cameras": 20,
             "deployment": "partial_random",
             "geometry": {"kind": "omnidirectional", "view_distance": [40, 60]},
-            "frame": {"M": 12, "T": 3},
-            "seed": 29,
+            "rate_requirement": [10, 20],
+            "channel": {"tx_power_dbm": -15},
+            "frame": {"M": 12, "T": 2},
+            "seed": 46,
         }
         cfg = write(tmp_path / "config.json", config)
         scenario_path = str(tmp_path / "scenario.json")
@@ -243,7 +247,7 @@ class TestErrorPaths:
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "400", "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource limit: exceeded 400 node expansions")
-        assert "(nodes: 401, incumbent: 10 RBs, lower bound: 8 RBs)" in err
+        assert "(nodes: 401, incumbent: 13 RBs, lower bound: 11 RBs)" in err
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):

@@ -1,5 +1,6 @@
 """Branch-and-bound solver against the exhaustive enumeration and MILP oracles."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from csrap import (
     CameraNode,
+    ChannelParams,
     FrameGrid,
     Omnidirectional,
     Scenario,
@@ -21,7 +23,7 @@ from csrap import (
     generate_scenario,
     verify_schedule,
 )
-from csrap.exact import _Search
+from csrap.exact import CERTIFICATE_NODES, DEFAULT_NODE_BUDGET, _Search
 from csrap.scenario import GeometrySpec
 from support import (
     RATE_TIERS,
@@ -47,7 +49,7 @@ def cam(cam_id, rates, requirement, coverage, slot_rates=None):
     )
 
 
-def partial_random(cameras, targets, subchannels, slots, seed):
+def partial_random(cameras, targets, subchannels, slots, seed, **config):
     return generate_scenario(
         ScenarioConfig(
             area_side=200.0,
@@ -57,8 +59,14 @@ def partial_random(cameras, targets, subchannels, slots, seed):
             geometry=GeometrySpec(view_distance=(40.0, 60.0)),
             frame=FrameGrid(subchannels, slots),
             rng_seed=seed,
+            **config,
         )
     )
+
+
+# Weak, shadowed rates: minimum runs collide often enough that the relaxed
+# optimum's cameras may have no overlap-free layout.
+WEAK_CHANNEL = {"channel": ChannelParams(tx_power_dbm=-15.0), "rate_requirement_range": (10.0, 20.0)}
 
 
 def test_single_camera_minimum_run_of_two():
@@ -171,7 +179,9 @@ def test_rejects_unknown_mode():
 
 
 def test_budget_overrun_reports_progress():
-    scn = partial_random(12, 8, 12, 3, seed=29)
+    # The relaxed optimum (11 RBs) has no overlap-free layout here, so no
+    # certificate ends the search, and the first strict schedules cost more.
+    scn = partial_random(20, 12, 12, 2, seed=46, **WEAK_CHANNEL)
     optimum = exact_solve(scn).schedule.total_rbs
     with pytest.raises(SearchBudgetExceeded) as info:
         exact_solve(scn, node_budget=400)
@@ -241,8 +251,76 @@ def test_optimum_ignores_camera_ids_and_never_rises_with_a_camera():
                 assert more.schedule.total_rbs <= base.schedule.total_rbs
 
 
+def test_ladder_schedules_are_frozen():
+    # perfbench's exact_ladder rungs: the digest of the strict schedules as
+    # the search returned them before the relaxed optimum floored it.  The
+    # floor only cuts nodes, so the schedules stay, and the ladder's budget
+    # of 1,000 nodes is enough for every instance.
+    lines, overruns = [], 0
+    for rung in ((8, 6, 8, 2), (10, 7, 10, 2)):
+        for seed in range(160):
+            scn = partial_random(*rung, seed=seed)
+            result = exact_solve(scn, node_budget=100_000)
+            runs = " ".join(f"{a.camera_id}:{a.slot}:{a.start}:{a.length}" for a in result.schedule.assignments)
+            lines.append(f"{result.status.value} {runs}")
+            try:
+                exact_solve(scn, node_budget=1000)
+            except SearchBudgetExceeded:
+                overruns += 1
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "6d651d0340ec2740"
+    assert overruns == 0
+
+
+def test_floor_stops_at_the_relaxed_optimum():
+    # Without the floor this instance took 6,926 nodes, most of them to
+    # prove optimal a schedule that costs the relaxed optimum.
+    scn = partial_random(12, 8, 12, 3, seed=29)
+    result = exact_solve(scn, node_budget=400)
+    relaxed = exact_solve(scn, "without_exclusivity")
+    assert result.schedule.total_rbs == relaxed.schedule.total_rbs == result.diagnostics.root_bound
+    assert result.diagnostics.notes == ()
+
+
+PAPER_SCALE = ScenarioConfig()  # 81 cameras, 500 m area, 50x20 frame
+
+# Instances whose strict search the certificate ends: (scenario, node budget).
+CERTIFIED = [
+    pytest.param(replace(PAPER_SCALE, num_targets=40, rng_seed=0), 1000, id="paper-default-40t"),
+    pytest.param(
+        replace(PAPER_SCALE, deployment="partial_random", num_targets=30, rng_seed=1), 1000, id="partial-random-30t"
+    ),
+    pytest.param(
+        ScenarioConfig(
+            area_side=200.0,
+            num_targets=20,
+            num_cameras=40,
+            deployment="partial_random",
+            geometry=GeometrySpec(view_distance=(40.0, 60.0)),
+            frame=FrameGrid(30, 5),
+        ),
+        DEFAULT_NODE_BUDGET,
+        id="partial-random-40c",
+    ),
+]
+
+
+@pytest.mark.parametrize(("config", "budget"), CERTIFIED)
+def test_certified_layout_matches_the_relaxed_milp_optimum(config, budget):
+    pytest.importorskip("scipy.optimize")
+    scn = generate_scenario(config)
+    result = exact_solve(scn, node_budget=budget)
+    assert result.status is SolveStatus.FEASIBLE
+    assert result.diagnostics.notes == (
+        f"optimal by certificate: the relaxed optimum's runs ({result.schedule.total_rbs} RBs) fit without overlap",
+    )
+    assert result.diagnostics.nodes_expanded == min(budget, CERTIFICATE_NODES)
+    assert verify_schedule(result.schedule, scn).feasible
+    # HiGHS over every candidate run, sharing no code with the search.
+    assert result.schedule.total_rbs == result.diagnostics.root_bound == milp_optimum(scn, with_exclusivity=False)
+
+
 def test_search_counters_are_deterministic():
-    scn = partial_random(10, 7, 8, 4, seed=4)
+    scn = partial_random(10, 7, 8, 4, seed=3)
     first = exact_solve(scn).diagnostics
     assert first == exact_solve(scn).diagnostics
     assert first.bound_prunes > 0

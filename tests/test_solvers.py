@@ -357,7 +357,18 @@ class TestJointSchedule:
         ]
         result = joint_schedule(items, self.grid())
         assert [s.camera_id for s in result.diagnostics.greedy] == [1, 2]
-        assert [s.average_cost for s in result.diagnostics.greedy] == [1 / Fraction(0.1)] * 2
+        assert [s.average_cost for s in result.diagnostics.greedy] == [Fraction(10)] * 2
+
+    def test_costs_equal_in_decimal_go_to_the_lowest_id(self):
+        # 1/(0.6*3) and 1/(0.9*2) are both 1/1.8 in decimal; over the binary
+        # values of 0.6 and 0.9 the second is smaller.
+        items = [
+            TrafficItem.surveillance(cam(1, [8, 8, 8, 8], 8.0, {1, 2, 3}), alpha=0.6),
+            TrafficItem.surveillance(cam(4, [8, 8, 8, 8], 8.0, {4, 5}), alpha=0.9),
+        ]
+        result = joint_schedule(items, self.grid())
+        assert [s.camera_id for s in result.diagnostics.greedy] == [1, 4]
+        assert [s.average_cost for s in result.diagnostics.greedy] == [Fraction(5, 9)] * 2
 
     def test_order_equals_weighted_set_cover_greedy(self):
         # Each item is a set weighted min_phi/alpha; a traditional item's set
@@ -386,7 +397,7 @@ class TestJointSchedule:
                 lengths = [length for slot_runs in runs for _, length, _ in slot_runs]
                 if lengths:
                     sets[item.id] = covers
-                    weights[item.id] = Fraction(min(lengths)) / Fraction(item.alpha)
+                    weights[item.id] = Fraction(min(lengths)) / Fraction(str(item.alpha))
             reference = greedy_weighted_set_cover(set().union(*sets.values()), sets, weights)
             result = joint_schedule(items, scn.grid, scn.target_ids)
             assert [s.camera_id for s in result.diagnostics.greedy] == reference
