@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from math import ceil, inf, isfinite
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -119,6 +120,15 @@ class Directional:
 Geometry = Omnidirectional | Directional
 
 
+def _check_rates(rates: tuple[float, ...]) -> None:
+    # Both tests run without a Python-level loop.  A sum of rates is finite
+    # exactly when every rate is, unless finite rates overflow it.
+    if not isfinite(sum(rates)) and not all(map(isfinite, rates)):
+        raise ValueError("per-subchannel rates must be finite")
+    if min(rates, default=0.0) < 0:
+        raise ValueError("per-subchannel rates must be non-negative")
+
+
 @dataclass(frozen=True)
 class CameraNode:
     """A camera with its channel quality, demand and derived coverage.
@@ -127,7 +137,8 @@ class CameraNode:
     subchannels, constant across the slots of one frame.  A value of 0 marks
     the subchannel as unusable for this camera.  ``slot_rate_overrides`` is an
     optional escape hatch mapping a 1-based slot index to a replacement rate
-    vector for that slot.
+    vector for that slot.  Rates must be finite and non-negative, and the
+    rate requirement finite and positive.
     """
 
     id: int
@@ -141,10 +152,10 @@ class CameraNode:
     def __post_init__(self) -> None:
         if not self.rate_requirement > 0:
             raise ValueError("rate_requirement must be positive")
-        # ``0.0 > r`` is ``r < 0``, NaN included, without a Python-level loop.
+        if not self.rate_requirement < inf:
+            raise ValueError("rate_requirement must be finite")
         rates = tuple(map(float, self.per_subchannel_rate))
-        if any(map((0.0).__gt__, rates)):
-            raise ValueError("per-subchannel rates must be non-negative")
+        _check_rates(rates)
         object.__setattr__(self, "per_subchannel_rate", rates)
         object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
         object.__setattr__(self, "coverage_set", frozenset(self.coverage_set))
@@ -154,8 +165,7 @@ class CameraNode:
                 vec = tuple(map(float, vec))
                 if len(vec) != len(rates):
                     raise ValueError("slot rate override length must match per_subchannel_rate")
-                if any(map((0.0).__gt__, vec)):
-                    raise ValueError("per-subchannel rates must be non-negative")
+                _check_rates(vec)
                 fixed[int(slot)] = vec
             object.__setattr__(self, "slot_rate_overrides", fixed)
 
@@ -256,12 +266,15 @@ class Scenario:
         tgt_ids = [t.id for t in self.targets]
         if len(set(tgt_ids)) != len(tgt_ids):
             raise ValueError("target ids must be unique")
-        m = self.grid.num_subchannels
+        m, t = self.grid.num_subchannels, self.grid.num_slots
         for cam in self.cameras:
             if len(cam.per_subchannel_rate) != m:
                 raise ValueError(
                     f"camera {cam.id} has {len(cam.per_subchannel_rate)} subchannel rates, expected {m}"
                 )
+            for slot in cam.slot_rate_overrides or ():
+                if not 1 <= slot <= t:
+                    raise ValueError(f"camera {cam.id} overrides the rates of slot {slot}, outside 1..{t}")
 
     @property
     def target_ids(self) -> frozenset[int]:
@@ -279,48 +292,80 @@ def runs_by_length(rates: Sequence[float], requirement: float) -> dict[int, list
     """All runs over one rate vector that just achieve ``requirement``, as
     ``length -> [(start, robust_rate), ...]`` with each list in start order.
 
-    Runs containing a zero-rate subchannel can never satisfy the membership
-    condition and are skipped.
+    Rates must be finite and non-negative.  Runs containing a zero-rate
+    subchannel can never satisfy the membership condition and are skipped.
+
+    A run from a start keeps one robust rate until the next lower rate, and
+    a robust rate ``r`` admits exactly one length: the smallest ``L`` with
+    ``r*L >= requirement`` (rounded multiplication is monotone in ``L``).  So
+    each start jumps from one rate drop to the next and tests that one
+    length per drop; its work is the number of drops it crosses, capped at
+    the longest possible run, not the run length.
     """
     if not requirement > 0:
         raise ValueError("requirement must be positive")
-    rates = [float(r) for r in rates]
+    rates = list(map(float, rates))
     m = len(rates)
     out: dict[int, list[tuple[int, float]]] = {}
 
-    first = rates[0] if m else 0.0
-    if m and first > 0 and all(r == first for r in rates):
-        # Uniform rates admit exactly one run length; find it with the same
-        # multiplication comparisons the general scan uses.
-        if first * m < requirement:
-            return out
-        length = 1
-        while first * length < requirement:
+    def just_enough(rate: float) -> int:
+        """The smallest ``L`` with ``rate*L >= requirement``, or ``m + 1`` if
+        it exceeds ``m``; settled with the membership multiplications."""
+        ratio = requirement / rate
+        length = m + 1 if ratio > m else max(1, ceil(ratio))
+        while length > 1 and rate * (length - 1) >= requirement:
+            length -= 1
+        while length <= m and rate * length < requirement:
             length += 1
+        return length
+
+    first = rates[0] if m else 0.0
+    if first > 0 and rates.count(first) == m:
+        # Uniform rates admit exactly one run length.
+        length = just_enough(first)
+        if length > m:
+            return out
         return {length: list(zip(range(1, m - length + 2), repeat(first)))}
 
+    by_rate = {r: just_enough(r) for r in set(rates) if r > 0}
+    if not by_rate:
+        return out
     # A run's robust rate is at least the smallest positive rate, so a run
     # longer than ``longest`` has robust*(length-1) >= requirement.
-    floor = min((r for r in rates if r > 0), default=None)
-    if floor is None:
-        return out
-    longest = 1
-    while longest < m and floor * longest < requirement:
-        longest += 1
+    longest = min(by_rate[min(by_rate)], m)
+    # need[j]: the one run length robust rate rates[j] admits; a zero rate
+    # admits none, so it needs more than the whole vector.
+    need = [by_rate[r] if r > 0 else m + 1 for r in rates]
+    # nxt[j]: the first index after j with a lower rate, m if none.
+    nxt = [m] * m
+    stack: list[int] = []
+    for j, r in enumerate(rates):
+        while stack and rates[stack[-1]] > r:
+            nxt[stack.pop()] = j
+        stack.append(j)
 
     for i in range(m):
-        robust = rates[i]
-        if robust <= 0:
-            continue
-        for j in range(i, min(m, i + longest)):
-            r = rates[j]
-            if r <= 0:
+        stop = i + longest
+        if stop > m:
+            stop = m
+        j = i
+        while True:
+            # Runs from i whose last index lies in [j, nxt[j]) have robust
+            # rate rates[j], and only the one ending before i + need[j] just
+            # achieves the requirement.  Later drops need longer runs.
+            end = i + need[j]
+            if end > stop:
                 break
-            if r < robust:
-                robust = r
-            length = j - i + 1
-            if robust * length >= requirement and robust * (length - 1) < requirement:
-                out.setdefault(length, []).append((i + 1, robust))
+            j_next = nxt[j]
+            if j < end <= j_next:
+                run = out.get(end - i)
+                if run is None:
+                    out[end - i] = [(i + 1, rates[j])]
+                else:
+                    run.append((i + 1, rates[j]))
+            j = j_next
+            if j >= stop:
+                break
     return out
 
 

@@ -1,12 +1,16 @@
 """The shared-slot candidate index and the bitmask occupancy, against
 brute-force references."""
 
+import hashlib
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional
+from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional, ScenarioConfig, generate_scenario
 from csrap.model import runs_by_length
+from csrap.scenario import derive_rates
 from csrap.solvers import CandidateTable, _Occupancy
 from support import brute_force_runs
 
@@ -147,16 +151,67 @@ class TestOccupancy:
             assert forked.fits(alloc.slot, alloc.start, alloc.length) == child.admits(alloc)
 
 
+POSITIVE = st.floats(0.01, 10.0)
+
+
 @given(
     st.one_of(
-        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=1, max_size=12),
+        st.lists(st.one_of(st.just(0.0), POSITIVE), min_size=1, max_size=12),
         # Uniform rates take the scan's one-length shortcut.
-        st.builds(lambda rate, m: [rate] * m, st.floats(0.01, 10.0), st.integers(1, 12)),
+        st.builds(lambda rate, m: [rate] * m, POSITIVE, st.integers(1, 12)),
+        # MCS tiers, as the channel model draws them.
+        st.lists(st.sampled_from([0.0, 2.0, 4.0, 6.0, 8.0]), min_size=1, max_size=40),
+        # Monotone vectors: a start crosses a rate drop at every subchannel
+        # (decreasing) or at none (increasing).
+        st.lists(POSITIVE, min_size=1, max_size=40, unique=True).map(sorted),
+        st.lists(POSITIVE, min_size=1, max_size=40, unique=True).map(lambda v: sorted(v, reverse=True)),
     ),
-    st.floats(0.01, 60.0),
+    st.one_of(
+        st.floats(0.01, 60.0),
+        # Beyond the whole vector's capacity (at most 40 * 10).
+        st.floats(401.0, 1e6),
+    ),
 )
 def test_candidate_runs_matches_window_scan(rates, requirement):
     by_len = {}
     for start, length, rate in brute_force_runs(rates, requirement):
         by_len.setdefault(length, []).append((start, rate))
-    assert runs_by_length(rates, requirement) == by_len
+    found = runs_by_length(rates, requirement)
+    assert found == by_len
+    for runs in found.values():
+        starts = [start for start, _ in runs]
+        assert starts == sorted(starts)
+
+
+def crowded_fading(seed):
+    """81 cameras in a 25x4 frame with a rate vector per camera and slot,
+    drawn at 6 dBm so that nearly every slot vector is distinct."""
+    config = ScenarioConfig(
+        num_targets=40,
+        frame=FrameGrid(num_subchannels=25, num_slots=4),
+        rate_requirement_range=(8.0, 20.0),
+        rng_seed=seed,
+    )
+    channel = replace(config.channel, tx_power_dbm=6.0)
+    rng = np.random.default_rng([seed, 2])
+    center = (config.area_side / 2.0, config.area_side / 2.0)
+    overrides = {
+        cam.id: {slot: derive_rates(cam.position, channel, rng, 25, center) for slot in range(1, 5)}
+        for cam in generate_scenario(config).cameras
+    }
+    return generate_scenario(replace(config, rate_overrides=overrides))
+
+
+def test_candidate_tables_are_frozen():
+    # Every run of crowded_fading-shaped and paper-default tables, seeds 0-7,
+    # as the window scan that grew each run one subchannel at a time found them.
+    lines = []
+    for seed in range(8):
+        for scn in (crowded_fading(seed), generate_scenario(ScenarioConfig(rng_seed=seed))):
+            table = CandidateTable(scn.cameras, scn.grid)
+            for cam in scn.cameras:
+                for slot in range(1, scn.grid.num_slots + 1):
+                    for start, length, robust in table.runs(cam.id, slot):
+                        lines.append(f"{cam.id} {slot} {start} {length} {robust.hex()}")
+    assert len(lines) == 703_588
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "560548e808169bf9"

@@ -156,6 +156,21 @@ class TestTypes:
             make_camera([8, -1], 5.0)
         with pytest.raises(ValueError):
             Omnidirectional(0.0)
+        # An infinite rate would make a one-RB run whose robust rate is inf.
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="rates must be finite"):
+                make_camera([bad, 2.0], 3.0)
+            with pytest.raises(ValueError, match="rates must be finite"):
+                CameraNode(1, (0, 0), Omnidirectional(1.0), 3.0, (2.0, 2.0), slot_rate_overrides={1: (2.0, bad)})
+            with pytest.raises(ValueError, match="rate_requirement must be"):
+                make_camera([8, 4], bad)
+
+    def test_scenario_rejects_override_slots_outside_the_frame(self):
+        grid = FrameGrid(2, 1)
+        for slot in (0, 2):
+            cam = CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={slot: (2.0, 2.0)})
+            with pytest.raises(ValueError, match=f"slot {slot}, outside 1..1"):
+                Scenario(grid, (cam,), (TargetObject(1, (0, 0)),))
 
     def test_scenario_rejects_duplicate_ids_and_bad_rate_lengths(self):
         grid = FrameGrid(2, 1)
