@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from .exact import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .harness import (
@@ -69,6 +69,19 @@ def _dump(doc: Any) -> str:
 def _say(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
+
+
+def _positive_int(name: str) -> Callable[[str], int]:
+    """The argparse type of an integer option that must be >= 1; its error
+    names ``name``."""
+
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
+        return value
+
+    return positive_int
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -169,8 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[out, quiet], help="solve a scenario document")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--algo", choices=sorted(SOLVERS), default="mramc")
-    p.add_argument("--multiplicity", type=int, default=1, help="per-target camera count for m_mramc")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget for the exact solver")
+    p.add_argument(
+        "--multiplicity", type=_positive_int("multiplicity"), default=1, help="per-target camera count for m_mramc"
+    )
+    p.add_argument(
+        "--budget",
+        type=_positive_int("node_budget"),
+        default=DEFAULT_NODE_BUDGET,
+        help="node budget for the exact solver",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", parents=[quiet], help="check a schedule against a scenario")

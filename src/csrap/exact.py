@@ -24,28 +24,30 @@ number of RBs.
 The relaxed mode drops RB exclusivity and capacity coupling and solves the
 residual weighted covering problem exactly; its optimum R never exceeds the
 strict one, which makes it a useful reference point for the approximation
-bounds.  The strict mode runs that covering search first, with the same
-prices and the same node counter, and uses R twice:
+bounds.  Both modes lay R's minimum runs out by one search for an
+overlap-free layout of at most ``min(node_budget, CERTIFICATE_NODES)``
+steps, which are not nodes.  The relaxed mode returns that layout, or the
+minimum runs overlapping, at the same cost R, when none is found.  The
+strict mode runs the covering search first, with the same prices and the
+same node counter, and uses R twice:
 
 * as a floor: the strict search stops at the first schedule that costs R.
   It replaces its incumbent only on a strict improvement, so the schedule
   it returns is the one it would have returned without the floor;
 * as a certificate: once the two searches have expanded
-  ``min(node_budget, CERTIFICATE_NODES)`` nodes, the solver looks once for an
-  overlap-free layout of the minimum runs of R's cameras.  Such a layout
-  is a schedule of cost R, hence optimal, and is returned with a note in
-  ``Diagnostics.notes``.  Otherwise the strict search goes on where it
-  was, up to the full budget.  Where the strict search needs more nodes
-  than that, the certified schedule can differ from the one it would
-  have found, at the same cost.
+  ``min(node_budget, CERTIFICATE_NODES)`` nodes, it tries the layout once.
+  A layout is a schedule of cost R, hence optimal, and is returned with a
+  note in ``Diagnostics.notes``.  Otherwise the strict search goes on
+  where it was, up to the full budget.  Where the strict search needs more
+  nodes than that, the certified schedule can differ from the one it
+  would have found, at the same cost.
 
-Covering nodes count against ``node_budget`` and in ``nodes_expanded``; the
-certificate's layout steps are bounded on their own (see
-:func:`_certificate`).  A root bound above the frame's capacity ends the
-covering search at its first node, and a strict solve never starts.  The
-strict mode reports the larger of the root bound and R as
-``Diagnostics.root_bound`` and as ``SearchBudgetExceeded.lower_bound``; the
-relaxed mode reports the root bound.
+Covering nodes count against ``node_budget`` and in ``nodes_expanded``.  A
+root bound above the frame's capacity ends the covering search at its first
+node, and a strict solve never starts.  The strict mode reports the larger
+of the root bound and R as ``Diagnostics.root_bound`` and as
+``SearchBudgetExceeded.lower_bound``; the relaxed mode reports the root
+bound.
 
 Slots with the same capacity and the same runs for every camera are
 interchangeable.  The strict search skips a candidate in such a slot while a
@@ -73,8 +75,8 @@ __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# Nodes expanded, covering nodes included, before the relaxed optimum's
-# layout is tried.
+# Nodes expanded, covering nodes included, before the strict mode tries the
+# relaxed optimum's layout; also the most steps that layout may take.
 CERTIFICATE_NODES = 20_000
 
 MODES = ("with_exclusivity", "without_exclusivity")
@@ -278,66 +280,67 @@ def exact_solve(
     def once(cam_id: int, state: None, cost: int) -> tuple[tuple[int, int, None]]:
         return ((cam_id, cost + min_phi[cam_id], state),)
 
+    # Any cover costs less than the relaxed ceiling.  Any schedule fits
+    # within the per-slot capacities, so the strict ceiling is safe too; a
+    # cover above it leaves no strict schedule either.
+    ceiling = sum(min_phi.values() if relaxed else grid.slot_capacity) + 1
+    try:
+        cover = _branch_and_bound(search, target_ids, available, once, None, ceiling)
+    except SearchBudgetExceeded:
+        if not relaxed:
+            search.incumbent = None  # a cover may share RBs, so it is no schedule
+        raise search.overrun() from None
+    steps = min(node_budget, CERTIFICATE_NODES)
     if relaxed:
-        ceiling = sum(min_phi.values()) + 1
-        chosen = _branch_and_bound(search, target_ids, available, once, None, ceiling)
-        assert chosen is not None  # the ceiling exceeds every cover's cost
-        layout = _overlap_free_layout(chosen, min_phi, table, grid, search.tick)
+        assert cover is not None  # the ceiling exceeds every cover's cost
+        layout = _overlap_free_layout(cover, min_phi, table, grid, steps)
         if layout is None:
-            # No overlap-free layout of minimum runs; RB sharing is allowed here.
-            assignments = [table.min_allocation(cam_id) for cam_id in sorted(chosen)]
+            # None found within the steps; RB sharing is allowed here, at the same cost.
+            assignments = [table.min_allocation(cam_id) for cam_id in sorted(cover)]
         else:
             assignments = [CandidateAllocation(*run) for run in layout]
         schedule = Schedule.build(assignments, scenario.cameras, target_ids)
         return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=True)
 
-    # Any schedule fits within the per-slot capacities, so this ceiling is
-    # safe; a cover above it leaves no strict schedule either.
-    ceiling = sum(grid.slot_capacity) + 1
-    try:
-        cover = _branch_and_bound(search, target_ids, available, once, None, ceiling)
-    except SearchBudgetExceeded:
-        search.incumbent = None  # a cover may share RBs, so it is no schedule
-        raise search.overrun() from None
-    if cover is None:
-        return SolverResult(
-            Schedule.empty(),
-            SolveStatus.INFEASIBLE_CAPACITY,
-            search.diagnostics(("no conflict-free assignment exists",)),
-        )
-    floor = sum(min_phi[cam_id] for cam_id in cover)
-    search.root_bound = max(search.root_bound, floor)
-    checkpoint = min(node_budget, CERTIFICATE_NODES)
-    search.checkpoint = (checkpoint, lambda: _certificate(cover, min_phi, table, grid, checkpoint))
-
-    twins = _slot_twins(grid, table, available)
-
-    def placements(cam_id: int, occupancy: _Occupancy, cost: int) -> Iterator[tuple[_Run, int, _Occupancy]]:
-        # A slot holding the same RBs as a lower twin offers only mirror
-        # images of the twin's subtrees, which come first at equal cost.
-        load, used = occupancy.load, occupancy.used
-        mirrored = {
-            slot
-            for slot, lower in twins.items()
-            if any(used[t] == used[slot] and load[t] == load[slot] for t in lower)
-        }
-        for slot, start, length, robust in table.runs_by_cost(cam_id):
-            if cost + length >= search.best_cost:
-                break  # candidates arrive in non-decreasing length
-            if occupancy.fits(slot, start, length):
-                if slot in mirrored:
-                    search.symmetry_skips += 1
-                    continue
-                forked = occupancy.fork()
-                forked.place(slot, start, length)
-                yield (cam_id, slot, start, length, robust), cost + length, forked
-
+    runs: list[_Run] | None = None
     notes: tuple[str, ...] = ()
-    try:
-        runs = _branch_and_bound(search, target_ids, available, placements, _Occupancy(grid), ceiling, floor)
-    except _Certified as proof:
-        runs = proof.layout
-        notes = (f"optimal by certificate: the relaxed optimum's runs ({floor} RBs) fit without overlap",)
+    if cover is not None:
+        floor = sum(min_phi[cam_id] for cam_id in cover)
+        search.root_bound = max(search.root_bound, floor)
+
+        def certify() -> None:
+            layout = _overlap_free_layout(cover, min_phi, table, grid, steps)
+            if layout is not None:
+                raise _Certified(layout)
+
+        search.checkpoint = (steps, certify)
+        twins = _slot_twins(grid, table, available)
+
+        def placements(cam_id: int, occupancy: _Occupancy, cost: int) -> Iterator[tuple[_Run, int, _Occupancy]]:
+            # A slot holding the same RBs as a lower twin offers only mirror
+            # images of the twin's subtrees, which come first at equal cost.
+            load, used = occupancy.load, occupancy.used
+            mirrored = {
+                slot
+                for slot, lower in twins.items()
+                if any(used[t] == used[slot] and load[t] == load[slot] for t in lower)
+            }
+            for slot, start, length, robust in table.runs_by_cost(cam_id):
+                if cost + length >= search.best_cost:
+                    break  # candidates arrive in non-decreasing length
+                if occupancy.fits(slot, start, length):
+                    if slot in mirrored:
+                        search.symmetry_skips += 1
+                        continue
+                    forked = occupancy.fork()
+                    forked.place(slot, start, length)
+                    yield (cam_id, slot, start, length, robust), cost + length, forked
+
+        try:
+            runs = _branch_and_bound(search, target_ids, available, placements, _Occupancy(grid), ceiling, floor)
+        except _Certified as proof:
+            runs = proof.layout
+            notes = (f"optimal by certificate: the relaxed optimum's runs ({floor} RBs) fit without overlap",)
     if runs is None:
         return SolverResult(
             Schedule.empty(),
@@ -421,44 +424,11 @@ def _branch_and_bound(
     return best
 
 
-def _certificate(cover: list[int], min_phi: dict[int, int], table: CandidateTable, grid: FrameGrid, steps: int) -> None:
-    """Raise :class:`_Certified` with an overlap-free layout of the minimum
-    runs of ``cover``'s cameras, if one is found within ``steps`` layout
-    steps.
-
-    The layout steps are not search nodes: they neither count in
-    ``nodes_expanded`` nor against the node budget, and the bound of
-    ``min(node_budget, CERTIFICATE_NODES)`` steps keeps the certificate's
-    cost within that of the strict nodes before it.
-    """
-    taken = 0
-
-    def step() -> None:
-        nonlocal taken
-        taken += 1
-        if taken > steps:
-            raise SearchBudgetExceeded(f"exceeded {steps} layout steps", taken)
-
-    try:
-        layout = _overlap_free_layout(cover, min_phi, table, grid, step)
-    except SearchBudgetExceeded:
-        return
-    if layout is not None:
-        raise _Certified(layout)
-
-
 def _overlap_free_layout(
-    chosen: list[int],
-    min_phi: dict[int, int],
-    table: CandidateTable,
-    grid: FrameGrid,
-    tick: Callable[[], None],
+    chosen: list[int], min_phi: dict[int, int], table: CandidateTable, grid: FrameGrid, steps: int
 ) -> list[_Run] | None:
     """An overlap-free placement of each selected camera's minimum-length
-    run, or None when none exists.
-
-    ``tick`` runs at every layout step and may raise to stop the search.
-    """
+    run, or None when none is found within ``steps`` layout steps (not nodes)."""
     # Runs that together exceed the frame's capacity cannot be laid out.
     if sum(min_phi[cam_id] for cam_id in chosen) > sum(grid.slot_capacity):
         return None
@@ -466,13 +436,14 @@ def _overlap_free_layout(
     layout: list[_Run] = []
 
     def backtrack(i: int, occupancy: _Occupancy) -> bool:
-        tick()
+        nonlocal steps
+        steps -= 1
         if i == len(order):
             return True
         cam_id = order[i]
         phi = min_phi[cam_id]
         for slot, start, length, robust in table.runs_by_cost(cam_id):
-            if length > phi:
+            if length > phi or not steps:
                 break
             if occupancy.fits(slot, start, length):
                 forked = occupancy.fork()

@@ -108,8 +108,11 @@ class SweepSpec:
         object.__setattr__(self, "algorithms", algos)
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        # An out-of-range value fails here, naming it, before any trial runs.
+        # An out-of-range or repeated value fails here, naming it, before any
+        # trial runs (the rows of a repeated value would pool the same seeds).
         for i, value in enumerate(self.values):
+            if value in self.values[:i]:
+                raise ValueError(f"values[{i}]: repeats values[{self.values.index(value)}]")
             try:
                 apply_axis(self.config, self.axis, value)
             except ValueError as exc:

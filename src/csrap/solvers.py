@@ -174,9 +174,6 @@ class BoundParams:
         """Worst-case multiplicative gap versus the optimum."""
         return (self.r_max / self.r_min) * float(self.h_d_star)
 
-    def bound(self, optimum: float) -> float:
-        return self.ratio() * optimum
-
 
 class CandidateTable:
     """Every camera's candidate runs, indexed by slot and by run length.

@@ -50,6 +50,31 @@ def one_camera_scenario():
     }
 
 
+def layout_trap_scenario():
+    """Eight cameras, each the only one seeing its target, with 3-RB minimum
+    runs in a 26x1 frame.  Cameras 7 and 8 can only send on subchannels
+    1-3, so the runs fit the frame's capacity but have no overlap-free
+    layout."""
+    return {
+        "area": 200.0,
+        "frame": {"M": 26, "T": 1, "slot_capacity": None, "rho_ms": 10.0},
+        "channel": None,
+        "cameras": [
+            {
+                "id": i,
+                "x": 20.0 * i,
+                "y": 10.0,
+                "geometry": {"kind": "omnidirectional", "view_distance": 5.0},
+                "rate_requirement": 3.0,
+                "rates": [1] * 26 if i <= 6 else [1] * 3 + [0] * 23,
+            }
+            for i in range(1, 9)
+        ],
+        "targets": [{"id": i, "x": 20.0 * i + 1.0, "y": 10.0} for i in range(1, 9)],
+        "seed": 0,
+    }
+
+
 class TestPipeline:
     def test_generate_solve_verify_round_trip(self, tmp_path, capsys):
         cfg = write(tmp_path / "config.json", small_config())
@@ -134,6 +159,8 @@ class TestSweepCommand:
             ("num_targets", [4, -3], "values[1]", "num_targets must be >= 1"),
             ("view_distance", [-5], "values[0]", "view_distance range"),
             ("deployment", ["partial_random", "bogus"], "values[1]", "deployment must be one of"),
+            ("num_targets", [5, 5], "values[1]", "repeats values[0]"),
+            ("view_distance", [40, 40.0], "values[1]", "repeats values[0]"),
         ],
     )
     def test_out_of_range_value_fails_before_any_trial(
@@ -249,11 +276,23 @@ class TestErrorPaths:
         assert err.startswith("resource limit: exceeded 400 node expansions")
         assert "(nodes: 401, incumbent: 13 RBs, lower bound: 11 RBs)" in err
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
+    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget, algo):
         scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
-        assert main(["solve", scenario_path, "--algo", "exact", "--budget", budget, "--quiet"]) == 2
+        assert main(["solve", scenario_path, "--algo", algo, "--budget", budget, "--quiet"]) == 2
         assert "node_budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_multiplicity_below_one_is_a_usage_error(self, tmp_path, capsys, algo):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        assert main(["solve", scenario_path, "--algo", algo, "--multiplicity", "-3", "--quiet"]) == 2
+        assert "multiplicity must be >= 1" in capsys.readouterr().err
+
+    def test_relaxed_solve_outlasts_a_long_layout_search(self, tmp_path, capsys):
+        scenario_path = write(tmp_path / "scenario.json", layout_trap_scenario())
+        assert main(["solve", scenario_path, "--algo", "exact_relaxed", "--budget", "100000", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_rbs"] == 24
 
     def test_seed_override_changes_generation(self, tmp_path, capsys):
         cfg = write(tmp_path / "config.json", small_config())
