@@ -1,10 +1,10 @@
 """Exact minimization of allocated RBs by branch and bound.
 
-The search branches on which camera covers the currently hardest uncovered
-target, assigning concrete runs inside each branch so RB exclusivity and slot
-capacities hold by construction.  Two covering bounds prune subtrees, and
-the larger one counts; both ignore exclusivity, which can only lower cost,
-so both are admissible:
+One covering search serves both modes.  It branches on which camera covers
+the currently hardest uncovered target, each camera at its minimum run
+length, and settles every complete cover that costs less than the incumbent.
+Two covering bounds prune subtrees, and the larger one counts; both ignore
+exclusivity, which can only lower cost, so both are admissible:
 
 * the share bound: every uncovered target pays the cheapest per-target share
   ``min_phi / hits`` of any remaining camera, summed in integers scaled by
@@ -21,46 +21,33 @@ so both are admissible:
 The share bound is rounded up to whole RBs because every cost is a whole
 number of RBs.
 
-The relaxed mode drops RB exclusivity and capacity coupling and solves the
-residual weighted covering problem exactly; its optimum R never exceeds the
-strict one, which makes it a useful reference point for the approximation
-bounds.  Both modes lay R's minimum runs out by one search for an
-overlap-free layout of at most ``min(node_budget, CERTIFICATE_NODES)``
-steps, which are not nodes.  The relaxed mode returns that layout, or the
-minimum runs overlapping, at the same cost R, when none is found.  The
-strict mode runs the covering search first, with the same prices and the
-same node counter, and uses R twice:
+The strict mode settles a cover by the cheapest overlap-free layout of its
+cameras' runs below the incumbent: covers in the search and layouts in a
+subproblem, as in logic-based Benders decomposition (Hooker and Ottosson,
+"Logic-based Benders decomposition", 2003).  Every strict schedule holds a
+cover the search reaches, and that cover's layout costs no more, so the
+cheapest layout over all covers is optimal.  Each layout step is a node.
 
-* as a floor: the strict search stops at the first schedule that costs R.
-  It replaces its incumbent only on a strict improvement, so the schedule
-  it returns is the one it would have returned without the floor;
-* as a certificate: once the two searches have expanded
-  ``min(node_budget, CERTIFICATE_NODES)`` nodes, it tries the layout once.
-  A layout is a schedule of cost R, hence optimal, and is returned with a
-  note in ``Diagnostics.notes``.  Otherwise the strict search goes on
-  where it was, up to the full budget.  Where the strict search needs more
-  nodes than that, the certified schedule can differ from the one it
-  would have found, at the same cost.
+The relaxed mode drops RB exclusivity and capacity coupling: a cover settles
+to itself, and its optimum R never exceeds the strict one, which makes it a
+useful reference point for the approximation bounds.  It lays R's minimum
+runs out by the same layout search, in at most ``min(node_budget,
+LAYOUT_STEPS)`` steps, which are not nodes, and returns that layout, or the
+minimum runs overlapping, at the same cost R, when none is found.
 
-Covering nodes count against ``node_budget`` and in ``nodes_expanded``.  A
-root bound above the frame's capacity ends the covering search at its first
-node, and a strict solve never starts.  The strict mode reports the larger
-of the root bound and R as ``Diagnostics.root_bound`` and as
-``SearchBudgetExceeded.lower_bound``; the relaxed mode reports the root
-bound.
-
-Slots with the same capacity and the same runs for every camera are
-interchangeable.  The strict search skips a candidate in such a slot while a
-lower twin slot holds exactly the same RBs: swapping the two slots maps that
-subtree onto the twin's, searched first at equal cost (orbit pruning in the
-sense of Margot, "Symmetry in Integer Linear Programming", 2010).
+Nodes count against ``node_budget`` and in ``nodes_expanded``.  A root bound
+above the frame's capacity ends the strict search at its first node.  Both
+modes report the root bound as ``Diagnostics.root_bound`` and as
+``SearchBudgetExceeded.lower_bound``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from functools import partial
+from itertools import repeat
+from typing import Callable
 
 from .model import CandidateAllocation, FrameGrid, Scenario, Schedule
 from .solvers import (
@@ -75,9 +62,8 @@ __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# Nodes expanded, covering nodes included, before the strict mode tries the
-# relaxed optimum's layout; also the most steps that layout may take.
-CERTIFICATE_NODES = 20_000
+# The most steps the relaxed mode's layout search may take.
+LAYOUT_STEPS = 20_000
 
 MODES = ("with_exclusivity", "without_exclusivity")
 
@@ -102,14 +88,6 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {lower_bound} RBs)")
 
 
-class _Certified(Exception):
-    """Unwinds the strict search once the certificate holds."""
-
-    def __init__(self, layout: list[_Run]):
-        super().__init__()
-        self.layout = layout
-
-
 @dataclass
 class _Search:
     coverage: dict[int, frozenset[int]]
@@ -117,13 +95,10 @@ class _Search:
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
-    incumbent: int | None = None  # cost of the current pass's best leaf, reported on an overrun
+    incumbent: int | None = None  # cost of the best settled leaf, reported on an overrun
     root_bound: int = 0  # the lower bound reported, set before the first node
     bound_prunes: int = 0
-    symmetry_skips: int = 0
     incumbent_updates: int = 0
-    # (node count, action): the action runs once, at the first node that reaches the count
-    checkpoint: tuple[int, Callable[[], None]] | None = None
     scale: int = field(init=False)
     shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
     prices: dict[int, int] = field(init=False)  # target -> Lagrangian price in RBs
@@ -171,14 +146,13 @@ class _Search:
             self.root_bound,
         )
 
-    def tick(self) -> None:
+    def tick(self) -> bool:
+        """Counts a node; raises once the budget is spent, so it never
+        returns False as a layout step."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise self.overrun()
-        if self.checkpoint is not None and self.nodes >= self.checkpoint[0]:
-            _, action = self.checkpoint
-            self.checkpoint = None
-            action()
+        return True
 
     def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
         """Admissible lower bound in whole RBs: the larger of the share bound
@@ -212,7 +186,6 @@ class _Search:
             notes=notes,
             nodes_expanded=self.nodes,
             bound_prunes=self.bound_prunes,
-            symmetry_skips=self.symmetry_skips,
             incumbent_updates=self.incumbent_updates,
             root_bound=self.root_bound,
         )
@@ -274,135 +247,73 @@ def exact_solve(
     root_bound = search.bound(target_ids, available)
     assert root_bound is not None  # coverage reachability was checked above
     search.root_bound = root_bound
+    capacity = sum(grid.slot_capacity)
 
-    # The covering search: each camera is chosen once at its minimum run
-    # length, and RBs may overlap.
-    def once(cam_id: int, state: None, cost: int) -> tuple[tuple[int, int, None]]:
-        return ((cam_id, cost + min_phi[cam_id], state),)
-
-    # Any cover costs less than the relaxed ceiling.  Any schedule fits
-    # within the per-slot capacities, so the strict ceiling is safe too; a
-    # cover above it leaves no strict schedule either.
-    ceiling = sum(min_phi.values() if relaxed else grid.slot_capacity) + 1
-    try:
-        cover = _branch_and_bound(search, target_ids, available, once, None, ceiling)
-    except SearchBudgetExceeded:
-        if not relaxed:
-            search.incumbent = None  # a cover may share RBs, so it is no schedule
-        raise search.overrun() from None
-    steps = min(node_budget, CERTIFICATE_NODES)
     if relaxed:
-        assert cover is not None  # the ceiling exceeds every cover's cost
-        layout = _overlap_free_layout(cover, min_phi, table, grid, steps)
+        # Every cover costs less than this ceiling and settles to itself.
+        cover = _branch_and_bound(
+            search, target_ids, available, lambda cameras, cost: (list(cameras), cost), sum(min_phi.values()) + 1
+        )
+        assert cover is not None
+        cover.sort()
+        # True for the first min(node_budget, LAYOUT_STEPS) steps, then False.
+        steps = partial(next, repeat(True, min(node_budget, LAYOUT_STEPS)), False)
+        # Below R + 1 every camera keeps its minimum run; runs that add up to
+        # more than the frame's capacity have no layout.
+        layout = _overlap_free_layout(cover, min_phi, table, grid, min(search.best_cost, capacity) + 1, steps)
         if layout is None:
             # None found within the steps; RB sharing is allowed here, at the same cost.
-            assignments = [table.min_allocation(cam_id) for cam_id in sorted(cover)]
+            assignments = [table.min_allocation(cam_id) for cam_id in cover]
         else:
-            assignments = [CandidateAllocation(*run) for run in layout]
-        schedule = Schedule.build(assignments, scenario.cameras, target_ids)
-        return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=True)
-
-    runs: list[_Run] | None = None
-    notes: tuple[str, ...] = ()
-    if cover is not None:
-        floor = sum(min_phi[cam_id] for cam_id in cover)
-        search.root_bound = max(search.root_bound, floor)
-
-        def certify() -> None:
-            layout = _overlap_free_layout(cover, min_phi, table, grid, steps)
-            if layout is not None:
-                raise _Certified(layout)
-
-        search.checkpoint = (steps, certify)
-        twins = _slot_twins(grid, table, available)
-
-        def placements(cam_id: int, occupancy: _Occupancy, cost: int) -> Iterator[tuple[_Run, int, _Occupancy]]:
-            # A slot holding the same RBs as a lower twin offers only mirror
-            # images of the twin's subtrees, which come first at equal cost.
-            load, used = occupancy.load, occupancy.used
-            mirrored = {
-                slot
-                for slot, lower in twins.items()
-                if any(used[t] == used[slot] and load[t] == load[slot] for t in lower)
-            }
-            for slot, start, length, robust in table.runs_by_cost(cam_id):
-                if cost + length >= search.best_cost:
-                    break  # candidates arrive in non-decreasing length
-                if occupancy.fits(slot, start, length):
-                    if slot in mirrored:
-                        search.symmetry_skips += 1
-                        continue
-                    forked = occupancy.fork()
-                    forked.place(slot, start, length)
-                    yield (cam_id, slot, start, length, robust), cost + length, forked
-
-        try:
-            runs = _branch_and_bound(search, target_ids, available, placements, _Occupancy(grid), ceiling, floor)
-        except _Certified as proof:
-            runs = proof.layout
-            notes = (f"optimal by certificate: the relaxed optimum's runs ({floor} RBs) fit without overlap",)
-    if runs is None:
-        return SolverResult(
-            Schedule.empty(),
-            SolveStatus.INFEASIBLE_CAPACITY,
-            search.diagnostics(("no conflict-free assignment exists",)),
+            assignments = [CandidateAllocation(*run) for run in layout[0]]
+    else:
+        # No schedule costs more than the frame's capacity.  A cover settles
+        # to its cheapest layout below the incumbent; each step is a node.
+        runs = _branch_and_bound(
+            search,
+            target_ids,
+            available,
+            lambda cameras, cost: _overlap_free_layout(cameras, min_phi, table, grid, search.best_cost, search.tick),
+            capacity + 1,
         )
-    assignments = [CandidateAllocation(*run) for run in runs]
+        if runs is None:
+            return SolverResult(
+                Schedule.empty(),
+                SolveStatus.INFEASIBLE_CAPACITY,
+                search.diagnostics(("no conflict-free assignment exists",)),
+            )
+        assignments = [CandidateAllocation(*run) for run in runs]
     schedule = Schedule.build(assignments, scenario.cameras, target_ids)
-    return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(notes))
-
-
-def _slot_twins(grid: FrameGrid, table: CandidateTable, cameras: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Each slot's lower slots that are interchangeable with it.
-
-    Two slots are interchangeable when they have the same capacity and every
-    searchable camera has the same runs in both: swapping them maps any
-    schedule onto one of equal cost.  Slots without a lower twin are left out.
-    """
-    groups: list[list[int]] = []
-    for slot in range(1, grid.num_slots + 1):
-        for group in groups:
-            first = group[0]
-            if grid.capacity(first) == grid.capacity(slot) and all(
-                table.runs(c, first) == table.runs(c, slot) for c in cameras
-            ):
-                group.append(slot)
-                break
-        else:
-            groups.append([slot])
-    return {slot: tuple(group[:i]) for group in groups for i, slot in enumerate(group) if i}
+    return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=relaxed)
 
 
 def _branch_and_bound(
     search: _Search,
     targets: frozenset[int],
     available: tuple[int, ...],
-    options: Callable[[int, Any, int], Iterable[tuple[Any, int, Any]]],
-    root: Any,
+    settle: Callable[[list[int], int], tuple[list, int] | None],
     ceiling: int,
-    floor: int = 0,
 ) -> list | None:
-    """Depth-first search for the cheapest covering choice list below ``ceiling``.
+    """Depth-first search for the cheapest settled cover below ``ceiling``.
 
-    Each node branches on the cameras covering the hardest uncovered target.
-    ``options(cam_id, state, cost)`` yields that camera's choices as
-    ``(choice, cost after it, child state)`` and may stop early against
-    ``search.best_cost``.  A camera already tried at a node is left out of
-    its later siblings' subtrees.  The search stops at the first leaf that
-    costs ``floor`` or less, a proven lower bound on every leaf.
+    Each node branches on the cameras covering the hardest uncovered target,
+    each at its minimum run length.  A camera already tried at a node is left
+    out of its later siblings' subtrees.  A cover that costs less than
+    ``search.best_cost`` is passed to ``settle(cameras, cost)``, with its
+    cameras in path order, which returns its cheapest choice list below
+    ``search.best_cost`` with that list's cost, or None.
     """
     search.best_cost = ceiling
-    search.incumbent = None
     best: list | None = None
 
-    def dfs(uncovered: frozenset[int], avail: tuple[int, ...], state: Any, cost: int, chosen: list) -> None:
+    def dfs(uncovered: frozenset[int], avail: tuple[int, ...], cost: int, chosen: list[int]) -> None:
         nonlocal best
         search.tick()
         if not uncovered:
-            if cost < search.best_cost:
-                search.best_cost = search.incumbent = cost
+            if cost < search.best_cost and (settled := settle(chosen, cost)) is not None:
+                best, search.best_cost = settled
+                search.incumbent = search.best_cost
                 search.incumbent_updates += 1
-                best = list(chosen)
             return
         bound = search.bound(uncovered, avail)
         if bound is None or cost + bound >= search.best_cost:
@@ -410,48 +321,60 @@ def _branch_and_bound(
             return
         tried: list[int] = []
         for cam_id in search.branch_order(uncovered, avail):
+            chosen.append(cam_id)
             remaining = tuple(c for c in avail if c != cam_id and c not in tried)
-            left = uncovered - search.coverage[cam_id]
-            for choice, child_cost, child in options(cam_id, state, cost):
-                chosen.append(choice)
-                dfs(left, remaining, child, child_cost, chosen)
-                chosen.pop()
-                if search.best_cost <= floor:
-                    return
+            dfs(uncovered - search.coverage[cam_id], remaining, cost + search.min_phi[cam_id], chosen)
+            chosen.pop()
             tried.append(cam_id)
 
-    dfs(targets, available, root, 0, [])
+    dfs(targets, available, 0, [])
     return best
 
 
 def _overlap_free_layout(
-    chosen: list[int], min_phi: dict[int, int], table: CandidateTable, grid: FrameGrid, steps: int
-) -> list[_Run] | None:
-    """An overlap-free placement of each selected camera's minimum-length
-    run, or None when none is found within ``steps`` layout steps (not nodes)."""
-    # Runs that together exceed the frame's capacity cannot be laid out.
-    if sum(min_phi[cam_id] for cam_id in chosen) > sum(grid.slot_capacity):
-        return None
-    order = sorted(chosen)
-    layout: list[_Run] = []
+    cameras: list[int],
+    min_phi: dict[int, int],
+    table: CandidateTable,
+    grid: FrameGrid,
+    ceiling: int,
+    step: Callable[[], bool],
+) -> tuple[list[_Run], int] | None:
+    """The cheapest overlap-free layout of one run per camera that costs
+    less than ``ceiling``, with its cost, or None.
 
-    def backtrack(i: int, occupancy: _Occupancy) -> bool:
-        nonlocal steps
-        steps -= 1
-        if i == len(order):
+    Cameras are placed in the order given, each camera's runs in
+    ``runs_by_cost`` order.  A partial layout is pruned once its cost plus
+    the minimum runs of the unplaced cameras reaches the ceiling.  ``step()``
+    is called once per placement call; when it returns False the search
+    stops with what it has found.
+    """
+    rest = [0] * (len(cameras) + 1)  # rest[i]: minimum runs of cameras[i:]
+    for i in reversed(range(len(cameras))):
+        rest[i] = rest[i + 1] + min_phi[cameras[i]]
+    layout: list[_Run] = []
+    best: tuple[list[_Run], int] | None = None
+
+    def place(i: int, occupancy: _Occupancy, cost: int) -> bool:
+        """Lays out ``cameras[i:]``; False once the steps run out."""
+        nonlocal best, ceiling
+        if not step():
+            return False
+        if i == len(cameras):
+            best, ceiling = (list(layout), cost), cost
             return True
-        cam_id = order[i]
-        phi = min_phi[cam_id]
+        cam_id = cameras[i]
         for slot, start, length, robust in table.runs_by_cost(cam_id):
-            if length > phi or not steps:
-                break
+            if cost + length + rest[i + 1] >= ceiling:
+                break  # runs arrive in non-decreasing length
             if occupancy.fits(slot, start, length):
                 forked = occupancy.fork()
                 forked.place(slot, start, length)
                 layout.append((cam_id, slot, start, length, robust))
-                if backtrack(i + 1, forked):
-                    return True
+                going = place(i + 1, forked, cost + length)
                 layout.pop()
-        return False
+                if not going:
+                    return False
+        return True
 
-    return layout if backtrack(0, _Occupancy(grid)) else None
+    place(0, _Occupancy(grid), 0)
+    return best

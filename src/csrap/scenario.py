@@ -692,6 +692,8 @@ def load_scenario(doc: Mapping) -> Scenario:
                     raise ScenarioFormatError(f"{slot_rates}: slot keys must be integers") from None
                 if not 1 <= slot <= grid.num_slots:
                     raise ScenarioFormatError(f"{slot_rates}[{s}]: slot must lie in 1..{grid.num_slots}")
+                if slot in slot_overrides:  # keys such as "2" and "02" name one slot
+                    raise ScenarioFormatError(f"{slot_rates}[{s}]: repeats slot {slot}")
                 slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]", grid.num_subchannels)
         fields.append((path, cam_id, pos, geometry, requirement, rates, slot_overrides))
 

@@ -77,6 +77,42 @@ def random_instance(
     return Scenario(grid=grid, cameras=tuple(cameras), targets=targets)
 
 
+def collision_instance(rng: np.random.Generator, max_cameras: int = 4) -> Scenario:
+    """Small instance whose minimum runs collide.
+
+    Every camera watches its own target, so every camera is in every cover,
+    and sends only inside a window of the 5-8-subchannel, 1-2-slot frame,
+    at tier-quantized rates, with a requirement of 4-12.  Windows overlap
+    often enough that a camera may have to take a longer run than its
+    minimum, so the strict optimum can exceed the relaxed one.  A camera
+    drawn without any run is drawn again.
+    """
+    m = int(rng.integers(5, 9))
+    t = int(rng.integers(1, 3))
+    k = int(rng.integers(2, max_cameras + 1))
+    cameras: list[CameraNode] = []
+    while len(cameras) < k:
+        lo = int(rng.integers(0, m - 1))
+        hi = int(rng.integers(lo + 2, m + 1))
+        rates = [float(RATE_TIERS[int(rng.integers(0, len(RATE_TIERS)))]) if lo <= j < hi else 0.0 for j in range(m)]
+        requirement = float(rng.integers(4, 13))
+        if not brute_force_runs(rates, requirement):
+            continue
+        cam_id = len(cameras) + 1
+        cameras.append(
+            CameraNode(
+                id=cam_id,
+                position=(float(cam_id), 1.0),
+                geometry=Omnidirectional(1.0),
+                rate_requirement=requirement,
+                per_subchannel_rate=tuple(rates),
+                coverage_set=frozenset({cam_id}),
+            )
+        )
+    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, k + 1))
+    return Scenario(grid=FrameGrid(m, t), cameras=tuple(cameras), targets=targets)
+
+
 def brute_force_runs(rates, requirement):
     """Every (start, length, min-rate) window satisfying the just-achieves
     inequality, checked directly over all windows."""

@@ -255,8 +255,8 @@ class TestErrorPaths:
         capsys.readouterr()
 
     def test_budget_exhaustion_reports_search_progress(self, tmp_path, capsys):
-        # Weak rates: the relaxed optimum (11 RBs) has no overlap-free layout,
-        # so the search runs to the budget.
+        # Weak rates: the first covers have no overlap-free layout, so the
+        # search runs to the budget with an incumbent above the optimum.
         config = {
             "area": 200,
             "num_targets": 12,
@@ -271,10 +271,10 @@ class TestErrorPaths:
         cfg = write(tmp_path / "config.json", config)
         scenario_path = str(tmp_path / "scenario.json")
         main(["generate", "--config", cfg, "--out", scenario_path, "--quiet"])
-        assert main(["solve", scenario_path, "--algo", "exact", "--budget", "400", "--quiet"]) == 3
+        assert main(["solve", scenario_path, "--algo", "exact", "--budget", "3200", "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("resource limit: exceeded 400 node expansions")
-        assert "(nodes: 401, incumbent: 13 RBs, lower bound: 11 RBs)" in err
+        assert err.startswith("resource limit: exceeded 3200 node expansions")
+        assert "(nodes: 3201, incumbent: 13 RBs, lower bound: 10 RBs)" in err
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -338,6 +338,18 @@ class TestMalformedNumbers:
         scenario_path = write(tmp_path / "scn.json", doc)
         assert main(["solve", scenario_path, "--algo", "mramc", "--quiet"]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_repeated_slot_is_rejected(tmp_path, capsys):
+    # "2" and "02" name one slot; the later key must not silently replace
+    # the earlier one's rates.  Written unsorted, so "02" comes later.
+    doc = json.loads((DATA / "slot_rates.json").read_text(encoding="utf-8"))
+    camera = doc["cameras"][1]
+    camera["slot_rates"]["02"] = [0.0] * len(camera["rates"])
+    scenario_path = tmp_path / "scn.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert main(["solve", str(scenario_path), "--algo", "mramc", "--quiet"]) == 2
+    assert "error: cameras[1].slot_rates[02]: repeats slot 2" in capsys.readouterr().err
 
 
 def schedule_doc(total_rbs=1, **fields):
