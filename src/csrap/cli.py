@@ -43,9 +43,22 @@ EXIT_INTERNAL = 3
 
 
 def _read_json(path: str, what: str) -> Any:
+    """The document at ``path``; an object that repeats a key is rejected,
+    naming the key, rather than keeping the later value."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ScenarioFormatError(f"{what}: repeated key {json.dumps(key)}")
+                seen.add(key)
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise ScenarioFormatError(f"{what}: file not found: {path}") from None
     except json.JSONDecodeError as exc:

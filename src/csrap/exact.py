@@ -222,10 +222,11 @@ def exact_solve(
     coverage: dict[int, frozenset[int]] = {}
     min_phi: dict[int, int] = {}
     for cam in scenario.cameras:
-        phi = table.min_phi(cam.id)
+        # Cameras that cover nothing or can never transmit are useless; the
+        # table builds runs only for those that cover something.
         covered = cam.coverage_set & target_ids
-        if phi is None or not covered:
-            continue  # cameras that cover nothing or can never transmit are useless
+        if not covered or (phi := table.min_phi(cam.id)) is None:
+            continue
         coverage[cam.id] = covered
         min_phi[cam.id] = phi
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import ceil, inf, isfinite
 from typing import Iterable, Mapping, Sequence
@@ -276,8 +277,9 @@ class Scenario:
                 if not 1 <= slot <= t:
                     raise ValueError(f"camera {cam.id} overrides the rates of slot {slot}, outside 1..{t}")
 
-    @property
+    @cached_property
     def target_ids(self) -> frozenset[int]:
+        """The target ids, built on the first read and kept (not a field)."""
         return frozenset(t.id for t in self.targets)
 
     def uncovered_targets(self) -> tuple[int, ...]:

@@ -174,67 +174,80 @@ class BoundParams:
         return (self.r_max / self.r_min) * float(self.h_d_star)
 
 
+# A rate vector's runs: length -> [(start, robust_rate), ...] in start order.
+_RunIndex = dict[int, list[tuple[int, float]]]
+
+
 class CandidateTable:
-    """Every camera's candidate runs, indexed by slot and by run length.
+    """Every camera's candidate runs, indexed by slot and by run length,
+    built per camera on first access.
 
     Slots with the same rate vector share one ``length -> [(start,
     robust_rate)]`` index from :func:`~csrap.model.runs_by_length`, computed
     once: a camera without ``slot_rate_overrides`` scans its rates once for
     the whole frame, and overridden slots are grouped by equal vectors.
+    A camera no method is asked about is never scanned, so a solver that
+    reads only the cameras covering a target pays for those alone.
     :meth:`runs_by_cost` walks the candidates in cost order with no per-slot
     copy of the runs.
     """
 
     def __init__(self, cameras: Iterable[CameraNode], grid: FrameGrid):
         self.grid = grid
-        num_slots = grid.num_slots
-        # Per camera id: the run index of each slot, shared by slots with
-        # equal rate vectors, and the sorted run lengths.
-        self._slots: dict[int, list[dict[int, list[tuple[int, float]]]]] = {}
-        self._lengths: dict[int, list[int]] = {}
-        for cam in cameras:
-            requirement = cam.rate_requirement
-            if not cam.slot_rate_overrides:
-                by_len = runs_by_length(cam.per_subchannel_rate, requirement)
-                distinct = [by_len]
-                slots = [by_len] * num_slots
-            else:
-                cache: dict[tuple[float, ...], dict[int, list[tuple[int, float]]]] = {}
-                slots = []
-                for slot in range(1, num_slots + 1):
-                    rates = cam.rates_in_slot(slot)
-                    by_len = cache.get(rates)
-                    if by_len is None:
-                        by_len = cache[rates] = runs_by_length(rates, requirement)
-                    slots.append(by_len)
-                distinct = cache.values()
-            self._slots[cam.id] = slots
-            self._lengths[cam.id] = sorted(set().union(*distinct))
+        self._cameras = {cam.id: cam for cam in cameras}
+        # Per camera id, once built: the run index of each slot, shared by
+        # slots with equal rate vectors, and the sorted run lengths.
+        self._index: dict[int, tuple[list[_RunIndex], list[int]]] = {}
+
+    def _index_of(self, camera_id: int) -> tuple[list[_RunIndex], list[int]]:
+        """The slot indexes and sorted run lengths of ``camera_id``, built
+        on the first call; an unknown id raises ``KeyError``."""
+        index = self._index.get(camera_id)
+        if index is not None:
+            return index
+        cam = self._cameras[camera_id]
+        requirement = cam.rate_requirement
+        if not cam.slot_rate_overrides:
+            by_len = runs_by_length(cam.per_subchannel_rate, requirement)
+            distinct = [by_len]
+            slots = [by_len] * self.grid.num_slots
+        else:
+            cache: dict[tuple[float, ...], _RunIndex] = {}
+            slots = []
+            for slot in range(1, self.grid.num_slots + 1):
+                rates = cam.rates_in_slot(slot)
+                by_len = cache.get(rates)
+                if by_len is None:
+                    by_len = cache[rates] = runs_by_length(rates, requirement)
+                slots.append(by_len)
+            distinct = cache.values()
+        index = self._index[camera_id] = (slots, sorted(set().union(*distinct)))
+        return index
 
     def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
         """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
-        slots = self._slots[camera_id]
+        slots = self._index_of(camera_id)[0]
         if not 1 <= slot <= len(slots):
             raise KeyError(slot)
         return sorted((start, length, robust) for length, runs in slots[slot - 1].items() for start, robust in runs)
 
     def min_phi(self, camera_id: int) -> int | None:
-        lengths = self._lengths[camera_id]
+        lengths = self._index_of(camera_id)[1]
         return lengths[0] if lengths else None
 
     def robust_rates(self, camera_id: int) -> list[float]:
         """Robust rates of the runs of each distinct slot rate vector, once each."""
-        distinct = {id(by_len): by_len for by_len in self._slots[camera_id]}.values()
+        distinct = {id(by_len): by_len for by_len in self._index_of(camera_id)[0]}.values()
         return [robust for by_len in distinct for runs in by_len.values() for _, robust in runs]
 
     def candidate_count(self, camera_id: int) -> int:
-        return sum(len(runs) for by_len in self._slots[camera_id] for runs in by_len.values())
+        return sum(len(runs) for by_len in self._index_of(camera_id)[0] for runs in by_len.values())
 
     def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
         """``(slot, start, length, robust_rate)`` ordered by length, then
         slot, then start, without building an allocation per candidate."""
-        slots = self._slots[camera_id]
-        for length in self._lengths[camera_id]:
+        slots, lengths = self._index_of(camera_id)
+        for length in lengths:
             for slot, by_len in enumerate(slots, 1):
                 for start, robust in by_len.get(length, ()):
                     yield slot, start, length, robust
@@ -311,9 +324,11 @@ def _cover_greedy(
         # that an integer price needs no Fraction; the first entry wins ties.
         best_idx = -1
         best_price, best_gain = 0, 0
+        dead = False
         for idx, (_, covers, price) in enumerate(pool):
             gain = len(covers & uncovered)
             if gain == 0:
+                dead = True
                 continue
             if best_idx < 0 or price * best_gain < best_price * gain:
                 best_idx, best_price, best_gain = idx, price, gain
@@ -326,6 +341,9 @@ def _cover_greedy(
         chosen.append(alloc)
         trace.append(GreedyStep(best_id, alloc, Fraction(best_price, best_gain)))
         uncovered -= covers
+        if dead:
+            # An entry that covers nothing still uncovered never wins again.
+            pool = [entry for entry in pool if not entry[1].isdisjoint(uncovered)]
     return GreedyPhase(tuple(chosen), frozenset(uncovered), status, tuple(trace))
 
 
@@ -339,13 +357,15 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    # Cameras with no candidate never win, so they stay out of the pool.
+    # Cameras that cover no target or have no candidate never win, so they
+    # stay out of the pool, and the table never builds the first kind.
+    target_ids = scenario.target_ids
     pool = [
         (cam.id, cam.coverage_set, phi)
         for cam in scenario.cameras
-        if (phi := table.min_phi(cam.id)) is not None
+        if not cam.coverage_set.isdisjoint(target_ids) and (phi := table.min_phi(cam.id)) is not None
     ]
-    return _cover_greedy(pool, scenario.target_ids, table)
+    return _cover_greedy(pool, target_ids, table)
 
 
 def mramc_relocate(
@@ -441,24 +461,16 @@ def _scan_schedule(
     target_ids = scenario.target_ids
     uncovered = set(target_ids)
     assignments: list[CandidateAllocation] = []
-    scheduled: set[int] = set()
-    excluded: set[int] = set()
     trace: list[GreedyStep] = []
     slot, pos = 1, 1
-    pending: CameraNode | None = None
+    pending: CameraNode | None = None  # a camera retrying its run; it stays in the pool
     status = SolveStatus.FEASIBLE
-
-    def eligible() -> list[CameraNode]:
-        return [
-            cam
-            for cam in scenario.cameras
-            if cam.id not in scheduled and cam.id not in excluded and cam.coverage_set & uncovered
-        ]
+    # The eligible cameras, in scenario order: those covering an uncovered
+    # target, less the scheduled and the excluded ones.  It only shrinks, so
+    # it is filtered when a camera is scheduled or excluded, not per step.
+    pool = [cam for cam in scenario.cameras if not cam.coverage_set.isdisjoint(uncovered)]
 
     while uncovered:
-        pool = eligible()
-        if pending is not None and (pending.id in scheduled or not pending.coverage_set & uncovered):
-            pending = None
         if not pool:
             status = SolveStatus.INFEASIBLE_COVERAGE
             break
@@ -501,8 +513,8 @@ def _scan_schedule(
             alloc = CandidateAllocation(cam.id, slot, pos, length, robust)
             assignments.append(alloc)
             trace.append(GreedyStep(cam.id, alloc, Fraction(length)))
-            scheduled.add(cam.id)
             uncovered -= cam.coverage_set
+            pool = [other for other in pool if not other.coverage_set.isdisjoint(uncovered)]
             pos += length
         elif j <= width:
             # Blocked by a zero-rate subchannel: the camera retries just past it.
@@ -510,7 +522,7 @@ def _scan_schedule(
             pos = j + 1
         else:
             if slot == grid.num_slots:
-                excluded.add(cam.id)
+                pool = [other for other in pool if other is not cam]
             else:
                 pending = cam
                 slot += 1
@@ -545,8 +557,14 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    # The scan asks for a rate at every position, so read each camera's once.
-    best = {cam.id: max(table.robust_rates(cam.id), default=0.0) for cam in scenario.cameras}
+    # The scan asks for a rate at every position, so read each camera's once;
+    # it asks only about cameras that cover a target.
+    target_ids = scenario.target_ids
+    best = {
+        cam.id: max(table.robust_rates(cam.id), default=0.0)
+        for cam in scenario.cameras
+        if not cam.coverage_set.isdisjoint(target_ids)
+    }
     return _scan_schedule(scenario, lambda cam, slot, pos: best[cam.id])
 
 

@@ -6,9 +6,24 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from csrap import CameraNode, CandidateAllocation, FrameGrid, Omnidirectional, ScenarioConfig, generate_scenario
+from csrap import (
+    CameraNode,
+    CandidateAllocation,
+    FrameGrid,
+    Omnidirectional,
+    ScenarioConfig,
+    SolveStatus,
+    SweepSpec,
+    bound_params,
+    exact_solve,
+    generate_scenario,
+    harness,
+    run_sweep,
+    solvers,
+)
 from csrap.model import runs_by_length
 from csrap.scenario import derive_rates
 from csrap.solvers import CandidateTable, _Occupancy
@@ -215,3 +230,93 @@ def test_candidate_tables_are_frozen():
                         lines.append(f"{cam.id} {slot} {start} {length} {robust.hex()}")
     assert len(lines) == 703_588
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "560548e808169bf9"
+
+
+def table_reads(table, cam_id, num_slots):
+    """Every answer the table gives about one camera."""
+    return (
+        [table.runs(cam_id, slot) for slot in range(1, num_slots + 1)],
+        table.min_phi(cam_id),
+        table.robust_rates(cam_id),
+        table.candidate_count(cam_id),
+        list(table.runs_by_cost(cam_id)),
+    )
+
+
+def test_read_order_does_not_change_the_table():
+    # Cameras are built on first access; a table read in a shuffled camera
+    # order answers exactly as one read in id order.
+    rng = np.random.default_rng(17)
+    for seed in range(4):
+        for scn in (crowded_fading(seed), generate_scenario(ScenarioConfig(num_targets=10, rng_seed=seed))):
+            ids = sorted(cam.id for cam in scn.cameras)
+            in_order = CandidateTable(scn.cameras, scn.grid)
+            expected = {cam_id: table_reads(in_order, cam_id, scn.grid.num_slots) for cam_id in ids}
+            shuffled = CandidateTable(scn.cameras, scn.grid)
+            for cam_id in rng.permutation(ids).tolist():
+                assert table_reads(shuffled, cam_id, scn.grid.num_slots) == expected[cam_id]
+
+
+PAPER_TARGETS = (10, 20, 30, 40)
+
+
+class TestLaziness:
+    """Solvers build runs only for cameras that cover a target; bound_params
+    still builds every camera."""
+
+    @staticmethod
+    def key(cam):
+        return cam.per_subchannel_rate, cam.rate_requirement
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = Counter()
+
+        def counted(rates, requirement):
+            calls[tuple(rates), requirement] += 1
+            return runs_by_length(rates, requirement)
+
+        monkeypatch.setattr(solvers, "runs_by_length", counted)
+        return calls
+
+    def covering_keys(self, scn):
+        return Counter(self.key(cam) for cam in scn.cameras if cam.coverage_set & scn.target_ids)
+
+    @pytest.mark.parametrize("targets", PAPER_TARGETS)
+    def test_sweep_builds_only_covering_cameras(self, monkeypatch, builds, targets):
+        generated = []
+
+        def recorded(config, *args, **kwargs):
+            generated.append(generate_scenario(config, *args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(harness, "generate_scenario", recorded)
+        spec = SweepSpec(
+            config=ScenarioConfig(num_targets=targets),
+            values=(targets,),
+            trials=2,
+            algorithms=("baseline", "mramc", "greedy_based", "m_mramc"),
+            multiplicity=2,
+        )
+        run_sweep(spec)
+        assert len(generated) == 2
+        expected = sum((self.covering_keys(scn) for scn in generated), Counter())
+        assert builds == expected
+        assert sum(expected.values()) < sum(len(scn.cameras) for scn in generated)
+
+    @pytest.mark.parametrize("targets", PAPER_TARGETS)
+    def test_exact_and_bounds(self, builds, targets):
+        scn = generate_scenario(ScenarioConfig(num_targets=targets, rng_seed=3))
+        table = CandidateTable(scn.cameras, scn.grid)
+        for mode in ("with_exclusivity", "without_exclusivity"):
+            assert exact_solve(scn, mode, table=table).status is SolveStatus.FEASIBLE
+        assert builds == self.covering_keys(scn)
+        builds.clear()
+        params = bound_params(scn, table)
+        assert sum(builds.values()) == len(scn.cameras) - sum(self.covering_keys(scn).values())
+        # The values of an eager enumeration of every camera's runs; paper
+        # default cameras keep one rate vector for every slot.
+        assert not any(cam.slot_rate_overrides for cam in scn.cameras)
+        rates = [r for cam in scn.cameras for *_, r in brute_force_runs(*self.key(cam)) if r > 0]
+        assert (params.r_max, params.r_min) == (max(rates), min(rates))
+        assert params.d_star == max(len(cam.coverage_set & scn.target_ids) for cam in scn.cameras)

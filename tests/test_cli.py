@@ -352,6 +352,21 @@ def test_repeated_slot_is_rejected(tmp_path, capsys):
     assert "error: cameras[1].slot_rates[02]: repeats slot 2" in capsys.readouterr().err
 
 
+def test_repeated_json_key_is_rejected(tmp_path, capsys):
+    # A JSON object that writes camera 1's slot key "2" twice: the later
+    # value must not silently replace the zero rates of the first.
+    doc = json.loads((DATA / "slot_rates.json").read_text(encoding="utf-8"))
+    camera = doc["cameras"][1]
+    zeros = json.dumps([0.0] * len(camera["rates"]))
+    slot_rates = ", ".join(f'"{slot}": {json.dumps(rates)}' for slot, rates in camera["slot_rates"].items())
+    camera["slot_rates"] = "SLOT_RATES"
+    text = json.dumps(doc).replace('"SLOT_RATES"', f'{{"2": {zeros}, {slot_rates}}}')
+    scenario_path = tmp_path / "scn.json"
+    scenario_path.write_text(text)
+    assert main(["solve", str(scenario_path), "--algo", "mramc", "--quiet"]) == 2
+    assert 'error: scenario: repeated key "2"' in capsys.readouterr().err
+
+
 def schedule_doc(total_rbs=1, **fields):
     run = {"camera_id": 1, "slot": 1, "start": 1, "length": 1, "robust_rate": 8.0, **fields}
     return {"assignments": [run], "total_rbs": total_rbs}
