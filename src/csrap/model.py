@@ -77,6 +77,20 @@ class FrameGrid:
         return self.slot_capacity[slot - 1]
 
 
+def _finite_position(position: tuple[float, float]) -> tuple[float, float]:
+    x, y = float(position[0]), float(position[1])
+    if not (isfinite(x) and isfinite(y)):
+        raise ValueError("position must be finite")
+    return (x, y)
+
+
+def _check_view(view_distance: float) -> None:
+    if not view_distance > 0:
+        raise ValueError("view_distance must be positive")
+    if not view_distance < inf:
+        raise ValueError("view_distance must be finite")
+
+
 @dataclass(frozen=True)
 class TargetObject:
     """A static surveilled object that must be watched by some camera."""
@@ -85,7 +99,7 @@ class TargetObject:
     position: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
+        object.__setattr__(self, "position", _finite_position(self.position))
 
 
 @dataclass(frozen=True)
@@ -95,8 +109,7 @@ class Omnidirectional:
     view_distance: float
 
     def __post_init__(self) -> None:
-        if not self.view_distance > 0:
-            raise ValueError("view_distance must be positive")
+        _check_view(self.view_distance)
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,9 @@ class Directional:
     fov_deg: float
 
     def __post_init__(self) -> None:
-        if not self.view_distance > 0:
-            raise ValueError("view_distance must be positive")
+        _check_view(self.view_distance)
+        if not isfinite(self.orientation_deg):
+            raise ValueError("orientation_deg must be finite")
         if not 0 < self.fov_deg <= 360:
             raise ValueError("fov_deg must lie in (0, 360]")
 
@@ -158,7 +172,7 @@ class CameraNode:
         rates = tuple(map(float, self.per_subchannel_rate))
         _check_rates(rates)
         object.__setattr__(self, "per_subchannel_rate", rates)
-        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
+        object.__setattr__(self, "position", _finite_position(self.position))
         object.__setattr__(self, "coverage_set", frozenset(self.coverage_set))
         if self.slot_rate_overrides is not None:
             fixed = {}

@@ -5,13 +5,6 @@ station at the center, derives each camera's coverage set from its geometry,
 and maps distance-dependent SNR through an MCS table into per-subchannel
 rates.  Generation is a pure function of the configuration and its seed.
 
-A scenario is built array-at-a-time: one shadowing draw covers every camera,
-and one camera x target distance and bearing matrix decides coverage.  numpy's
-``hypot`` and ``arctan2`` may differ from :mod:`math`'s in the last ulp, so
-pairs within a small tolerance of an edge (the view distance, half the field
-of view, zero distance) are decided again with :mod:`math` by the scalar
-definition, and the output is bit for bit that of :func:`compute_coverage`.
-
 The default channel numbers here (path loss ``128.1 + 37.6*log10(d_km)`` dB,
 log-normal shadowing with sigma 8 dB, thermal noise -174 dBm/Hz plus a 5 dB
 noise figure, and a four-tier QPSK/16QAM rate table) are implementation
@@ -23,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -81,6 +73,17 @@ class ScenarioFormatError(ValueError):
     """A scenario document that violates the schema; the message names the field."""
 
 
+# The fields of ChannelParams other than its MCS table, in document order.
+_CHANNEL_SCALARS = (
+    "tx_power_dbm",
+    "pathloss_intercept_db",
+    "pathloss_slope_db",
+    "shadowing_sigma_db",
+    "noise_figure_db",
+    "rb_bandwidth_hz",
+)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Parameters of the distance/shadowing/MCS channel abstraction."""
@@ -94,6 +97,9 @@ class ChannelParams:
     mcs_table: tuple[tuple[float, float], ...] = ((-1.0, 2.0), (5.0, 4.0), (11.0, 6.0), (15.0, 8.0))
 
     def __post_init__(self) -> None:
+        for name in _CHANNEL_SCALARS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.rb_bandwidth_hz > 0:
             raise ValueError("rb_bandwidth_hz must be positive")
         if self.shadowing_sigma_db < 0:
@@ -101,6 +107,8 @@ class ChannelParams:
         table = tuple((float(t), float(r)) for t, r in self.mcs_table)
         if not table:
             raise ValueError("mcs_table must not be empty")
+        if not all(math.isfinite(v) for pair in table for v in pair):
+            raise ValueError("mcs_table entries must be finite")
         for (t0, r0), (t1, r1) in zip(table, table[1:]):
             if t1 <= t0:
                 raise ValueError("mcs_table thresholds must be strictly increasing")
@@ -186,12 +194,22 @@ def _visible(
 ) -> frozenset[int]:
     """:func:`compute_coverage` for a camera not yet built."""
     cx, cy = position
+    view = geom.view_distance
+    floor = -view
     covered = set()
     for tgt in targets:
-        dx = tgt.position[0] - cx
-        dy = tgt.position[1] - cy
+        # hypot(dx, dy) >= max(|dx|, |dy|) holds in floating point too (|dx|
+        # is a float no greater than the true distance), so a target beyond
+        # the view along either axis is one the distance test rejects.
+        x, y = tgt.position
+        dx = x - cx
+        if dx > view or dx < floor:
+            continue
+        dy = y - cy
+        if dy > view or dy < floor:
+            continue
         dist = math.hypot(dx, dy)
-        if dist > geom.view_distance:
+        if dist > view:
             continue
         if isinstance(geom, Directional) and dist > 0.0:
             bearing = math.degrees(math.atan2(dy, dx)) % 360.0
@@ -200,53 +218,6 @@ def _visible(
                 continue
         covered.add(tgt.id)
     return frozenset(covered)
-
-
-# Relative margin around each coverage edge within which the arrays defer to
-# _visible; numpy's hypot and arctan2 stay within a few ulps (about 1e-16
-# relative) of math's.
-_EDGE_TOL = 1e-9
-
-
-def _coverage_sets(
-    positions: Sequence[tuple[float, float]],
-    geometries: Sequence[Omnidirectional | Directional],
-    targets: Sequence[TargetObject],
-) -> list[frozenset[int]]:
-    """:func:`compute_coverage` of every camera, as one distance matrix.
-
-    The arrays decide each (camera, target) pair that lies clearly inside or
-    outside: beyond ``_EDGE_TOL`` of the view distance, of half the field of
-    view (relative to the full circle) and of zero distance.  The pairs left,
-    and any NaN, are decided again by :func:`_visible`, the reference
-    definition, so the result equals it bit for bit.
-    """
-    if not positions or not targets:
-        return [frozenset()] * len(positions)
-    ids = [t.id for t in targets]
-    cams = np.array(positions)
-    tgts = np.array([t.position for t in targets])
-    with np.errstate(all="ignore"):
-        dx = tgts[:, 0] - cams[:, :1]
-        dy = tgts[:, 1] - cams[:, 1:]
-        dist = np.hypot(dx, dy)
-        view = np.array([g.view_distance for g in geometries]).reshape(-1, 1)
-        inside = dist < view * (1.0 - _EDGE_TOL)
-        outside = dist > view * (1.0 + _EDGE_TOL)
-        rows = [i for i, g in enumerate(geometries) if isinstance(g, Directional)]
-        if rows:
-            orientation = np.array([geometries[i].orientation_deg for i in rows]).reshape(-1, 1)
-            half = np.array([geometries[i].fov_deg / 2.0 for i in rows]).reshape(-1, 1)
-            bearing = np.degrees(np.arctan2(dy[rows], dx[rows])) % 360.0
-            off = np.abs((bearing - orientation + 180.0) % 360.0 - 180.0)
-            away = dist[rows] > view[rows] * _EDGE_TOL
-            inside[rows] &= away & (off < half - 360.0 * _EDGE_TOL)
-            outside[rows] |= away & (off > half + 360.0 * _EDGE_TOL)
-    for i, j in zip(*np.nonzero(~(inside | outside))):
-        inside[i, j] = bool(_visible(positions[i], geometries[i], (targets[j],)))
-    # Built as _visible builds it (a set filled in target order, then
-    # frozen), so that iteration order matches too, not only membership.
-    return [frozenset(set(compress(ids, row))) for row in inside.tolist()]
 
 
 def derive_rates(
@@ -434,7 +405,6 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
     shadowing = shadow_rng.normal(0.0, config.channel.shadowing_sigma_db, (len(drawing), m))
     center = (area / 2.0, area / 2.0)
     derived = dict(zip(drawing, _channel_rates([positions[i] for i in drawing], config.channel, shadowing, center)))
-    coverage = _coverage_sets(positions, geometries, targets)
 
     cameras = []
     for i, override in enumerate(overrides):
@@ -446,7 +416,7 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
                 geometry=geometries[i],
                 rate_requirement=requirements[i],
                 per_subchannel_rate=override if rates is None else rates,
-                coverage_set=coverage[i],
+                coverage_set=_visible(positions[i], geometries[i], targets),
                 slot_rate_overrides=None if rates is None else override,
             )
         )
@@ -542,28 +512,15 @@ def build_field(path: str, build: Callable[..., _T], *args: Any, **kwargs: Any) 
 
 
 def _channel_to_doc(channel: ChannelParams) -> dict:
-    return {
-        "tx_power_dbm": channel.tx_power_dbm,
-        "pathloss_intercept_db": channel.pathloss_intercept_db,
-        "pathloss_slope_db": channel.pathloss_slope_db,
-        "shadowing_sigma_db": channel.shadowing_sigma_db,
-        "noise_figure_db": channel.noise_figure_db,
-        "rb_bandwidth_hz": channel.rb_bandwidth_hz,
-        "mcs_table": [[t, r] for t, r in channel.mcs_table],
-    }
+    doc: dict[str, Any] = {name: getattr(channel, name) for name in _CHANNEL_SCALARS}
+    doc["mcs_table"] = [[t, r] for t, r in channel.mcs_table]
+    return doc
 
 
 def _channel_from_doc(doc: Any, path: str) -> ChannelParams:
     doc = read_object(doc, path)
     kwargs = {}
-    for key in (
-        "tx_power_dbm",
-        "pathloss_intercept_db",
-        "pathloss_slope_db",
-        "shadowing_sigma_db",
-        "noise_figure_db",
-        "rb_bandwidth_hz",
-    ):
+    for key in _CHANNEL_SCALARS:
         if key in doc:
             kwargs[key] = read_number(doc[key], f"{path}.{key}")
     if "mcs_table" in doc:
@@ -667,7 +624,7 @@ def load_scenario(doc: Mapping) -> Scenario:
         targets.append(TargetObject(target_id, pos))
 
     center = (area / 2.0, area / 2.0)
-    fields = []
+    cameras = []
     for entry, path in read_objects(*need_field(doc, "cameras")):
         cam_id = read_integer(*need_field(entry, "id", path))
         pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
@@ -695,20 +652,14 @@ def load_scenario(doc: Mapping) -> Scenario:
                 if slot in slot_overrides:  # keys such as "2" and "02" name one slot
                     raise ScenarioFormatError(f"{slot_rates}[{s}]: repeats slot {slot}")
                 slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]", grid.num_subchannels)
-        fields.append((path, cam_id, pos, geometry, requirement, rates, slot_overrides))
+        covered = _visible(pos, geometry, targets)
+        cameras.append(build_field(path, CameraNode, cam_id, pos, geometry, requirement, rates, covered, slot_overrides))
 
-    # One coverage matrix for all cameras, so cameras are built (and their
-    # values checked) once every entry is parsed.
-    coverage = _coverage_sets([f[2] for f in fields], [f[3] for f in fields], targets)
-    cameras = tuple(
-        build_field(path, CameraNode, cam_id, pos, geometry, requirement, rates, covered, slot_overrides)
-        for (path, cam_id, pos, geometry, requirement, rates, slot_overrides), covered in zip(fields, coverage)
-    )
     return build_field(
         "",
         Scenario,
         grid=grid,
-        cameras=cameras,
+        cameras=tuple(cameras),
         targets=tuple(targets),
         area_side=area,
         channel=channel,

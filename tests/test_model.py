@@ -8,6 +8,7 @@ from csrap import (
     CameraNode,
     CandidateAllocation,
     CandidateTable,
+    Directional,
     FrameGrid,
     Omnidirectional,
     Scenario,
@@ -164,6 +165,26 @@ class TestTypes:
                 CameraNode(1, (0, 0), Omnidirectional(1.0), 3.0, (2.0, 2.0), slot_rate_overrides={1: (2.0, bad)})
             with pytest.raises(ValueError, match="rate_requirement must be"):
                 make_camera([8, 4], bad)
+
+    # A NaN distance is never beyond the view, so a NaN coordinate would be
+    # covered by every camera, and a NaN orientation would let a directional
+    # camera see behind itself.
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda bad: TargetObject(1, (bad, 0.0)), "position"),
+            (lambda bad: TargetObject(1, (0.0, bad)), "position"),
+            (lambda bad: CameraNode(1, (bad, 0.0), Omnidirectional(1.0), 3.0, (2.0,)), "position"),
+            (lambda bad: CameraNode(1, (0.0, bad), Omnidirectional(1.0), 3.0, (2.0,)), "position"),
+            (lambda bad: Omnidirectional(bad), "view_distance"),
+            (lambda bad: Directional(bad, 0.0, 90.0), "view_distance"),
+            (lambda bad: Directional(10.0, bad, 90.0), "orientation_deg"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_geometry_is_rejected(self, build, field, bad):
+        with pytest.raises(ValueError, match=field):
+            build(bad)
 
     def test_scenario_rejects_override_slots_outside_the_frame(self):
         grid = FrameGrid(2, 1)

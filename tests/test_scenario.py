@@ -25,7 +25,7 @@ from csrap import (
     load_scenario,
     save_scenario,
 )
-from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _coverage_sets, _geometry_to_doc
+from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _geometry_to_doc
 from support import brute_force_coverage
 
 
@@ -391,6 +391,45 @@ class TestDocuments:
         with pytest.raises(ValueError):
             ChannelParams(rb_bandwidth_hz=0.0)
 
+    # A NaN SNR sorts past every MCS threshold, so a NaN transmit power would
+    # give every subchannel of every camera the top rate.
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            (name, {name: bad})
+            for name in (
+                "tx_power_dbm",
+                "pathloss_intercept_db",
+                "pathloss_slope_db",
+                "shadowing_sigma_db",
+                "noise_figure_db",
+                "rb_bandwidth_hz",
+            )
+            for bad in (math.nan, math.inf, -math.inf)
+        ]
+        + [
+            ("mcs_table", {"mcs_table": table})
+            for table in (((math.nan, 2.0),), ((-1.0, 2.0), (5.0, math.inf)), ((-math.inf, 2.0),))
+        ],
+    )
+    def test_channel_rejects_non_finite_values(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field}.* must be finite$"):
+            ChannelParams(**kwargs)
+
+    def test_first_bad_camera_in_document_order_is_reported(self):
+        geometry = {"kind": "omnidirectional", "view_distance": 3.0}
+        doc = {
+            "area": 10.0,
+            "frame": {"M": 1, "T": 1},
+            "cameras": [
+                {"id": 1, "x": 0, "y": 0, "geometry": geometry, "rate_requirement": -1, "rates": [8]},
+                {"id": 2, "x": 0, "y": 0, "rate_requirement": 4.0, "rates": [8]},
+            ],
+            "targets": [{"id": 1, "x": 1, "y": 1}],
+        }
+        with pytest.raises(ScenarioFormatError, match=r"^cameras\[0\]: rate_requirement must be positive$"):
+            load_scenario(doc)
+
 
 def _directional(fov, view=(30.0, 60.0)):
     return GeometrySpec(kind="directional", view_distance=view, fov_deg=fov)
@@ -521,7 +560,7 @@ def test_generation_digest_is_frozen(name):
 
 
 # ---------------------------------------------------------------------------
-# Coverage edges: the array path against the math reference
+# Coverage edges: compute_coverage against the brute-force oracle
 # ---------------------------------------------------------------------------
 
 COORD = st.floats(0.0, 1000.0)
@@ -538,7 +577,9 @@ def _at(origin, distance, degrees):
 def edge_targets(draw, cameras):
     """Target points on the edges of each camera's coverage: on the view
     circle, on the camera itself, on both edges of the field of view (inside
-    and at the view distance), and on either side of the 0/360 wrap."""
+    and at the view distance), on either side of the 0/360 wrap, and along
+    each axis at the view distance and one ulp beyond it, on both sides of
+    the per-axis rejection."""
     points = []
     for position, geom in cameras:
         view = geom.view_distance
@@ -549,6 +590,9 @@ def edge_targets(draw, cameras):
             for edge in (geom.orientation_deg + geom.fov_deg / 2.0, geom.orientation_deg - geom.fov_deg / 2.0):
                 points.append(_at(position, view * draw(st.floats(0.0, 1.0)), edge))
                 points.append(_at(position, view, edge))
+        x, y = position
+        for reach in (view, math.nextafter(view, math.inf)):
+            points += [(x + reach, y), (x - reach, y), (x, y + reach), (x, y - reach)]
     return [TargetObject(i + 1, p) for i, p in enumerate(points)]
 
 
@@ -565,21 +609,23 @@ def edge_layouts(draw):
     return cameras, draw(edge_targets(cameras))
 
 
+def _built(cameras):
+    return [CameraNode(i + 1, pos, geom, 1.0, (1.0,)) for i, (pos, geom) in enumerate(cameras)]
+
+
 def _reference(cameras, targets):
-    """compute_coverage per camera, with its iteration order."""
-    return [
-        list(compute_coverage(CameraNode(i + 1, pos, geom, 1.0, (1.0,)), targets))
-        for i, (pos, geom) in enumerate(cameras)
-    ]
+    """The oracle's coverage per camera, in the iteration order of a set
+    filled in target order and then frozen."""
+    return [list(frozenset(brute_force_coverage(cam, targets))) for cam in _built(cameras)]
 
 
 class TestCoverageEdges:
     @settings(max_examples=300, deadline=None)
     @given(edge_layouts())
-    def test_matrix_equals_reference_on_edges(self, layout):
+    def test_coverage_equals_oracle_on_edges(self, layout):
         cameras, targets = layout
-        got = _coverage_sets([p for p, _ in cameras], [g for _, g in cameras], targets)
-        assert [list(c) for c in got] == _reference(cameras, targets)
+        got = [list(compute_coverage(cam, targets)) for cam in _built(cameras)]
+        assert got == _reference(cameras, targets)
 
     @settings(max_examples=100, deadline=None)
     @given(edge_layouts())
@@ -610,8 +656,7 @@ class TestCoverageEdges:
         cameras = [(c.position, c.geometry) for c in scn.cameras]
         assert [list(c.coverage_set) for c in scn.cameras] == _reference(cameras, scn.targets)
         targets = data.draw(edge_targets(cameras))
-        got = _coverage_sets([p for p, _ in cameras], [g for _, g in cameras], targets)
-        assert [list(c) for c in got] == _reference(cameras, targets)
+        assert [list(compute_coverage(cam, targets)) for cam in scn.cameras] == _reference(cameras, targets)
 
 
 @settings(max_examples=60, deadline=None)
