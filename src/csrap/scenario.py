@@ -10,15 +10,20 @@ log-normal shadowing with sigma 8 dB, thermal noise -174 dBm/Hz plus a 5 dB
 noise figure, and a four-tier QPSK/16QAM rate table) are implementation
 choices for a plausible urban macro cell, not measured ground truth; every
 value is configurable.
+
+numpy is imported only where a random number is drawn: in
+:func:`generate_scenario`, in the rate derivation behind :func:`derive_rates`,
+and in :func:`load_scenario` for a camera whose document gives no ``rates``.
+A document with every camera's rates (as :func:`save_scenario` writes it)
+loads without numpy, so ``csrap solve``, ``verify`` and ``bounds`` do not pay
+for its import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .model import (
     CameraNode,
@@ -28,6 +33,9 @@ from .model import (
     Scenario,
     TargetObject,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChannelParams",
@@ -141,6 +149,8 @@ class GeometrySpec:
         lo, hi = float(self.view_distance[0]), float(self.view_distance[1])
         if not (0 < lo <= hi):
             raise ValueError("view_distance range must satisfy 0 < min <= max")
+        if hi == math.inf:
+            raise ValueError("view_distance range must be finite")
         object.__setattr__(self, "view_distance", (lo, hi))
         if not 0 < self.fov_deg <= 360:
             raise ValueError("fov_deg must lie in (0, 360]")
@@ -166,6 +176,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.area_side > 0:
             raise ValueError("area_side must be positive")
+        if self.area_side == math.inf:
+            raise ValueError("area_side must be finite")
         if self.num_targets < 1:
             raise ValueError("num_targets must be >= 1")
         if self.num_cameras < 1:
@@ -175,6 +187,8 @@ class ScenarioConfig:
         lo, hi = self.rate_requirement_range
         if not (0 < lo <= hi):
             raise ValueError("rate_requirement_range must satisfy 0 < min <= max")
+        if hi == math.inf:
+            raise ValueError("rate_requirement_range must be finite")
         object.__setattr__(self, "rate_requirement_range", (float(lo), float(hi)))
 
 
@@ -250,6 +264,8 @@ def _channel_rates(
     Path loss stays scalar per camera: numpy's ``hypot`` and ``log10`` may
     differ from :mod:`math`'s in the last ulp, and the rates must not.
     """
+    import numpy as np
+
     bx, by = base_station
     budget = [
         channel.tx_power_dbm
@@ -327,6 +343,8 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
       Targets out of reach of the annulus stay uncovered; the scenario is
       still returned and solvers then report infeasibility.
     """
+    import numpy as np
+
     seed = config.rng_seed % (2**63)
     place_rng = np.random.default_rng([seed, 0])
     shadow = (shadow_seed if shadow_seed is not None else config.rng_seed) % (2**63)
@@ -624,6 +642,7 @@ def load_scenario(doc: Mapping) -> Scenario:
         targets.append(TargetObject(target_id, pos))
 
     center = (area / 2.0, area / 2.0)
+    default_rng = None  # numpy's, imported for the first camera without rates
     cameras = []
     for entry, path in read_objects(*need_field(doc, "cameras")):
         cam_id = read_integer(*need_field(entry, "id", path))
@@ -635,8 +654,10 @@ def load_scenario(doc: Mapping) -> Scenario:
         else:
             if channel is None:
                 raise ScenarioFormatError(f"{path}.rates: missing and no channel model to derive from")
+            if default_rng is None:
+                from numpy.random import default_rng
             # numpy takes only non-negative seed words, and the id is one.
-            rng = build_field(f"{path}.id", np.random.default_rng, [(seed or 0) % (2**63), 1, cam_id])
+            rng = build_field(f"{path}.id", default_rng, [(seed or 0) % (2**63), 1, cam_id])
             rates = tuple(derive_rates(pos, channel, rng, grid.num_subchannels, center))
         slot_overrides = None
         if entry.get("slot_rates") is not None:

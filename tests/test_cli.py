@@ -1,13 +1,19 @@
 """End-to-end command line flows and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import csrap
 from csrap import harness
 from csrap.cli import main
 from csrap.harness import ALGORITHMS
+from csrap.scenario import derive_rates, load_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -432,3 +438,65 @@ class TestGoldenOutputs:
         assert main(args) == 0
         expected = (DATA / "golden" / scenario / f"{algo}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+# A fresh interpreter that imports csrap from the same sources as this one.
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(Path(csrap.__file__).resolve().parents[1])}
+
+
+def run_fresh(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=FRESH_ENV, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SOLVE_VERIFY_BOUNDS = """
+import json, sys
+from csrap.cli import main
+from csrap.harness import SOLVERS
+scenario, out = sys.argv[1:]
+codes = {}
+for algo in sorted(SOLVERS):
+    codes[algo] = main(["solve", scenario, "--algo", algo, "--quiet", "--out", out])
+    codes["verify " + algo] = main(["verify", scenario, out, "--quiet"])
+codes["bounds"] = main(["bounds", scenario])
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+LOAD = """
+import json, sys
+from csrap.scenario import load_scenario
+with open(sys.argv[1], encoding="utf-8") as fh:
+    scenario = load_scenario(json.load(fh))
+rates = {c.id: c.per_subchannel_rate for c in scenario.cameras}
+print(json.dumps({"rates": rates, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestNumpyImport:
+    """numpy is imported only to draw random numbers, so a document that
+    carries every camera's rates is solved, verified and bounded without it."""
+
+    @pytest.mark.parametrize("scenario", TestGoldenOutputs.SCENARIOS)
+    def test_documents_with_rates_never_import_numpy(self, tmp_path, scenario):
+        got = run_fresh(SOLVE_VERIFY_BOUNDS, DATA / f"{scenario}.json", tmp_path / "schedule.json")
+        expected = {algo: 0 for algo in harness.SOLVERS}
+        expected.update({f"verify {algo}": 0 for algo in harness.SOLVERS}, bounds=0)
+        assert got == {"codes": expected, "numpy": False}
+
+    def test_rates_are_derived_for_a_camera_without_them(self, tmp_path):
+        doc = json.loads((DATA / "small.json").read_text(encoding="utf-8"))
+        scn = load_scenario(doc)
+        for cam in doc["cameras"]:
+            del cam["rates"]
+        got = run_fresh(LOAD, write(tmp_path / "scenario.json", doc))
+        center = (scn.area_side / 2.0, scn.area_side / 2.0)
+        expected = {
+            str(cam.id): derive_rates(
+                cam.position, scn.channel, np.random.default_rng([scn.seed, 1, cam.id]), scn.grid.num_subchannels, center
+            )
+            for cam in scn.cameras
+        }
+        assert got == {"rates": expected, "numpy": True}

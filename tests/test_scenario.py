@@ -196,6 +196,20 @@ class TestGenerateScenario:
         with pytest.raises(InvalidConfigError):
             generate_scenario(cfg)
 
+    # numpy's uniform draw overflows on an infinite range, so each is
+    # rejected when the configuration is built.
+    @pytest.mark.parametrize(
+        "field, build, value",
+        [
+            ("area_side", ScenarioConfig, math.inf),
+            ("rate_requirement_range", ScenarioConfig, (4.0, math.inf)),
+            ("view_distance", GeometrySpec, (40.0, math.inf)),
+        ],
+    )
+    def test_infinite_config_values_are_rejected(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field}.* must be finite$"):
+            build(**{field: value})
+
     def test_cell_edge_cameras_sit_in_the_annulus(self):
         cfg = ScenarioConfig(
             deployment="cell_edge",
