@@ -118,7 +118,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(_read_json(args.scenario, "scenario"))
-    result = SOLVERS[args.algo](scenario, None, args.multiplicity, args.budget)
+    result = SOLVERS[args.algo](scenario, None, args.multiplicity, args.budget, None)
     doc = schedule_to_document(result)
     if args.out:
         _write_text(_dump(doc), args.out)

@@ -9,6 +9,7 @@ schedule, and aggregates RB counts into plot-ready CSV.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -58,15 +59,18 @@ __all__ = [
 SWEEP_AXES = ("num_targets", "view_distance", "fov", "deployment")
 CSV_HEADER = "axis,value,algorithm,mean_rbs,std_rbs,infeasible,trials"
 
-# name -> solver(scenario, table, multiplicity, node_budget).  ``table`` may be
-# None; each solver reads only the arguments it needs.
-SOLVERS: dict[str, Callable[[Scenario, CandidateTable | None, int, int], SolverResult]] = {
-    "baseline": lambda scn, table, mult, budget: baseline_schedule(scn, table),
-    "mramc": lambda scn, table, mult, budget: mramc(scn, table),
-    "m_mramc": lambda scn, table, mult, budget: m_mramc(scn, {t.id: mult for t in scn.targets}, table),
-    "exact": lambda scn, table, mult, budget: exact_solve(scn, "with_exclusivity", budget, table),
-    "exact_relaxed": lambda scn, table, mult, budget: exact_solve(scn, "without_exclusivity", budget, table),
-    "greedy_based": lambda scn, table, mult, budget: greedy_based_reference(scn, table),
+# name -> solver(scenario, table, multiplicity, node_budget, mramc_result).
+# ``table`` may be None; ``mramc_result`` is ``mramc(scenario, table)`` when
+# the caller already has it, else None, and only m_mramc reads it (it extends
+# that result instead of running MRAMC again).  Each solver reads only the
+# arguments it needs.
+SOLVERS: dict[str, Callable[[Scenario, CandidateTable | None, int, int, SolverResult | None], SolverResult]] = {
+    "baseline": lambda scn, table, mult, budget, base: baseline_schedule(scn, table),
+    "mramc": lambda scn, table, mult, budget, base: mramc(scn, table),
+    "m_mramc": lambda scn, table, mult, budget, base: m_mramc(scn, {t.id: mult for t in scn.targets}, table, base),
+    "exact": lambda scn, table, mult, budget, base: exact_solve(scn, "with_exclusivity", budget, table),
+    "exact_relaxed": lambda scn, table, mult, budget, base: exact_solve(scn, "without_exclusivity", budget, table),
+    "greedy_based": lambda scn, table, mult, budget, base: greedy_based_reference(scn, table),
 }
 ALGORITHMS = tuple(SOLVERS)
 
@@ -106,7 +110,11 @@ class SweepSpec:
             if name not in SOLVERS:
                 raise ValueError(f"unknown algorithm '{name}'; expected one of {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algos)
-        if self.multiplicity < 1:
+        try:
+            multiplicity = operator.index(self.multiplicity)
+        except TypeError:
+            raise ValueError(f"multiplicity must be an integer, not {self.multiplicity!r}") from None
+        if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
         # An out-of-range or repeated value fails here, naming it, before any
         # trial runs (the rows of a repeated value would pool the same seeds).
@@ -206,7 +214,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     checks in ``RELAXED_WAIVERS``; a verification failure is a correctness
     bug in a solver, never data, so it aborts the sweep naming the
     offending seed and algorithm.  Output is fully deterministic for a given
-    spec.
+    spec.  A trial runs MRAMC once: ``m_mramc`` extends the trial's
+    ``mramc`` result when ``mramc`` is listed before it.
     """
     totals: dict[tuple[Any, str], list[int | None]] = {
         (value, algo): [] for value in spec.values for algo in spec.algorithms
@@ -222,10 +231,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             else:
                 scn = generate_scenario(replace(cfg, rng_seed=seed))
             table = CandidateTable(scn.cameras, scn.grid)
+            # Only the mramc result outlives its iteration: keeping every
+            # result alive for the trial makes the cyclic GC run more often.
+            base: SolverResult | None = None
             for algo in spec.algorithms:
                 t0 = time.perf_counter()
-                result = SOLVERS[algo](scn, table, spec.multiplicity, DEFAULT_NODE_BUDGET)
+                result = SOLVERS[algo](scn, table, spec.multiplicity, DEFAULT_NODE_BUDGET, base)
                 clocks[(value, algo)] += time.perf_counter() - t0
+                if algo == "mramc":
+                    base = result
                 if result.status is SolveStatus.FEASIBLE:
                     waived = RELAXED_WAIVERS if result.relaxed else frozenset()
                     report = verify_schedule(result.schedule, scn)

@@ -364,7 +364,9 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
             f"deployment 'partial_random' needs num_cameras >= num_targets ({k} < {y})"
         )
 
-    targets = tuple(TargetObject(i + 1, _uniform_point(place_rng, area)) for i in range(y))
+    # One draw of 2y coordinates equals y scalar (x, y) point draws.
+    coords = place_rng.uniform(0.0, area, 2 * y).tolist()
+    targets = tuple(TargetObject(i + 1, (coords[2 * i], coords[2 * i + 1])) for i in range(y))
 
     # (position, view, orientation or None) per camera, in camera-id order.
     placements: list[tuple[tuple[float, float], float, float | None]] = []

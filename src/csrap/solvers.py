@@ -12,6 +12,8 @@ identical results including diagnostics.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -176,6 +178,7 @@ class BoundParams:
 
 # A rate vector's runs: length -> [(start, robust_rate), ...] in start order.
 _RunIndex = dict[int, list[tuple[int, float]]]
+_run_start = operator.itemgetter(0)
 
 
 class CandidateTable:
@@ -258,10 +261,29 @@ class CandidateTable:
 
     def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
         """The first candidate in :meth:`runs_by_cost` order that ``occupancy``
-        admits; no allocation is built for the ones it rejects."""
-        for slot, start, length, robust in self.runs_by_cost(camera_id):
-            if occupancy.fits(slot, start, length):
-                return CandidateAllocation(camera_id, slot, start, length, robust)
+        admits; no allocation is built for the ones it rejects.
+
+        A slot without room for ``length`` more RBs is skipped whole.  When a
+        run clashes with used subchannels, every later run of its length that
+        starts at or before the highest clashing subchannel covers that
+        subchannel too, so the walk jumps past them.
+        """
+        slots, lengths = self._index_of(camera_id)
+        capacity, load, used = occupancy.capacity, occupancy.load, occupancy.used
+        for length in lengths:
+            mask = (1 << length) - 1
+            for slot, by_len in enumerate(slots, 1):
+                runs = by_len.get(length)
+                if not runs or load[slot] + length > capacity[slot]:
+                    continue
+                busy = used[slot]
+                i = 0
+                while i < len(runs):
+                    start, robust = runs[i]
+                    clash = busy & (mask << (start - 1))
+                    if not clash:
+                        return CandidateAllocation(camera_id, slot, start, length, robust)
+                    i = bisect_left(runs, clash.bit_length() + 1, i + 1, key=_run_start)
         return None
 
 
@@ -577,6 +599,7 @@ def m_mramc(
     scenario: Scenario,
     multiplicity: Mapping[int, int],
     table: CandidateTable | None = None,
+    base: SolverResult | None = None,
 ) -> SolverResult:
     """Cover every target, then add cameras until each target is watched by
     its desired number of cameras or no resources remain.
@@ -585,18 +608,26 @@ def m_mramc(
     target still below ``r`` cameras (and wanting at least ``r``) the
     cheapest unscheduled covering camera whose candidate fits the free RBs.
     Targets wanting more cameras than exist are reported, not errors.
+    ``base``, when given, must be ``mramc(scenario, table)``: the rounds
+    extend it instead of running MRAMC again.
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
     target_ids = scenario.target_ids
+    desired = dict.fromkeys(sorted(target_ids), 1)
     for t, want in multiplicity.items():
         if t not in target_ids:
             raise ValueError(f"multiplicity references unknown target {t}")
+        try:
+            want = operator.index(want)
+        except TypeError:
+            raise ValueError(f"multiplicity of target {t} must be an integer, not {want!r}") from None
         if want < 1:
-            raise ValueError("multiplicities must be >= 1")
-    desired = {t: int(multiplicity.get(t, 1)) for t in sorted(target_ids)}
+            raise ValueError(f"multiplicity of target {t} must be >= 1, not {want}")
+        desired[t] = want
 
-    base = mramc(scenario, table)
+    if base is None:
+        base = mramc(scenario, table)
     if base.status is not SolveStatus.FEASIBLE:
         return base
 
@@ -620,6 +651,18 @@ def m_mramc(
         if desired[t] > len(covering[t]):
             notes.append(f"target {t} wants {desired[t]} cameras but only {len(covering[t])} cover it")
 
+    # Occupancy only grows, so every run before a camera's first fit stays
+    # blocked: the fit is still the first while it fits, and None stays None.
+    first_fits: dict[int, CandidateAllocation | None] = {}
+
+    def first_fit(cam_id: int) -> CandidateAllocation | None:
+        if cam_id in first_fits:
+            cand = first_fits[cam_id]
+            if cand is None or occupancy.fits(cand.slot, cand.start, cand.length):
+                return cand
+        cand = first_fits[cam_id] = table.first_fit(cam_id, occupancy)
+        return cand
+
     extra_trace: list[RelocationStep] = []
     max_round = max(desired.values(), default=1)
     for rnd in range(2, max_round + 1):
@@ -631,7 +674,7 @@ def m_mramc(
             for cam in covering[t]:
                 if cam.id in fixed:
                     continue
-                cand = table.first_fit(cam.id, occupancy)
+                cand = first_fit(cam.id)
                 if cand is not None and (best is None or (cand.length, cam.id) < best[:2]):
                     best = (cand.length, cam.id, cand)
             if best is None:

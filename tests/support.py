@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,11 @@ from csrap import (
     FrameGrid,
     Omnidirectional,
     Scenario,
+    ScenarioConfig,
     TargetObject,
+    generate_scenario,
 )
+from csrap.scenario import derive_rates
 
 RATE_TIERS = (2.0, 4.0, 6.0, 8.0)
 
@@ -357,3 +361,22 @@ def residual_cover_optimum(coverage, min_phi, uncovered, available) -> int | Non
             cost = sum(min_phi[c] for c in subset)
             best = cost if best is None else min(best, cost)
     return best
+
+
+def crowded_fading(seed):
+    """81 cameras in a 25x4 frame with a rate vector per camera and slot,
+    drawn at 6 dBm so that nearly every slot vector is distinct."""
+    config = ScenarioConfig(
+        num_targets=40,
+        frame=FrameGrid(num_subchannels=25, num_slots=4),
+        rate_requirement_range=(8.0, 20.0),
+        rng_seed=seed,
+    )
+    channel = replace(config.channel, tx_power_dbm=6.0)
+    rng = np.random.default_rng([seed, 2])
+    center = (config.area_side / 2.0, config.area_side / 2.0)
+    overrides = {
+        cam.id: {slot: derive_rates(cam.position, channel, rng, 25, center) for slot in range(1, 5)}
+        for cam in generate_scenario(config).cameras
+    }
+    return generate_scenario(replace(config, rate_overrides=overrides))

@@ -3,7 +3,6 @@ brute-force references."""
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,18 +24,17 @@ from csrap import (
     solvers,
 )
 from csrap.model import runs_by_length
-from csrap.scenario import derive_rates
 from csrap.solvers import CandidateTable, _Occupancy
-from support import brute_force_runs
+from support import brute_force_runs, crowded_fading
 
 RATES = st.sampled_from([0.0, 2.0, 3.0, 4.0, 6.0, 8.0])
 
 
 @st.composite
-def frame_cameras(draw):
+def frame_cameras(draw, max_subchannels=6):
     """A frame of 1 to 4 slots and up to three cameras whose slots keep the
     base rates, repeat them as an explicit override, or replace them."""
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, max_subchannels))
     t = draw(st.integers(1, 4))
     cameras = []
     for cam_id in range(1, draw(st.integers(1, 3)) + 1):
@@ -166,6 +164,34 @@ class TestOccupancy:
             assert forked.fits(alloc.slot, alloc.start, alloc.length) == child.admits(alloc)
 
 
+@st.composite
+def first_fit_cases(draw):
+    """Cameras of :func:`frame_cameras` over up to 16 subchannels, slot
+    capacities that may lie below M (0 makes a full slot), and an occupancy
+    of runs placed wherever they fit."""
+    grid, cameras = draw(frame_cameras(max_subchannels=16))
+    m, t = grid.num_subchannels, grid.num_slots
+    grid = FrameGrid(m, t, slot_capacity=tuple(draw(st.integers(0, m)) for _ in range(t)))
+    occupancy = _Occupancy(grid)
+    for _ in range(draw(st.integers(0, 10))):
+        slot = draw(st.integers(1, t))
+        start = draw(st.integers(1, m))
+        length = draw(st.integers(1, m - start + 1))
+        if occupancy.fits(slot, start, length):
+            occupancy.place(slot, start, length)
+    return grid, cameras, occupancy
+
+
+@given(first_fit_cases())
+def test_first_fit_is_the_first_admitted_run_by_cost(case):
+    grid, cameras, occupancy = case
+    table = CandidateTable(cameras, grid)
+    for cam in cameras:
+        admitted = (run for run in table.runs_by_cost(cam.id) if occupancy.fits(*run[:3]))
+        expected = next(admitted, None)
+        assert table.first_fit(cam.id, occupancy) == (None if expected is None else CandidateAllocation(cam.id, *expected))
+
+
 POSITIVE = st.floats(0.01, 10.0)
 
 
@@ -196,25 +222,6 @@ def test_candidate_runs_matches_window_scan(rates, requirement):
     for runs in found.values():
         starts = [start for start, _ in runs]
         assert starts == sorted(starts)
-
-
-def crowded_fading(seed):
-    """81 cameras in a 25x4 frame with a rate vector per camera and slot,
-    drawn at 6 dBm so that nearly every slot vector is distinct."""
-    config = ScenarioConfig(
-        num_targets=40,
-        frame=FrameGrid(num_subchannels=25, num_slots=4),
-        rate_requirement_range=(8.0, 20.0),
-        rng_seed=seed,
-    )
-    channel = replace(config.channel, tx_power_dbm=6.0)
-    rng = np.random.default_rng([seed, 2])
-    center = (config.area_side / 2.0, config.area_side / 2.0)
-    overrides = {
-        cam.id: {slot: derive_rates(cam.position, channel, rng, 25, center) for slot in range(1, 5)}
-        for cam in generate_scenario(config).cameras
-    }
-    return generate_scenario(replace(config, rate_overrides=overrides))
 
 
 def test_candidate_tables_are_frozen():

@@ -1,5 +1,6 @@
 """Sweep runner, the channel-quality reference scheduler and CSV output."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from csrap import (
     schedule_from_document,
     schedule_to_document,
     sweep_spec_from_document,
+    solvers,
     verify_schedule,
 )
 from csrap.harness import CSV_HEADER
@@ -187,6 +189,26 @@ class TestRunSweep:
                 assert ex.totals[trial] <= m.totals[trial]
                 assert mm.totals[trial] >= m.totals[trial]
 
+    def test_a_trial_runs_mramc_once(self, monkeypatch):
+        calls = Counter()
+        counted_phase = solvers.mramc_greedy
+
+        def counted(scenario, table=None):
+            calls[scenario.grid, scenario.targets] += 1
+            return counted_phase(scenario, table)
+
+        monkeypatch.setattr(solvers, "mramc_greedy", counted)
+        # A 6x1 frame leaves some trials without a conflict-free schedule.
+        config = replace(SMALL_CONFIG, frame=FrameGrid(6, 1))
+        spec = SweepSpec(config=config, values=(4, 8), trials=6, algorithms=("mramc", "m_mramc"), multiplicity=2)
+        result = run_sweep(spec)
+        assert sorted(calls.values()) == [1] * 12
+        assert 0 < result.cell(8, "mramc").infeasible < 6
+        calls.clear()
+        reversed_result = run_sweep(replace(spec, algorithms=("m_mramc", "mramc")))
+        assert sorted(calls.values()) == [2] * 12
+        assert sorted(reversed_result.to_csv().splitlines()) == sorted(result.to_csv().splitlines())
+
     def test_exact_and_exact_relaxed_entries(self):
         # A 4-RB frame is too small for some trials, which only the relaxed
         # mode can cover by letting runs share RBs.
@@ -208,6 +230,8 @@ class TestRunSweep:
             SweepSpec(algorithms=("quantum",))
         with pytest.raises(ValueError):
             SweepSpec(axis="humidity")
+        with pytest.raises(ValueError, match="multiplicity must be an integer"):
+            SweepSpec(multiplicity=2.5)
 
     def test_spec_from_document(self):
         doc = {

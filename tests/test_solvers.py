@@ -1,5 +1,8 @@
 """Scheduling algorithms: baseline scan, greedy phase, relocation, extensions."""
 
+import hashlib
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +12,17 @@ from csrap import (
     CameraNode,
     CandidateAllocation,
     FrameGrid,
+    GeometrySpec,
     Omnidirectional,
     Scenario,
+    ScenarioConfig,
     SolveStatus,
     TargetObject,
     TrafficItem,
     baseline_schedule,
     bound_params,
     exact_solve,
+    generate_scenario,
     greedy_weighted_set_cover,
     harmonic,
     joint_schedule,
@@ -27,7 +33,8 @@ from csrap import (
     traffic_scenario,
     verify_schedule,
 )
-from support import brute_force_runs, random_instance
+from csrap.solvers import CandidateTable
+from support import brute_force_runs, crowded_fading, random_instance
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -291,6 +298,56 @@ class TestMMramc:
         scn = scenario_of(FrameGrid(2, 1), [cam(1, [8, 8], 8.0, {1})], 1)
         with pytest.raises(ValueError):
             m_mramc(scn, {99: 2})
+
+    @pytest.mark.parametrize("want", [2.7, math.nan, math.inf, "2", 0])
+    def test_non_integer_or_small_multiplicity_names_the_target(self, want):
+        cameras = [cam(1, [8, 8], 8.0, {1}), cam(2, [8, 8], 8.0, {1})]
+        scn = scenario_of(FrameGrid(2, 1), cameras, 1)
+        with pytest.raises(ValueError, match="multiplicity of target 1 must be"):
+            m_mramc(scn, {1: want})
+
+    def test_extending_a_given_mramc_result_changes_nothing(self):
+        rng = np.random.default_rng(41)
+        statuses = Counter()
+        for _ in range(60):
+            scn = random_instance(rng)
+            table = CandidateTable(scn.cameras, scn.grid)
+            base = mramc(scn, table)
+            statuses[base.status] += 1
+            for want in (1, 2, 3):
+                mult = {t.id: want for t in scn.targets}
+                assert m_mramc(scn, mult, table, base) == m_mramc(scn, mult)
+        # Infeasible bases (coverage and relocation) are returned as they are.
+        assert set(statuses) == set(SolveStatus) - {SolveStatus.INFEASIBLE_CAPACITY}
+
+
+def digest_scenarios():
+    """Paper default, partial_random in a tight frame (some relocations
+    fail), cell_edge (some coverage fails) and crowded_fading, seeds 0-7."""
+    cell_edge_view = GeometrySpec(view_distance=(150.0, 150.0))
+    for seed in range(8):
+        yield generate_scenario(ScenarioConfig(num_targets=(10, 20, 30, 40)[seed % 4], rng_seed=seed))
+        yield generate_scenario(
+            ScenarioConfig(deployment="partial_random", num_targets=40, frame=FrameGrid(15, 3), rng_seed=seed)
+        )
+        yield generate_scenario(
+            ScenarioConfig(deployment="cell_edge", num_targets=10, geometry=cell_edge_view, rng_seed=seed)
+        )
+        yield crowded_fading(seed)
+
+
+def test_mramc_results_are_frozen():
+    # The repr of every mramc and m_mramc (multiplicity 2 and 3) result,
+    # diagnostics included, as the solvers gave them before m_mramc could
+    # reuse an mramc result and before first_fit skipped blocked runs.
+    lines = []
+    for scn in digest_scenarios():
+        table = CandidateTable(scn.cameras, scn.grid)
+        lines.append(repr(mramc(scn, table)))
+        for want in (2, 3):
+            lines.append(repr(m_mramc(scn, {t.id: want for t in scn.targets}, table)))
+    assert len(lines) == 96
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "158ab41bfb185ae9"
 
 
 class TestJointSchedule:
