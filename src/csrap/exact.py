@@ -219,22 +219,12 @@ def exact_solve(
     grid = scenario.grid
     target_ids = scenario.target_ids
 
-    coverage: dict[int, frozenset[int]] = {}
-    min_phi: dict[int, int] = {}
-    for cam in scenario.cameras:
-        # Cameras that cover nothing or can never transmit are useless; the
-        # table builds runs only for those that cover something.
-        covered = cam.coverage_set & target_ids
-        if not covered or (phi := table.min_phi(cam.id)) is None:
-            continue
-        coverage[cam.id] = covered
-        min_phi[cam.id] = phi
-
-    reachable: set[int] = set()
-    for covered in coverage.values():
-        reachable |= covered
-    if not target_ids <= reachable:
-        missing = sorted(target_ids - reachable)
+    # Cameras that cover nothing or can never transmit are useless; the
+    # table builds runs only for those that cover something.
+    min_phi = {cam_id: phi for cam_id in scenario.coverage if (phi := table.min_phi(cam_id)) is not None}
+    coverage = {cam_id: scenario.coverage[cam_id] for cam_id in min_phi}
+    missing = sorted(target_ids.difference(*coverage.values()))
+    if missing:
         return SolverResult(
             Schedule.empty(),
             SolveStatus.INFEASIBLE_COVERAGE,

@@ -9,14 +9,13 @@ schedule, and aggregates RB counts into plot-ready CSV.
 from __future__ import annotations
 
 import math
-import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from .exact import DEFAULT_NODE_BUDGET, exact_solve
-from .model import CandidateAllocation, Scenario, Schedule, verify_schedule
+from .model import CandidateAllocation, Scenario, Schedule, _integer, verify_schedule
 from .scenario import (
     ScenarioConfig,
     ScenarioFormatError,
@@ -49,7 +48,6 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "SweepResult",
-    "greedy_based_reference",
     "run_sweep",
     "sweep_spec_from_document",
     "schedule_to_document",
@@ -110,11 +108,7 @@ class SweepSpec:
             if name not in SOLVERS:
                 raise ValueError(f"unknown algorithm '{name}'; expected one of {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algos)
-        try:
-            multiplicity = operator.index(self.multiplicity)
-        except TypeError:
-            raise ValueError(f"multiplicity must be an integer, not {self.multiplicity!r}") from None
-        if multiplicity < 1:
+        if _integer(self.multiplicity, "multiplicity") < 1:
             raise ValueError("multiplicity must be >= 1")
         # An out-of-range or repeated value fails here, naming it, before any
         # trial runs (the rows of a repeated value would pool the same seeds).

@@ -14,11 +14,13 @@ pure functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import ceil, inf, isfinite
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -37,6 +39,15 @@ __all__ = [
 ]
 
 
+def _integer(value: object, field: str) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a float, string or
+    other non-integer raises ``ValueError`` naming ``field``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FrameGrid:
     """One scheduling frame: ``num_subchannels`` x ``num_slots`` resource blocks.
@@ -51,6 +62,8 @@ class FrameGrid:
     frame_duration_ms: float = 10.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_subchannels", _integer(self.num_subchannels, "num_subchannels"))
+        object.__setattr__(self, "num_slots", _integer(self.num_slots, "num_slots"))
         if self.num_subchannels < 1:
             raise ValueError("num_subchannels must be >= 1")
         if self.num_slots < 1:
@@ -64,7 +77,7 @@ class FrameGrid:
         if cap is None:
             cap = (self.num_subchannels,) * self.num_slots
         else:
-            cap = tuple(int(c) for c in cap)
+            cap = tuple(_integer(c, "each slot_capacity entry") for c in cap)
         if len(cap) != self.num_slots:
             raise ValueError("slot_capacity must have one entry per slot")
         for c in cap:
@@ -296,12 +309,19 @@ class Scenario:
         """The target ids, built on the first read and kept (not a field)."""
         return frozenset(t.id for t in self.targets)
 
+    @cached_property
+    def coverage(self) -> Mapping[int, frozenset[int]]:
+        """The covering relation: each camera that covers a target, in camera
+        order, mapped to ``coverage_set & target_ids``.  Read-only, built on
+        the first read and kept (not a field)."""
+        targets = self.target_ids
+        return MappingProxyType(
+            {cam.id: cam.coverage_set & targets for cam in self.cameras if not cam.coverage_set.isdisjoint(targets)}
+        )
+
     def uncovered_targets(self) -> tuple[int, ...]:
         """Targets no camera can see; a non-empty result means no solver can succeed."""
-        covered: set[int] = set()
-        for cam in self.cameras:
-            covered |= cam.coverage_set
-        return tuple(sorted(self.target_ids - covered))
+        return tuple(sorted(self.target_ids.difference(*self.coverage.values())))
 
 
 def runs_by_length(rates: Sequence[float], requirement: float) -> dict[int, list[tuple[int, float]]]:

@@ -27,6 +27,7 @@ from .model import (
     Scenario,
     Schedule,
     TargetObject,
+    _integer,
     runs_by_length,
 )
 
@@ -50,7 +51,6 @@ __all__ = [
     "traffic_scenario",
     "harmonic",
     "bound_params",
-    "greedy_weighted_set_cover",
 ]
 
 
@@ -227,13 +227,6 @@ class CandidateTable:
         index = self._index[camera_id] = (slots, sorted(set().union(*distinct)))
         return index
 
-    def runs(self, camera_id: int, slot: int) -> list[tuple[int, int, float]]:
-        """(start, length, robust_rate) runs in a 1-based slot, by start then length."""
-        slots = self._index_of(camera_id)[0]
-        if not 1 <= slot <= len(slots):
-            raise KeyError(slot)
-        return sorted((start, length, robust) for length, runs in slots[slot - 1].items() for start, robust in runs)
-
     def min_phi(self, camera_id: int) -> int | None:
         lengths = self._index_of(camera_id)[1]
         return lengths[0] if lengths else None
@@ -381,13 +374,12 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
         table = CandidateTable(scenario.cameras, scenario.grid)
     # Cameras that cover no target or have no candidate never win, so they
     # stay out of the pool, and the table never builds the first kind.
-    target_ids = scenario.target_ids
     pool = [
-        (cam.id, cam.coverage_set, phi)
-        for cam in scenario.cameras
-        if not cam.coverage_set.isdisjoint(target_ids) and (phi := table.min_phi(cam.id)) is not None
+        (cam_id, covered, phi)
+        for cam_id, covered in scenario.coverage.items()
+        if (phi := table.min_phi(cam_id)) is not None
     ]
-    return _cover_greedy(pool, target_ids, table)
+    return _cover_greedy(pool, scenario.target_ids, table)
 
 
 def mramc_relocate(
@@ -480,8 +472,8 @@ def _scan_schedule(
     in the last slot are dropped from consideration.
     """
     grid = scenario.grid
-    target_ids = scenario.target_ids
-    uncovered = set(target_ids)
+    coverage = scenario.coverage
+    uncovered = set(scenario.target_ids)
     assignments: list[CandidateAllocation] = []
     trace: list[GreedyStep] = []
     slot, pos = 1, 1
@@ -490,7 +482,7 @@ def _scan_schedule(
     # The eligible cameras, in scenario order: those covering an uncovered
     # target, less the scheduled and the excluded ones.  It only shrinks, so
     # it is filtered when a camera is scheduled or excluded, not per step.
-    pool = [cam for cam in scenario.cameras if not cam.coverage_set.isdisjoint(uncovered)]
+    pool = [cam for cam in scenario.cameras if cam.id in coverage]
 
     while uncovered:
         if not pool:
@@ -535,8 +527,8 @@ def _scan_schedule(
             alloc = CandidateAllocation(cam.id, slot, pos, length, robust)
             assignments.append(alloc)
             trace.append(GreedyStep(cam.id, alloc, Fraction(length)))
-            uncovered -= cam.coverage_set
-            pool = [other for other in pool if not other.coverage_set.isdisjoint(uncovered)]
+            uncovered -= coverage[cam.id]
+            pool = [other for other in pool if not coverage[other.id].isdisjoint(uncovered)]
             pos += length
         elif j <= width:
             # Blocked by a zero-rate subchannel: the camera retries just past it.
@@ -550,7 +542,7 @@ def _scan_schedule(
                 slot += 1
                 pos = 1
 
-    schedule = Schedule.build(assignments, scenario.cameras, target_ids)
+    schedule = Schedule.build(assignments, scenario.cameras, scenario.target_ids)
     diag = Diagnostics(greedy=tuple(trace))
     if status is not SolveStatus.FEASIBLE:
         diag = Diagnostics(greedy=tuple(trace), notes=(f"uncovered targets: {sorted(uncovered)}",))
@@ -581,12 +573,7 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
         table = CandidateTable(scenario.cameras, scenario.grid)
     # The scan asks for a rate at every position, so read each camera's once;
     # it asks only about cameras that cover a target.
-    target_ids = scenario.target_ids
-    best = {
-        cam.id: max(table.robust_rates(cam.id), default=0.0)
-        for cam in scenario.cameras
-        if not cam.coverage_set.isdisjoint(target_ids)
-    }
+    best = {cam_id: max(table.robust_rates(cam_id), default=0.0) for cam_id in scenario.coverage}
     return _scan_schedule(scenario, lambda cam, slot, pos: best[cam.id])
 
 
@@ -618,10 +605,7 @@ def m_mramc(
     for t, want in multiplicity.items():
         if t not in target_ids:
             raise ValueError(f"multiplicity references unknown target {t}")
-        try:
-            want = operator.index(want)
-        except TypeError:
-            raise ValueError(f"multiplicity of target {t} must be an integer, not {want!r}") from None
+        want = _integer(want, f"multiplicity of target {t}")
         if want < 1:
             raise ValueError(f"multiplicity of target {t} must be >= 1, not {want}")
         desired[t] = want
@@ -631,21 +615,20 @@ def m_mramc(
     if base.status is not SolveStatus.FEASIBLE:
         return base
 
-    cams = {cam.id: cam for cam in scenario.cameras}
+    coverage = scenario.coverage
     occupancy = _Occupancy(scenario.grid)
     fixed: dict[int, CandidateAllocation] = {}
+    count = {t: 0 for t in desired}
     for alloc in base.schedule.assignments:
         occupancy.place(alloc.slot, alloc.start, alloc.length)
         fixed[alloc.camera_id] = alloc
-    count = {t: 0 for t in desired}
-    for cam_id in fixed:
-        for t in cams[cam_id].coverage_set & target_ids:
+        for t in coverage[alloc.camera_id]:
             count[t] += 1
 
-    covering: dict[int, list[CameraNode]] = {t: [] for t in desired}
-    for cam in scenario.cameras:
-        for t in cam.coverage_set & target_ids:
-            covering[t].append(cam)
+    covering: dict[int, list[int]] = {t: [] for t in desired}
+    for cam_id, covered in coverage.items():
+        for t in covered:
+            covering[t].append(cam_id)
     notes: list[str] = []
     for t in sorted(desired):
         if desired[t] > len(covering[t]):
@@ -671,19 +654,19 @@ def m_mramc(
             if desired[t] < rnd or count[t] >= rnd:
                 continue
             best: tuple[int, int, CandidateAllocation] | None = None
-            for cam in covering[t]:
-                if cam.id in fixed:
+            for cam_id in covering[t]:
+                if cam_id in fixed:
                     continue
-                cand = first_fit(cam.id)
-                if cand is not None and (best is None or (cand.length, cam.id) < best[:2]):
-                    best = (cand.length, cam.id, cand)
+                cand = first_fit(cam_id)
+                if cand is not None and (best is None or (cand.length, cam_id) < best[:2]):
+                    best = (cand.length, cam_id, cand)
             if best is None:
                 continue
             _, cam_id, alloc = best
             fixed[cam_id] = alloc
             occupancy.place(alloc.slot, alloc.start, alloc.length)
             extra_trace.append(RelocationStep(cam_id, alloc, True))
-            for covered in cams[cam_id].coverage_set & target_ids:
+            for covered in coverage[cam_id]:
                 count[covered] += 1
             progress = True
         if not progress:
@@ -755,16 +738,18 @@ def joint_schedule(
     scn = traffic_scenario(traffic, grid, target_ids)
     table = CandidateTable(scn.cameras, grid)
     # A traditional item covers a token of its own, so the greedy prices it
-    # at min_phi/alpha until it is scheduled.
-    tokens = frozenset(("item", item.id) for item in traffic if item.kind == "traditional")
-    pool = []
-    for item in traffic:
-        if (phi := table.min_phi(item.id)) is not None:
-            covers = item.camera.coverage_set if item.kind == "surveillance" else frozenset({("item", item.id)})
-            pool.append((item.id, covers, Fraction(phi) / Fraction(str(item.alpha))))
-    phase = _cover_greedy(pool, scn.target_ids | tokens, table)
+    # at min_phi/alpha until it is scheduled.  Surveillance items that cover
+    # no target never win, so they stay out of the pool.
+    tokens = {item.id: frozenset({("item", item.id)}) for item in traffic if item.kind == "traditional"}
+    covers = {**scn.coverage, **tokens}
+    pool = [
+        (item.id, covers[item.id], Fraction(phi) / Fraction(str(item.alpha)))
+        for item in traffic
+        if item.id in covers and (phi := table.min_phi(item.id)) is not None
+    ]
+    phase = _cover_greedy(pool, scn.target_ids.union(*tokens.values()), table)
 
-    uncovered = sorted(phase.uncovered - tokens)
+    uncovered = sorted(phase.uncovered & scn.target_ids)
     if uncovered:
         return _unrelocated(phase, scn, SolveStatus.INFEASIBLE_COVERAGE, f"uncovered targets: {uncovered}")
     stranded = sorted(item_id for _, item_id in phase.uncovered)
@@ -779,13 +764,13 @@ def joint_schedule(
     note = f"item {failed} has no candidate disjoint from fixed allocations"
     return replace(
         result,
-        status=SolveStatus.INFEASIBLE_CAPACITY if ("item", failed) in tokens else result.status,
+        status=SolveStatus.INFEASIBLE_CAPACITY if failed in tokens else result.status,
         diagnostics=replace(result.diagnostics, notes=(note,)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Bound parameters and the set-cover reference
+# Bound parameters
 # ---------------------------------------------------------------------------
 
 
@@ -809,46 +794,10 @@ def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> Bou
         raise ValueError("scenario has no cameras")
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    d_star = max(len(cam.coverage_set & scenario.target_ids) for cam in scenario.cameras)
+    d_star = max(map(len, scenario.coverage.values()), default=0)
     if d_star == 0:
         raise ValueError("no camera covers any target")
     rates = [r for cam in scenario.cameras for r in table.robust_rates(cam.id) if r > 0]
     if not rates:
         raise ValueError("no candidate allocations in the instance")
     return BoundParams(d_star=d_star, h_d_star=harmonic(d_star), r_max=max(rates), r_min=min(rates))
-
-
-def greedy_weighted_set_cover(
-    universe: Iterable[int],
-    sets: Mapping[int, Iterable[int]],
-    weights: Mapping[int, int | float | Fraction],
-) -> list[int]:
-    """Classic weighted set cover greedy: repeatedly take the set with the
-    smallest weight per newly covered element, ties to the lowest id.
-
-    Returns the chosen set ids in selection order; raises if some element is
-    in no set.
-    """
-    remaining = set(universe)
-    families = {sid: frozenset(members) for sid, members in sets.items()}
-    order: list[int] = []
-    used: set[int] = set()
-    while remaining:
-        best_key: Fraction | None = None
-        best_id: int | None = None
-        for sid in sorted(families):
-            if sid in used:
-                continue
-            gain = len(families[sid] & remaining)
-            if gain == 0:
-                continue
-            key = Fraction(weights[sid]) / gain
-            if best_key is None or key < best_key:
-                best_key = key
-                best_id = sid
-        if best_id is None:
-            raise ValueError(f"elements not coverable by any set: {sorted(remaining)}")
-        order.append(best_id)
-        used.add(best_id)
-        remaining -= families[best_id]
-    return order

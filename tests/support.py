@@ -131,6 +131,45 @@ def brute_force_runs(rates, requirement):
     return out
 
 
+def slot_runs(table, camera_id: int) -> list[list[tuple[int, int, float]]]:
+    """Each slot's ``(start, length, robust_rate)`` runs of one camera, by
+    start then length, with slot ``s`` at index ``s - 1``; read from the
+    table's ``runs_by_cost`` walk."""
+    slots: list[list[tuple[int, int, float]]] = [[] for _ in range(table.grid.num_slots)]
+    for slot, start, length, robust in table.runs_by_cost(camera_id):
+        slots[slot - 1].append((start, length, robust))
+    for runs in slots:
+        runs.sort()
+    return slots
+
+
+def greedy_weighted_set_cover(universe, sets, weights) -> list[int]:
+    """Classic weighted set cover greedy: repeatedly take the set with the
+    smallest weight per newly covered element, ties to the lowest id.
+
+    Returns the chosen set ids in selection order; raises if some element is
+    in no set.
+    """
+    remaining = set(universe)
+    families = {sid: frozenset(members) for sid, members in sets.items()}
+    order: list[int] = []
+    while remaining:
+        best_key: Fraction | None = None
+        best_id: int | None = None
+        for sid in sorted(families):
+            gain = len(families[sid] & remaining)
+            if sid in order or gain == 0:
+                continue
+            key = Fraction(weights[sid]) / gain
+            if best_key is None or key < best_key:
+                best_key, best_id = key, sid
+        if best_id is None:
+            raise ValueError(f"elements not coverable by any set: {sorted(remaining)}")
+        order.append(best_id)
+        remaining -= families[best_id]
+    return order
+
+
 def brute_force_coverage(camera: CameraNode, targets) -> set[int]:
     """Direct geometric re-check of a camera's coverage set."""
     covered = set()

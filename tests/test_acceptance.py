@@ -31,7 +31,6 @@ from csrap import (
     bound_params,
     exact_solve,
     greedy_based_reference,
-    greedy_weighted_set_cover,
     joint_schedule,
     m_mramc,
     mramc,
@@ -41,7 +40,7 @@ from csrap import (
     verify_schedule,
 )
 from csrap.cli import main as cli_main
-from support import all_subsets_cover_optimum, exhaustive_optimum, random_instance
+from support import all_subsets_cover_optimum, exhaustive_optimum, greedy_weighted_set_cover, random_instance, slot_runs
 
 N_ORACLE_INSTANCES = 500
 
@@ -398,7 +397,7 @@ def test_criterion_09_worked_micro_example():
         coverage_set=frozenset({1}),
     )
     table = CandidateTable([camera], FrameGrid(3, 1))
-    cands = [CandidateAllocation(1, 1, *run) for run in table.runs(1, 1)]
+    cands = [CandidateAllocation(1, 1, *run) for run in slot_runs(table, 1)[0]]
     expected = CandidateAllocation(1, 1, 1, 3, 4.0)
     ok = cands == [expected] and 4.0 * 3 >= 9.0 > 4.0 * 2
     scn = Scenario(FrameGrid(3, 1), (camera,), (TargetObject(1, (0.0, 0.0)),))

@@ -25,7 +25,7 @@ from csrap import (
 )
 from csrap.model import runs_by_length
 from csrap.solvers import CandidateTable, _Occupancy
-from support import brute_force_runs, crowded_fading
+from support import brute_force_runs, crowded_fading, slot_runs
 
 RATES = st.sampled_from([0.0, 2.0, 3.0, 4.0, 6.0, 8.0])
 
@@ -87,9 +87,8 @@ class TestCandidateIndex:
             assert table.candidate_count(cam.id) == len(cands)
             assert table.min_phi(cam.id) == min((c.length for c in cands), default=None)
             assert max(table.robust_rates(cam.id), default=None) == max((c.robust_rate for c in cands), default=None)
-            for slot in range(1, grid.num_slots + 1):
-                runs = brute_force_runs(cam.rates_in_slot(slot), cam.rate_requirement)
-                assert table.runs(cam.id, slot) == runs
+            for slot, runs in enumerate(slot_runs(table, cam.id), 1):
+                assert runs == brute_force_runs(cam.rates_in_slot(slot), cam.rate_requirement)
             # Each distinct slot rate vector counts once.
             rates = Counter()
             for vec in {cam.rates_in_slot(s) for s in range(1, grid.num_slots + 1)}:
@@ -232,17 +231,17 @@ def test_candidate_tables_are_frozen():
         for scn in (crowded_fading(seed), generate_scenario(ScenarioConfig(rng_seed=seed))):
             table = CandidateTable(scn.cameras, scn.grid)
             for cam in scn.cameras:
-                for slot in range(1, scn.grid.num_slots + 1):
-                    for start, length, robust in table.runs(cam.id, slot):
+                for slot, runs in enumerate(slot_runs(table, cam.id), 1):
+                    for start, length, robust in runs:
                         lines.append(f"{cam.id} {slot} {start} {length} {robust.hex()}")
     assert len(lines) == 703_588
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "560548e808169bf9"
 
 
-def table_reads(table, cam_id, num_slots):
+def table_reads(table, cam_id):
     """Every answer the table gives about one camera."""
     return (
-        [table.runs(cam_id, slot) for slot in range(1, num_slots + 1)],
+        slot_runs(table, cam_id),
         table.min_phi(cam_id),
         table.robust_rates(cam_id),
         table.candidate_count(cam_id),
@@ -258,10 +257,10 @@ def test_read_order_does_not_change_the_table():
         for scn in (crowded_fading(seed), generate_scenario(ScenarioConfig(num_targets=10, rng_seed=seed))):
             ids = sorted(cam.id for cam in scn.cameras)
             in_order = CandidateTable(scn.cameras, scn.grid)
-            expected = {cam_id: table_reads(in_order, cam_id, scn.grid.num_slots) for cam_id in ids}
+            expected = {cam_id: table_reads(in_order, cam_id) for cam_id in ids}
             shuffled = CandidateTable(scn.cameras, scn.grid)
             for cam_id in rng.permutation(ids).tolist():
-                assert table_reads(shuffled, cam_id, scn.grid.num_slots) == expected[cam_id]
+                assert table_reads(shuffled, cam_id) == expected[cam_id]
 
 
 PAPER_TARGETS = (10, 20, 30, 40)

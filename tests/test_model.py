@@ -1,5 +1,9 @@
 """Core model: candidate runs, schedules and the feasibility verifier."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +21,7 @@ from csrap import (
     verify_schedule,
 )
 from csrap.model import runs_by_length
-from support import brute_force_runs, ilp_constraints_hold, random_instance
+from support import brute_force_runs, ilp_constraints_hold, random_instance, slot_runs
 
 
 def make_camera(rates, requirement, cam_id=1, coverage=frozenset({1})):
@@ -36,8 +40,8 @@ def table_candidates(cam, grid):
     table = CandidateTable([cam], grid)
     return [
         CandidateAllocation(cam.id, slot, *run)
-        for slot in range(1, grid.num_slots + 1)
-        for run in table.runs(cam.id, slot)
+        for slot, runs in enumerate(slot_runs(table, cam.id), 1)
+        for run in runs
     ]
 
 
@@ -149,6 +153,25 @@ class TestTypes:
             FrameGrid(3, 1, slot_capacity=(4,))
         with pytest.raises(ValueError):
             FrameGrid(3, 1, frame_duration_ms=0)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, field",
+        [
+            ((4.5, 2), {}, "num_subchannels"),
+            ((4, 2.0), {}, "num_slots"),
+            (("4", 2), {}, "num_subchannels"),
+            ((4, 1), {"slot_capacity": (2.5,)}, "slot_capacity"),
+            ((4, 2), {"slot_capacity": (2, "3")}, "slot_capacity"),
+        ],
+    )
+    def test_frame_grid_rejects_non_integer_sizes(self, args, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            FrameGrid(*args, **kwargs)
+
+    def test_frame_grid_keeps_integer_sizes(self):
+        grid = FrameGrid(np.int64(4), np.int64(2), slot_capacity=(np.int64(3), 4))
+        assert grid == FrameGrid(4, 2, slot_capacity=(3, 4))
+        assert all(type(n) is int for n in (grid.num_subchannels, grid.num_slots, *grid.slot_capacity))
 
     def test_camera_invariants(self):
         with pytest.raises(ValueError):
@@ -308,3 +331,72 @@ class TestVerifySchedule:
                 assert report.feasible == all(direct.values())
                 checked += 1
         assert checked > 50
+
+
+class TestScenarioCoverage:
+    """``Scenario.coverage``: each camera covering a target, mapped to the
+    targets of the scenario it covers."""
+
+    def scenario(self):
+        cams = (
+            make_camera([8], 8.0, cam_id=5, coverage=frozenset({1, 7, 9})),
+            make_camera([8], 8.0, cam_id=2, coverage=frozenset()),
+            make_camera([8], 8.0, cam_id=3, coverage=frozenset({8})),
+            make_camera([8], 8.0, cam_id=1, coverage=frozenset({2, 1})),
+        )
+        targets = (TargetObject(1, (0, 0)), TargetObject(2, (1, 0)), TargetObject(4, (2, 0)))
+        return Scenario(FrameGrid(1, 1), cams, targets)
+
+    def test_ids_outside_the_scenario_are_dropped(self):
+        # Camera 5 names targets 7 and 9 and camera 3 only target 8, none of
+        # them in the scenario; cameras keep their scenario order.
+        scn = self.scenario()
+        assert list(scn.coverage.items()) == [(5, frozenset({1})), (1, frozenset({1, 2}))]
+        assert scn.uncovered_targets() == (4,)
+
+    def test_a_camera_that_covers_nothing_is_absent(self):
+        scn = self.scenario()
+        assert 2 not in scn.coverage
+        alone = Scenario(FrameGrid(1, 1), (make_camera([8], 8.0, coverage=frozenset()),), (TargetObject(1, (0, 0)),))
+        assert dict(alone.coverage) == {}
+        assert alone.uncovered_targets() == (1,)
+
+    def test_matches_each_camera_on_random_instances(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            scn = random_instance(rng, cover_all=False)
+            expected = {c.id: c.coverage_set & scn.target_ids for c in scn.cameras}
+            assert dict(scn.coverage) == {k: v for k, v in expected.items() if v}
+            assert scn.coverage is scn.coverage
+
+    def test_is_read_only_and_not_a_field(self):
+        scn = self.scenario()
+        fresh = self.scenario()
+        before = repr(scn)
+        with pytest.raises(TypeError):
+            scn.coverage[2] = frozenset({4})
+        with pytest.raises(TypeError):
+            del scn.coverage[5]
+        assert 2 not in scn.coverage
+        assert repr(scn) == before
+        assert scn == fresh
+
+
+@pytest.mark.parametrize("name", ["cli", "exact", "harness", "model", "scenario", "solvers"])
+def test_each_module_defines_every_name_it_exports(name):
+    # A name in __all__ that a module only imports is a stale re-export.
+    module = importlib.import_module(f"csrap.{name}")
+    defined = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(target.id for target in targets if isinstance(target, ast.Name))
+    assert sorted(set(getattr(module, "__all__", ())) - defined) == []
+
+
+def test_the_package_exports_only_names_it_has():
+    import csrap
+
+    assert [name for name in csrap.__all__ if not hasattr(csrap, name)] == []

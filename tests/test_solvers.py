@@ -23,7 +23,6 @@ from csrap import (
     bound_params,
     exact_solve,
     generate_scenario,
-    greedy_weighted_set_cover,
     harmonic,
     joint_schedule,
     m_mramc,
@@ -34,7 +33,7 @@ from csrap import (
     verify_schedule,
 )
 from csrap.solvers import CandidateTable
-from support import brute_force_runs, crowded_fading, random_instance
+from support import brute_force_runs, crowded_fading, greedy_weighted_set_cover, random_instance
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -359,6 +358,31 @@ class TestJointSchedule:
             TrafficItem.surveillance(cam(1, [8, 8, 8, 8], 8.0, {1, 2})),
             TrafficItem.surveillance(cam(2, [8, 8, 8, 8], 8.0, {3})),
         ]
+
+    def test_explicit_target_subset_is_frozen(self):
+        # Paper-default cameras watch only the even targets; four of them
+        # also see odd ones, which count for nothing.  The schedule was
+        # computed before the solvers read Scenario.coverage.
+        scn = generate_scenario(ScenarioConfig(num_targets=20, rng_seed=5))
+        items = [TrafficItem.surveillance(c) for c in scn.cameras] + [
+            TrafficItem.traditional(200, 30.0, scn.cameras[0].per_subchannel_rate, alpha=0.5),
+            TrafficItem.traditional(201, 12.0, scn.cameras[1].per_subchannel_rate, alpha=2.0),
+        ]
+        subset = frozenset(t for t in scn.target_ids if t % 2 == 0)
+        result = joint_schedule(items, scn.grid, subset)
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.schedule.total_rbs == 22
+        assert result.schedule.covered_targets == subset
+        assert [(a.camera_id, a.slot, a.start, a.length) for a in result.schedule.assignments] == [
+            (4, 1, 4, 2), (7, 1, 6, 2), (9, 1, 1, 1), (15, 1, 2, 1), (20, 1, 8, 2), (23, 1, 16, 3),
+            (56, 1, 10, 2), (71, 1, 12, 2), (75, 1, 3, 1), (200, 1, 19, 4), (201, 1, 14, 2),
+        ]
+        assert [s.camera_id for s in result.diagnostics.greedy] == [7, 9, 15, 75, 201, 4, 20, 56, 71, 23, 200]
+        assert [s.camera_id for s in result.diagnostics.relocation if not s.moved] == [9]
+        tscn = traffic_scenario(items, scn.grid, subset)
+        assert sum(1 for c in scn.cameras if c.coverage_set & subset and c.coverage_set - subset) == 4
+        assert verify_schedule(result.schedule, tscn).feasible
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == "318835409c75c089"
 
     def test_no_traditional_traffic_equals_mramc(self):
         items = self.surveillance_items()
