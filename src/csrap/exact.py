@@ -49,7 +49,7 @@ from functools import partial
 from itertools import repeat
 from typing import Callable
 
-from .model import CandidateAllocation, FrameGrid, Scenario, Schedule
+from .model import CandidateAllocation, FrameGrid, Scenario, Schedule, _integer
 from .solvers import (
     CandidateTable,
     Diagnostics,
@@ -211,6 +211,7 @@ def exact_solve(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    node_budget = _integer(node_budget, "node_budget")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     relaxed = mode == "without_exclusivity"

@@ -100,6 +100,8 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("values must not be empty")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
@@ -190,7 +192,7 @@ class SweepResult:
 
 def apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
     if axis == "num_targets":
-        return replace(config, num_targets=int(value))
+        return replace(config, num_targets=_integer(value, "num_targets"))
     if axis == "view_distance":
         v = float(value)
         return replace(config, geometry=replace(config.geometry, view_distance=(v, v)))

@@ -194,7 +194,7 @@ class CameraNode:
                 if len(vec) != len(rates):
                     raise ValueError("slot rate override length must match per_subchannel_rate")
                 _check_rates(vec)
-                fixed[int(slot)] = vec
+                fixed[_integer(slot, "each slot_rate_overrides key")] = vec
             object.__setattr__(self, "slot_rate_overrides", fixed)
 
     def rates_in_slot(self, slot: int) -> tuple[float, ...]:

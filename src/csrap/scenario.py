@@ -32,6 +32,7 @@ from .model import (
     Omnidirectional,
     Scenario,
     TargetObject,
+    _integer,
 )
 
 if TYPE_CHECKING:
@@ -174,6 +175,8 @@ class ScenarioConfig:
     rate_overrides: Mapping[int, Any] | None = None
 
     def __post_init__(self) -> None:
+        for field in ("num_targets", "num_cameras", "rng_seed"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if not self.area_side > 0:
             raise ValueError("area_side must be positive")
         if self.area_side == math.inf:
@@ -182,6 +185,9 @@ class ScenarioConfig:
             raise ValueError("num_targets must be >= 1")
         if self.num_cameras < 1:
             raise ValueError("num_cameras must be >= 1")
+        for cam_id in self.rate_overrides or ():
+            if not 1 <= _integer(cam_id, "each rate_overrides key") <= self.num_cameras:
+                raise ValueError(f"rate_overrides names camera {cam_id}, outside 1..{self.num_cameras}")
         if self.deployment not in DEPLOYMENTS:
             raise ValueError(f"deployment must be one of {DEPLOYMENTS}")
         lo, hi = self.rate_requirement_range

@@ -122,44 +122,40 @@ class GreedyPhase:
 
 @dataclass(frozen=True)
 class TrafficItem:
-    """A schedulable uplink demand: a surveillance camera or plain traffic.
+    """A schedulable uplink demand: a camera plus a priority weight.
 
-    ``alpha`` is the operator-chosen priority weight; larger values schedule
-    the item earlier.
+    A surveillance item wraps a camera of the scenario; a traditional item
+    wraps a camera that covers nothing.  ``alpha`` is the operator-chosen
+    priority weight; larger values schedule the item earlier.
     """
 
-    id: int
+    camera: CameraNode
     kind: str  # "surveillance" | "traditional"
     alpha: float
-    camera: CameraNode | None = None
-    rate_requirement: float | None = None
-    per_subchannel_rate: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if self.kind not in ("surveillance", "traditional"):
             raise ValueError("kind must be 'surveillance' or 'traditional'")
-        if self.kind == "surveillance" and self.camera is None:
-            raise ValueError("surveillance traffic wraps a CameraNode")
-        if self.kind == "traditional" and (self.rate_requirement is None or self.per_subchannel_rate is None):
-            raise ValueError("traditional traffic needs rate_requirement and per_subchannel_rate")
+        if self.kind == "traditional" and self.camera.coverage_set:
+            raise ValueError("a traditional item's camera must cover no target")
+
+    @property
+    def id(self) -> int:
+        return self.camera.id
 
     @classmethod
     def surveillance(cls, camera: CameraNode, alpha: float = 1.0) -> "TrafficItem":
-        return cls(id=camera.id, kind="surveillance", alpha=alpha, camera=camera)
+        return cls(camera, "surveillance", alpha)
 
     @classmethod
     def traditional(
         cls, item_id: int, rate_requirement: float, rates: Sequence[float], alpha: float = 1.0
     ) -> "TrafficItem":
-        return cls(
-            id=item_id,
-            kind="traditional",
-            alpha=alpha,
-            rate_requirement=float(rate_requirement),
-            per_subchannel_rate=tuple(float(r) for r in rates),
-        )
+        """Plain traffic: a camera at the origin that covers nothing."""
+        camera = CameraNode(item_id, (0.0, 0.0), Omnidirectional(1.0), float(rate_requirement), rates)
+        return cls(camera, "traditional", alpha)
 
 
 @dataclass(frozen=True)
@@ -634,18 +630,6 @@ def m_mramc(
         if desired[t] > len(covering[t]):
             notes.append(f"target {t} wants {desired[t]} cameras but only {len(covering[t])} cover it")
 
-    # Occupancy only grows, so every run before a camera's first fit stays
-    # blocked: the fit is still the first while it fits, and None stays None.
-    first_fits: dict[int, CandidateAllocation | None] = {}
-
-    def first_fit(cam_id: int) -> CandidateAllocation | None:
-        if cam_id in first_fits:
-            cand = first_fits[cam_id]
-            if cand is None or occupancy.fits(cand.slot, cand.start, cand.length):
-                return cand
-        cand = first_fits[cam_id] = table.first_fit(cam_id, occupancy)
-        return cand
-
     extra_trace: list[RelocationStep] = []
     max_round = max(desired.values(), default=1)
     for rnd in range(2, max_round + 1):
@@ -653,16 +637,14 @@ def m_mramc(
         for t in sorted(desired):
             if desired[t] < rnd or count[t] >= rnd:
                 continue
-            best: tuple[int, int, CandidateAllocation] | None = None
-            for cam_id in covering[t]:
-                if cam_id in fixed:
-                    continue
-                cand = first_fit(cam_id)
-                if cand is not None and (best is None or (cand.length, cam_id) < best[:2]):
-                    best = (cand.length, cam_id, cand)
-            if best is None:
+            fits = [
+                (fit.length, cam_id, fit)
+                for cam_id in covering[t]
+                if cam_id not in fixed and (fit := table.first_fit(cam_id, occupancy)) is not None
+            ]
+            if not fits:
                 continue
-            _, cam_id, alloc = best
+            _, cam_id, alloc = min(fits)
             fixed[cam_id] = alloc
             occupancy.place(alloc.slot, alloc.start, alloc.length)
             extra_trace.append(RelocationStep(cam_id, alloc, True))
@@ -695,27 +677,15 @@ def traffic_scenario(
 ) -> Scenario:
     """Synthesize a scenario over a traffic mix, for solving and verification.
 
-    Traditional items become cameras with empty coverage sets.  When
-    ``target_ids`` is omitted the universe is the union of the surveillance
-    coverage sets.
+    Each item contributes its camera; a traditional item's covers nothing.
+    When ``target_ids`` is omitted the universe is the union of the
+    surveillance coverage sets.
     """
-    cams = [
-        item.camera
-        if item.kind == "surveillance"
-        else CameraNode(
-            id=item.id,
-            position=(0.0, 0.0),
-            geometry=Omnidirectional(1.0),
-            rate_requirement=item.rate_requirement,
-            per_subchannel_rate=item.per_subchannel_rate,
-            coverage_set=frozenset(),
-        )
-        for item in traffic
-    ]
+    cams = tuple(item.camera for item in traffic)
     if target_ids is None:
         target_ids = frozenset().union(*(cam.coverage_set for cam in cams))
     targets = tuple(TargetObject(t, (0.0, 0.0)) for t in sorted(target_ids))
-    return Scenario(grid=grid, cameras=tuple(cams), targets=targets)
+    return Scenario(grid=grid, cameras=cams, targets=targets)
 
 
 def joint_schedule(

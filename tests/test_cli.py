@@ -334,6 +334,7 @@ class TestMalformedNumbers:
         "short_rates": (with_camera(rates=[8, 4]), "cameras[0].rates"),
         "long_slot_rates": (with_camera(slot_rates={"1": [8, 4, 7, 7]}), "cameras[0].slot_rates[1]"),
         "slot_out_of_range": (with_camera(slot_rates={"99": [8, 4, 7]}), "cameras[0].slot_rates[99]"),
+        "non_integer_slot_key": (with_camera(slot_rates={"1.5": [8, 4, 7]}), "cameras[0].slot_rates"),
         "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
         "negative_id_seeding_rates": ({**with_camera(id=-1, rates=None), "channel": {}}, "cameras[0].id"),
     }

@@ -227,6 +227,15 @@ def test_budget_of_one_overruns_with_root_bound():
     assert isinstance(info.value.lower_bound, int)
 
 
+def test_node_budget_must_be_an_integer():
+    # A float budget would be compared, and reported on overrun, as given.
+    scn = random_instance(np.random.default_rng(2))
+    for mode in ("with_exclusivity", "without_exclusivity"):
+        with pytest.raises(ValueError, match="^node_budget must be an integer, not 2.5$"):
+            exact_solve(scn, mode, 2.5)
+    assert exact_solve(scn, node_budget=np.int64(10**6)) == exact_solve(scn)
+
+
 def layout_trap(free, subchannels):
     """``free`` cameras and two more that can only send on subchannels 1-3,
     each the only one seeing its target with a 3-RB minimum run, in one

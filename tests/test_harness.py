@@ -232,6 +232,13 @@ class TestRunSweep:
             SweepSpec(axis="humidity")
         with pytest.raises(ValueError, match="multiplicity must be an integer"):
             SweepSpec(multiplicity=2.5)
+        # int() would run 10 targets under a CSV row reading 10.7; a float
+        # trials or base_seed would fail only at the first trial.
+        with pytest.raises(ValueError, match=r"^values\[0\]: num_targets must be an integer, not 10.7$"):
+            SweepSpec(values=(10.7,))
+        for field in ("trials", "base_seed"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, not 1.5$"):
+                SweepSpec(**{field: 1.5})
 
     def test_spec_from_document(self):
         doc = {

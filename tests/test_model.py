@@ -131,6 +131,17 @@ class TestEnumerateCandidates:
                 assert c.robust_rate * (c.length - 1) < cam.rate_requirement
                 assert c.robust_rate * c.length >= cam.rate_requirement
 
+    # A float ratio can miss the smallest length either way: 2.1/0.3 reads
+    # 7.000000000000001, so ceil gives 8 where 0.3*7 >= 2.1; and 0.3*3 reads
+    # 0.8999999999999999, so ceil(0.9/0.3) = 3 falls short of 0.9.
+    @pytest.mark.parametrize("requirement, length", [(2.1, 7), (0.9, 4)])
+    @pytest.mark.parametrize("rates", [[0.3] * 10, [0.3] * 9 + [0.6]], ids=["uniform", "mixed"])
+    def test_float_ratio_is_settled_by_the_membership_products(self, rates, requirement, length):
+        runs = runs_by_length(rates, requirement)
+        got = sorted((start, n, robust) for n, found in runs.items() for start, robust in found)
+        assert got == brute_force_runs(rates, requirement)
+        assert min(runs) == length
+
     def test_deterministic_ordering(self):
         cam = make_camera([4, 4, 4, 4], 7.0)
         cands = table_candidates(cam, FrameGrid(4, 2))
@@ -216,6 +227,15 @@ class TestTypes:
             with pytest.raises(ValueError, match=f"slot {slot}, outside 1..1"):
                 Scenario(grid, (cam,), (TargetObject(1, (0, 0)),))
 
+    def test_slot_rate_override_keys_must_be_integers(self):
+        # int() would store 2.7 under slot 2 and read "3" as slot 3.
+        for key in (2.7, "3"):
+            with pytest.raises(ValueError, match="slot_rate_overrides key must be an integer"):
+                CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={key: (2.0, 2.0)})
+        cam = CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={np.int64(2): (2.0, 2.0)})
+        assert cam.slot_rate_overrides == {2: (2.0, 2.0)}
+        assert [type(slot) for slot in cam.slot_rate_overrides] == [int]
+
     def test_scenario_rejects_duplicate_ids_and_bad_rate_lengths(self):
         grid = FrameGrid(2, 1)
         cam = make_camera([8, 8], 5.0)
@@ -273,6 +293,12 @@ class TestVerifySchedule:
         scn = two_camera_scenario()
         bad = Schedule((CandidateAllocation(9, 1, 1, 1, 8.0),), 1, frozenset())
         with pytest.raises(ValueError):
+            verify_schedule(bad, scn)
+
+    def test_unknown_covered_target_is_an_argument_error(self):
+        scn = two_camera_scenario()
+        bad = Schedule((CandidateAllocation(1, 1, 1, 1, 8.0),), 1, frozenset({1, 9}))
+        with pytest.raises(ValueError, match=r"unknown targets \[9\]"):
             verify_schedule(bad, scn)
 
     def test_total_mismatch_is_flagged(self):

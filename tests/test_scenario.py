@@ -210,6 +210,25 @@ class TestGenerateScenario:
         with pytest.raises(ValueError, match=f"^{field}.* must be finite$"):
             build(**{field: value})
 
+    # numpy would reject each one later, at generation, with a TypeError.
+    @pytest.mark.parametrize("field, value", [("num_targets", 2.5), ("num_cameras", 81.0), ("rng_seed", 1.5)])
+    def test_non_integer_config_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value}$"):
+            ScenarioConfig(**{field: value})
+
+    def test_integer_like_config_values_are_stored_as_int(self):
+        cfg = ScenarioConfig(num_targets=np.int64(5), num_cameras=np.int64(81), rng_seed=np.int64(3))
+        assert [type(v) for v in (cfg.num_targets, cfg.num_cameras, cfg.rng_seed)] == [int] * 3
+        assert generate_scenario(cfg) == generate_scenario(ScenarioConfig(num_targets=5, rng_seed=3))
+
+    def test_rate_override_for_a_missing_camera_is_rejected(self):
+        # A key past num_cameras names no camera, so generation would ignore it.
+        for key in (0, 999):
+            with pytest.raises(ValueError, match=f"^rate_overrides names camera {key}, outside 1..81$"):
+                ScenarioConfig(rate_overrides={key: [8.0] * 50})
+        with pytest.raises(ValueError, match="rate_overrides key must be an integer"):
+            ScenarioConfig(rate_overrides={"3": [8.0] * 50})
+
     def test_cell_edge_cameras_sit_in_the_annulus(self):
         cfg = ScenarioConfig(
             deployment="cell_edge",

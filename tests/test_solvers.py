@@ -473,7 +473,7 @@ class TestJointSchedule:
                     runs = [brute_force_runs(c.rates_in_slot(s), c.rate_requirement) for s in slots]
                     covers = c.coverage_set & scn.target_ids
                 else:
-                    runs = [brute_force_runs(item.per_subchannel_rate, item.rate_requirement)]
+                    runs = [brute_force_runs(item.camera.per_subchannel_rate, item.camera.rate_requirement)]
                     covers = {("item", item.id)}
                 lengths = [length for slot_runs in runs for _, length, _ in slot_runs]
                 if lengths:
@@ -482,6 +482,17 @@ class TestJointSchedule:
             reference = greedy_weighted_set_cover(set().union(*sets.values()), sets, weights)
             result = joint_schedule(items, scn.grid, scn.target_ids)
             assert [s.camera_id for s in result.diagnostics.greedy] == reference
+
+    def test_traditional_item_is_a_camera_that_covers_nothing(self):
+        item = TrafficItem.traditional(10, 6, [2, 2, 2, 2], alpha=2.0)
+        assert (item.id, item.kind, item.alpha) == (10, "traditional", 2.0)
+        assert item.camera == CameraNode(10, (0.0, 0.0), Omnidirectional(1.0), 6.0, (2.0, 2.0, 2.0, 2.0))
+        assert traffic_scenario([item], self.grid()).cameras == (item.camera,)
+        # A bad item fails where it is built, not inside joint_schedule.
+        with pytest.raises(ValueError, match="rate_requirement must be positive"):
+            TrafficItem.traditional(10, 0.0, [2, 2, 2, 2])
+        with pytest.raises(ValueError, match="must cover no target"):
+            TrafficItem(cam(1, [8, 8, 8, 8], 8.0, {1}), "traditional", 1.0)
 
     def test_duplicate_item_ids_rejected(self):
         items = [
