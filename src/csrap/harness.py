@@ -9,6 +9,7 @@ schedule, and aggregates RB counts into plot-ready CSV.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -191,16 +192,23 @@ class SweepResult:
 
 
 def apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
+    """``config`` with ``axis`` set to ``value``.  A value of the wrong type
+    raises ``ValueError`` rather than being coerced: a string or a ``bool``
+    on a numeric axis, or a non-string deployment."""
+    if axis == "deployment":
+        if not isinstance(value, str):
+            raise ValueError(f"deployment must be a string, not {value!r}")
+        return replace(config, deployment=value)
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{axis} must be a number, not {value!r}")
     if axis == "num_targets":
         return replace(config, num_targets=_integer(value, "num_targets"))
+    v = float(value)
     if axis == "view_distance":
-        v = float(value)
         return replace(config, geometry=replace(config.geometry, view_distance=(v, v)))
-    if axis == "fov":
-        return replace(config, geometry=replace(config.geometry, fov_deg=float(value)))
-    if axis == "deployment":
-        return replace(config, deployment=str(value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    return replace(config, geometry=replace(config.geometry, fov_deg=v))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -496,16 +496,29 @@ def verify_schedule(schedule: Schedule, scenario: Scenario) -> FeasibilityReport
     checks.append(ConstraintCheck("slot_capacity", not over, over))
 
     # A run outside the frame is already flagged above, and its cells may be
-    # too many to enumerate.
-    cell_owners: dict[tuple[int, int], list[int]] = {}
+    # too many to enumerate.  One bitmask of used subchannels per slot (bit
+    # ``m - 1`` for subchannel ``m``) screens for a shared RB; only then are
+    # the cells listed, to name each shared one with its owners.
+    used: dict[int, int] = {}
+    shared = False
     for alloc in in_frame:
-        for cell in alloc.cells():
-            cell_owners.setdefault(cell, []).append(alloc.camera_id)
-    clashes = tuple(
-        (cell[0], cell[1], tuple(sorted(owners)))
-        for cell, owners in sorted(cell_owners.items())
-        if len(owners) > 1
-    )
+        run = ((1 << alloc.length) - 1) << (alloc.start - 1)
+        busy = used.get(alloc.slot, 0)
+        if busy & run:
+            shared = True
+            break
+        used[alloc.slot] = busy | run
+    clashes: tuple = ()
+    if shared:
+        cell_owners: dict[tuple[int, int], list[int]] = {}
+        for alloc in in_frame:
+            for cell in alloc.cells():
+                cell_owners.setdefault(cell, []).append(alloc.camera_id)
+        clashes = tuple(
+            (cell[0], cell[1], tuple(sorted(owners)))
+            for cell, owners in sorted(cell_owners.items())
+            if len(owners) > 1
+        )
     checks.append(ConstraintCheck("rb_exclusivity", not clashes, clashes))
 
     per_cam: dict[int, int] = {}

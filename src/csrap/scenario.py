@@ -206,22 +206,29 @@ def compute_coverage(camera: CameraNode, targets: Iterable[TargetObject]) -> fro
     orientation, again boundary inclusive; a target at zero distance counts
     as covered.
     """
-    return _visible(camera.position, camera.geometry, targets)
+    return _visible(camera.position, camera.geometry, _points(targets))
+
+
+def _points(targets: Iterable[TargetObject]) -> list[tuple[int, float, float]]:
+    """``(id, x, y)`` of each target, the form :func:`_visible` reads."""
+    return [(tgt.id, *tgt.position) for tgt in targets]
 
 
 def _visible(
-    position: tuple[float, float], geom: Omnidirectional | Directional, targets: Iterable[TargetObject]
+    position: tuple[float, float], geom: Omnidirectional | Directional, points: Iterable[tuple[int, float, float]]
 ) -> frozenset[int]:
-    """:func:`compute_coverage` for a camera not yet built."""
+    """:func:`compute_coverage` for a camera not yet built, over the
+    ``(id, x, y)`` triples of :func:`_points`, built once per scenario."""
     cx, cy = position
     view = geom.view_distance
     floor = -view
+    # None for an omnidirectional camera.
+    half_fov = geom.fov_deg / 2.0 if isinstance(geom, Directional) else None
     covered = set()
-    for tgt in targets:
+    for tid, x, y in points:
         # hypot(dx, dy) >= max(|dx|, |dy|) holds in floating point too (|dx|
         # is a float no greater than the true distance), so a target beyond
         # the view along either axis is one the distance test rejects.
-        x, y = tgt.position
         dx = x - cx
         if dx > view or dx < floor:
             continue
@@ -231,12 +238,12 @@ def _visible(
         dist = math.hypot(dx, dy)
         if dist > view:
             continue
-        if isinstance(geom, Directional) and dist > 0.0:
+        if half_fov is not None and dist > 0.0:
             bearing = math.degrees(math.atan2(dy, dx)) % 360.0
             diff = (bearing - geom.orientation_deg + 180.0) % 360.0 - 180.0
-            if abs(diff) > geom.fov_deg / 2.0:
+            if abs(diff) > half_fov:
                 continue
-        covered.add(tgt.id)
+        covered.add(tid)
     return frozenset(covered)
 
 
@@ -255,7 +262,7 @@ def derive_rates(
     Distances under one meter are clamped to one meter.
     """
     shadow = rng.normal(0.0, channel.shadowing_sigma_db, (1, num_subchannels))
-    return _channel_rates([position], channel, shadow, base_station)[0]
+    return list(_channel_rates([position], channel, shadow, base_station)[0])
 
 
 def _channel_rates(
@@ -263,12 +270,15 @@ def _channel_rates(
     channel: ChannelParams,
     shadow: np.ndarray,
     base_station: tuple[float, float],
-) -> list[list[float]]:
+) -> list[tuple[float, ...]]:
     """:func:`derive_rates` for many cameras: row ``i`` of ``shadow`` holds
     the shadowing draws of ``positions[i]``.
 
     Path loss stays scalar per camera: numpy's ``hypot`` and ``log10`` may
     differ from :mod:`math`'s in the last ulp, and the rates must not.
+    Cameras whose rows of MCS tier indexes are equal get one shared tuple of
+    the table's rates: a paper-default scenario has about a dozen distinct
+    rows among its 81 cameras, so most rows are never converted.
     """
     import numpy as np
 
@@ -280,8 +290,18 @@ def _channel_rates(
     ]
     snr = np.array(budget).reshape(-1, 1) - shadow - channel.noise_floor_dbm
     thresholds = np.array([t for t, _ in channel.mcs_table])
-    tiers = np.array([0.0] + [r for _, r in channel.mcs_table])
-    return tiers[np.searchsorted(thresholds, snr, side="right")].tolist()
+    tiers = (0.0, *(r for _, r in channel.mcs_table))
+    rows: dict[bytes, tuple[float, ...]] = {}
+    out = []
+    for index in np.searchsorted(thresholds, snr, side="right"):
+        # The key is the whole index row as stored, so a table of any
+        # number of tiers keys exactly.
+        key = index.tobytes()
+        rates = rows.get(key)
+        if rates is None:
+            rates = rows[key] = tuple(map(tiers.__getitem__, index.tolist()))
+        out.append(rates)
+    return out
 
 
 def _grid_side(area_side: float, view_min: float) -> int:
@@ -432,20 +452,14 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
     center = (area / 2.0, area / 2.0)
     derived = dict(zip(drawing, _channel_rates([positions[i] for i in drawing], config.channel, shadowing, center)))
 
+    points = _points(targets)
     cameras = []
     for i, override in enumerate(overrides):
         rates = derived.get(i)
-        cameras.append(
-            CameraNode(
-                id=i + 1,
-                position=positions[i],
-                geometry=geometries[i],
-                rate_requirement=requirements[i],
-                per_subchannel_rate=override if rates is None else rates,
-                coverage_set=_visible(positions[i], geometries[i], targets),
-                slot_rate_overrides=None if rates is None else override,
-            )
-        )
+        if rates is None:  # a flat override replaces the drawn rates
+            rates, override = override, None
+        covered = _visible(positions[i], geometries[i], points)
+        cameras.append(CameraNode(i + 1, positions[i], geometries[i], requirements[i], rates, covered, override))
 
     return Scenario(
         grid=config.frame,
@@ -649,6 +663,7 @@ def load_scenario(doc: Mapping) -> Scenario:
         pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
         targets.append(TargetObject(target_id, pos))
 
+    points = _points(targets)
     center = (area / 2.0, area / 2.0)
     default_rng = None  # numpy's, imported for the first camera without rates
     cameras = []
@@ -681,7 +696,7 @@ def load_scenario(doc: Mapping) -> Scenario:
                 if slot in slot_overrides:  # keys such as "2" and "02" name one slot
                     raise ScenarioFormatError(f"{slot_rates}[{s}]: repeats slot {slot}")
                 slot_overrides[slot] = read_numbers(vec, f"{slot_rates}[{s}]", grid.num_subchannels)
-        covered = _visible(pos, geometry, targets)
+        covered = _visible(pos, geometry, points)
         cameras.append(build_field(path, CameraNode, cam_id, pos, geometry, requirement, rates, covered, slot_overrides))
 
     return build_field(

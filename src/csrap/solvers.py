@@ -195,12 +195,14 @@ class CandidateTable:
         self.grid = grid
         self._cameras = {cam.id: cam for cam in cameras}
         # Per camera id, once built: the run index of each slot, shared by
-        # slots with equal rate vectors, and the sorted run lengths.
-        self._index: dict[int, tuple[list[_RunIndex], list[int]]] = {}
+        # slots with equal rate vectors, the sorted run lengths, and the
+        # distinct run indexes in the order of their first slot.
+        self._index: dict[int, tuple[list[_RunIndex], list[int], list[_RunIndex]]] = {}
 
-    def _index_of(self, camera_id: int) -> tuple[list[_RunIndex], list[int]]:
-        """The slot indexes and sorted run lengths of ``camera_id``, built
-        on the first call; an unknown id raises ``KeyError``."""
+    def _index_of(self, camera_id: int) -> tuple[list[_RunIndex], list[int], list[_RunIndex]]:
+        """The slot indexes, sorted run lengths and distinct run indexes of
+        ``camera_id``, built on the first call; an unknown id raises
+        ``KeyError``."""
         index = self._index.get(camera_id)
         if index is not None:
             return index
@@ -219,8 +221,8 @@ class CandidateTable:
                 if by_len is None:
                     by_len = cache[rates] = runs_by_length(rates, requirement)
                 slots.append(by_len)
-            distinct = cache.values()
-        index = self._index[camera_id] = (slots, sorted(set().union(*distinct)))
+            distinct = list(cache.values())
+        index = self._index[camera_id] = (slots, sorted(set().union(*distinct)), distinct)
         return index
 
     def min_phi(self, camera_id: int) -> int | None:
@@ -229,8 +231,7 @@ class CandidateTable:
 
     def robust_rates(self, camera_id: int) -> list[float]:
         """Robust rates of the runs of each distinct slot rate vector, once each."""
-        distinct = {id(by_len): by_len for by_len in self._index_of(camera_id)[0]}.values()
-        return [robust for by_len in distinct for runs in by_len.values() for _, robust in runs]
+        return [robust for by_len in self._index_of(camera_id)[2] for runs in by_len.values() for _, robust in runs]
 
     def candidate_count(self, camera_id: int) -> int:
         return sum(len(runs) for by_len in self._index_of(camera_id)[0] for runs in by_len.values())
@@ -238,7 +239,7 @@ class CandidateTable:
     def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
         """``(slot, start, length, robust_rate)`` ordered by length, then
         slot, then start, without building an allocation per candidate."""
-        slots, lengths = self._index_of(camera_id)
+        slots, lengths, _ = self._index_of(camera_id)
         for length in lengths:
             for slot, by_len in enumerate(slots, 1):
                 for start, robust in by_len.get(length, ()):
@@ -257,7 +258,7 @@ class CandidateTable:
         starts at or before the highest clashing subchannel covers that
         subchannel too, so the walk jumps past them.
         """
-        slots, lengths = self._index_of(camera_id)
+        slots, lengths, _ = self._index_of(camera_id)
         capacity, load, used = occupancy.capacity, occupancy.load, occupancy.used
         for length in lengths:
             mask = (1 << length) - 1

@@ -16,6 +16,7 @@ import numpy as np
 from csrap import (
     CameraNode,
     CandidateAllocation,
+    FeasibilityReport,
     FrameGrid,
     Omnidirectional,
     Scenario,
@@ -23,6 +24,7 @@ from csrap import (
     TargetObject,
     generate_scenario,
 )
+from csrap.model import ConstraintCheck
 from csrap.scenario import derive_rates
 
 RATE_TIERS = (2.0, 4.0, 6.0, 8.0)
@@ -299,6 +301,72 @@ def ilp_constraints_hold(schedule, scenario) -> dict[str, bool]:
         "rb_exclusivity": exclusivity_ok,
         "single_allocation": single_ok,
     }
+
+
+def verify_schedule_oracle(schedule, scenario) -> FeasibilityReport:
+    """The report ``verify_schedule`` must give, re-derived with plain loops:
+    RB exclusivity lists every (slot, subchannel) cell of the frame with the
+    ids of the in-frame runs that contain it, one entry per run."""
+    grid = scenario.grid
+    cams = {c.id: c for c in scenario.cameras}
+
+    def in_frame(alloc):
+        return alloc.slot <= grid.num_slots and alloc.start + alloc.length - 1 <= grid.num_subchannels
+
+    bad = []
+    for alloc in schedule.assignments:
+        cam = cams[alloc.camera_id]
+        if not in_frame(alloc):
+            bad.append((alloc.camera_id, "run outside frame"))
+            continue
+        window = cam.rates_in_slot(alloc.slot)[alloc.start - 1 : alloc.start - 1 + alloc.length]
+        rate = alloc.robust_rate
+        if min(window) != rate:
+            bad.append((alloc.camera_id, "robust rate mismatch"))
+        elif not (rate * (alloc.length - 1) < cam.rate_requirement <= rate * alloc.length):
+            bad.append((alloc.camera_id, "run does not just achieve the requirement"))
+
+    covered = set()
+    for alloc in schedule.assignments:
+        covered |= cams[alloc.camera_id].coverage_set
+    uncovered = tuple(sorted(t.id for t in scenario.targets if t.id not in covered))
+
+    over = []
+    for slot in range(1, grid.num_slots + 1):
+        used = sum(a.length for a in schedule.assignments if a.slot == slot)
+        if used > grid.capacity(slot):
+            over.append((slot, used, grid.capacity(slot)))
+
+    clashes = []
+    for slot in range(1, grid.num_slots + 1):
+        for sub in range(1, grid.num_subchannels + 1):
+            owners = sorted(
+                a.camera_id
+                for a in schedule.assignments
+                if in_frame(a) and a.slot == slot and a.start <= sub < a.start + a.length
+            )
+            if len(owners) > 1:
+                clashes.append((slot, sub, tuple(owners)))
+
+    ids = [a.camera_id for a in schedule.assignments]
+    dupes = tuple(sorted({i for i in ids if ids.count(i) > 1}))
+
+    mismatches = []
+    total = sum(a.length for a in schedule.assignments)
+    if total != schedule.total_rbs:
+        mismatches.append(f"total_rbs declared {schedule.total_rbs}, recomputed {total}")
+    if frozenset(t.id for t in scenario.targets if t.id in covered) != schedule.covered_targets:
+        mismatches.append("covered_targets does not match assigned cameras")
+
+    checks = (
+        ("allocation_validity", tuple(bad)),
+        ("coverage", uncovered),
+        ("slot_capacity", tuple(over)),
+        ("rb_exclusivity", tuple(clashes)),
+        ("single_allocation", dupes),
+        ("declared_totals", tuple(mismatches)),
+    )
+    return FeasibilityReport(tuple(ConstraintCheck(name, not found, found) for name, found in checks))
 
 
 def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | None:

@@ -2,7 +2,10 @@
 brute-force references."""
 
 import hashlib
+import json
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from csrap import (
     solvers,
 )
 from csrap.model import runs_by_length
-from csrap.solvers import CandidateTable, _Occupancy
+from csrap.scenario import load_scenario
+from csrap.solvers import BoundParams, CandidateTable, _Occupancy
 from support import brute_force_runs, crowded_fading, slot_runs
 
 RATES = st.sampled_from([0.0, 2.0, 3.0, 4.0, 6.0, 8.0])
@@ -94,6 +98,25 @@ class TestCandidateIndex:
             for vec in {cam.rates_in_slot(s) for s in range(1, grid.num_slots + 1)}:
                 rates.update(r for _, _, r in brute_force_runs(vec, cam.rate_requirement))
             assert Counter(table.robust_rates(cam.id)) == rates
+
+
+def test_robust_rates_read_each_distinct_vector_once():
+    # Slots 2 and 3 repeat one override vector and slot 1 keeps the base
+    # vector, so the table holds two run indexes for three slots.
+    base = (8.0, 8.0, 8.0, 8.0, 8.0)
+    override = (8.0, 4.0, 8.0, 8.0, 2.0)
+    cam = CameraNode(1, (0.0, 0.0), Omnidirectional(1.0), 8.0, base, frozenset({1}), {2: override, 3: list(override)})
+    table = CandidateTable([cam], FrameGrid(5, 3))
+    expected = [robust for vec in (base, override) for runs in runs_by_length(vec, 8.0).values() for _, robust in runs]
+    assert sorted(set(expected)) == [2.0, 4.0, 8.0]
+    assert table.robust_rates(1) == expected
+    assert table.robust_rates(1) == expected  # a second read answers the same
+
+
+def test_bound_params_on_the_slot_rates_document():
+    # Values computed before the table stored its distinct run indexes.
+    doc = json.loads((Path(__file__).parent / "data" / "slot_rates.json").read_text(encoding="utf-8"))
+    assert bound_params(load_scenario(doc)) == BoundParams(d_star=3, h_d_star=Fraction(11, 6), r_max=8.0, r_min=8.0)
 
 
 @st.composite

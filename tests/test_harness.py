@@ -240,6 +240,23 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=f"^{field} must be an integer, not 1.5$"):
                 SweepSpec(**{field: 1.5})
 
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            # "40" != 40 passes the repeat check, and float() would run both
+            # as two identical rows over the same seeds.
+            ("view_distance", ("40", 40), r"^values\[0\]: view_distance must be a number, not '40'$"),
+            # float(True) would run a 1-degree field of view.
+            ("fov", (True,), r"^values\[0\]: fov must be a number, not True$"),
+            ("view_distance", (30.0, False), r"^values\[1\]: view_distance must be a number, not False$"),
+            ("num_targets", (10, True), r"^values\[1\]: num_targets must be a number, not True$"),
+            ("deployment", ("partial_random", 3), r"^values\[1\]: deployment must be a string, not 3$"),
+        ],
+    )
+    def test_rejects_sweep_values_of_the_wrong_type(self, axis, values, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(axis=axis, values=values, trials=2, algorithms=("mramc",))
+
     def test_spec_from_document(self):
         doc = {
             "axis": "view_distance",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csrap import (
     CameraNode,
@@ -21,7 +21,7 @@ from csrap import (
     verify_schedule,
 )
 from csrap.model import runs_by_length
-from support import brute_force_runs, ilp_constraints_hold, random_instance, slot_runs
+from support import brute_force_runs, ilp_constraints_hold, random_instance, slot_runs, verify_schedule_oracle
 
 
 def make_camera(rates, requirement, cam_id=1, coverage=frozenset({1})):
@@ -269,6 +269,66 @@ def two_camera_scenario():
     )
     targets = (TargetObject(1, (0, 0)), TargetObject(2, (1, 0)))
     return Scenario(grid, cams, targets)
+
+
+VERIFY_RATES = st.sampled_from([0.0, 2.0, 4.0, 8.0])
+
+
+@st.composite
+def verify_cases(draw):
+    """A scenario on a frame of at most 5x3 RBs and a schedule of up to 7
+    runs of its cameras, not all valid: runs may overlap, touch (one ends
+    at subchannel k and the next starts at k or k + 1), repeat a camera,
+    or reach past the last slot or subchannel."""
+    m = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 3))
+    grid = FrameGrid(m, t, tuple(draw(st.integers(0, m)) for _ in range(t)))
+    targets = tuple(TargetObject(i, (float(i), 0.0)) for i in range(1, draw(st.integers(1, 4)) + 1))
+    vector = st.lists(VERIFY_RATES, min_size=m, max_size=m)
+    cameras = tuple(
+        CameraNode(
+            cam_id,
+            (0.0, 0.0),
+            Omnidirectional(1.0),
+            float(draw(st.integers(1, 16))),
+            draw(vector),
+            draw(st.frozensets(st.integers(1, len(targets)))),
+            draw(st.one_of(st.none(), st.dictionaries(st.integers(1, t), vector, max_size=t))),
+        )
+        for cam_id in range(1, draw(st.integers(1, 4)) + 1)
+    )
+    allocs: list[CandidateAllocation] = []
+    for _ in range(draw(st.integers(0, 7))):
+        cam_id = draw(st.integers(1, len(cameras)))
+        length = draw(st.integers(1, m))
+        robust = draw(st.sampled_from([2.0, 4.0, 8.0]))
+        prev = allocs[-1] if allocs else None
+        how = draw(st.sampled_from(["in_frame", "at_end", "after_end", "outside"]))
+        if how == "outside":
+            slot, start = draw(st.sampled_from([(t + 1, 1), (1, m), (t, m + 1)]))
+            length += 1
+        elif prev is None or how == "in_frame":
+            slot, start = draw(st.integers(1, t)), draw(st.integers(1, m))
+        else:
+            end = prev.start + prev.length - 1
+            slot, start = prev.slot, end if how == "at_end" else end + 1
+        allocs.append(CandidateAllocation(cam_id, slot, start, length, robust))
+    scenario = Scenario(grid, cameras, targets)
+    schedule = Schedule.build(allocs, cameras, scenario.target_ids)
+    # Declared totals that may disagree with the runs.
+    schedule = Schedule(
+        schedule.assignments,
+        schedule.total_rbs + draw(st.sampled_from([0, 0, 1])),
+        draw(st.sampled_from([schedule.covered_targets, frozenset(), scenario.target_ids])),
+    )
+    return scenario, schedule
+
+
+@settings(deadline=None)
+@given(verify_cases())
+def test_verify_schedule_matches_the_cell_enumeration_oracle(case):
+    scenario, schedule = case
+    assert verify_schedule(schedule, scenario) == verify_schedule_oracle(schedule, scenario)
 
 
 class TestVerifySchedule:

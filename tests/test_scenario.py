@@ -25,7 +25,7 @@ from csrap import (
     load_scenario,
     save_scenario,
 )
-from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _geometry_to_doc
+from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _channel_rates, _geometry_to_doc
 from support import brute_force_coverage
 
 
@@ -121,6 +121,47 @@ class TestDeriveRates:
                         rate = r
                 expected.append(rate)
             assert got == pytest.approx(expected, abs=1e-3)
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(rng_seed=11),
+            ScenarioConfig(deployment="partial_random", num_cameras=30, num_targets=12, rng_seed=12),
+            ScenarioConfig(
+                deployment="partial_random",
+                num_cameras=30,
+                num_targets=12,
+                geometry=GeometrySpec(kind="directional", view_distance=(30.0, 60.0)),
+                channel=ChannelParams(tx_power_dbm=6.0),
+                rng_seed=13,
+            ),
+        ],
+        ids=["paper_default", "partial_random", "partial_random_weak"],
+    )
+    def test_generated_rates_equal_one_draw_per_camera(self, config):
+        # Generation makes one (n, M) shadowing draw and shares a rate tuple
+        # among cameras with equal tier rows; that must equal n draws of M,
+        # camera by camera, from a fresh shadowing stream.
+        scn = generate_scenario(config)
+        rng = np.random.default_rng([config.rng_seed, 1])
+        center = (config.area_side / 2.0, config.area_side / 2.0)
+        for cam in scn.cameras:
+            rates = derive_rates(cam.position, config.channel, rng, config.frame.num_subchannels, center)
+            assert type(rates) is list
+            assert all(type(r) is float for r in rates)
+            assert tuple(rates) == cam.per_subchannel_rate
+
+    def test_tier_rows_are_keyed_beyond_255_tiers(self):
+        # Tier indexes 20 and 276 agree modulo 256, so a row key narrowed to
+        # one byte per index would give the second camera the first's rates.
+        channel = ChannelParams(mcs_table=tuple((float(t), float(t + 301)) for t in range(-300, 0)), shadowing_sigma_db=0.0)
+        pos = (300.0, 400.0)  # 500 m from the base station
+        budget = channel.tx_power_dbm - (channel.pathloss_intercept_db + channel.pathloss_slope_db * math.log10(0.5))
+        snr = budget - channel.noise_floor_dbm
+        shadow = np.array([[snr + 280.5] * 3, [snr + 24.5] * 3])
+        low, high = channel.mcs_table[19][1], channel.mcs_table[275][1]
+        assert _channel_rates([pos, pos], channel, shadow, (0.0, 0.0)) == [(low,) * 3, (high,) * 3]
 
 
 class TestGenerateScenario:
