@@ -119,11 +119,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(_read_json(args.scenario, "scenario"))
     result = SOLVERS[args.algo](scenario, None, args.multiplicity, args.budget, None)
-    doc = schedule_to_document(result)
-    if args.out:
-        _write_text(_dump(doc), args.out)
-    elif args.quiet:
-        _write_text(_dump(doc), None)
+    # Without a file ("-" is none), stdout holds the document under --quiet, else the summary.
+    to_file = args.out not in (None, "", "-")
+    if to_file or args.quiet:
+        _write_text(_dump(schedule_to_document(result)), args.out if to_file else None)
     if not args.quiet:
         print(f"algorithm: {args.algo}")
         print(f"status: {result.status.value}")

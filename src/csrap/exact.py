@@ -49,14 +49,8 @@ from functools import partial
 from itertools import repeat
 from typing import Callable
 
-from .model import CandidateAllocation, FrameGrid, Scenario, Schedule, _integer
-from .solvers import (
-    CandidateTable,
-    Diagnostics,
-    SolveStatus,
-    SolverResult,
-    _Occupancy,
-)
+from .model import CandidateAllocation, Scenario, Schedule, _integer
+from .solvers import CandidateTable, Diagnostics, SolverResult, SolveStatus, _overlap_free_layout
 
 __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
@@ -66,10 +60,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 LAYOUT_STEPS = 20_000
 
 MODES = ("with_exclusivity", "without_exclusivity")
-
-# A chosen run as CandidateAllocation fields (camera, slot, start, length,
-# robust rate); allocations are built for the result only.
-_Run = tuple[int, int, int, int, float]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -217,7 +207,6 @@ def exact_solve(
     relaxed = mode == "without_exclusivity"
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
-    grid = scenario.grid
     target_ids = scenario.target_ids
 
     # Cameras that cover nothing or can never transmit are useless; the
@@ -239,7 +228,7 @@ def exact_solve(
     root_bound = search.bound(target_ids, available)
     assert root_bound is not None  # coverage reachability was checked above
     search.root_bound = root_bound
-    capacity = sum(grid.slot_capacity)
+    capacity = sum(scenario.grid.slot_capacity)
 
     if relaxed:
         # Every cover costs less than this ceiling and settles to itself.
@@ -252,7 +241,7 @@ def exact_solve(
         steps = partial(next, repeat(True, min(node_budget, LAYOUT_STEPS)), False)
         # Below R + 1 every camera keeps its minimum run; runs that add up to
         # more than the frame's capacity have no layout.
-        layout = _overlap_free_layout(cover, min_phi, table, grid, min(search.best_cost, capacity) + 1, steps)
+        layout = _overlap_free_layout(cover, table, min(search.best_cost, capacity) + 1, steps)
         if layout is None:
             # None found within the steps; RB sharing is allowed here, at the same cost.
             assignments = [table.min_allocation(cam_id) for cam_id in cover]
@@ -265,7 +254,7 @@ def exact_solve(
             search,
             target_ids,
             available,
-            lambda cameras, cost: _overlap_free_layout(cameras, min_phi, table, grid, search.best_cost, search.tick),
+            lambda cameras, cost: _overlap_free_layout(cameras, table, search.best_cost, search.tick),
             capacity + 1,
         )
         if runs is None:
@@ -322,51 +311,3 @@ def _branch_and_bound(
     dfs(targets, available, 0, [])
     return best
 
-
-def _overlap_free_layout(
-    cameras: list[int],
-    min_phi: dict[int, int],
-    table: CandidateTable,
-    grid: FrameGrid,
-    ceiling: int,
-    step: Callable[[], bool],
-) -> tuple[list[_Run], int] | None:
-    """The cheapest overlap-free layout of one run per camera that costs
-    less than ``ceiling``, with its cost, or None.
-
-    Cameras are placed in the order given, each camera's runs in
-    ``runs_by_cost`` order.  A partial layout is pruned once its cost plus
-    the minimum runs of the unplaced cameras reaches the ceiling.  ``step()``
-    is called once per placement call; when it returns False the search
-    stops with what it has found.
-    """
-    rest = [0] * (len(cameras) + 1)  # rest[i]: minimum runs of cameras[i:]
-    for i in reversed(range(len(cameras))):
-        rest[i] = rest[i + 1] + min_phi[cameras[i]]
-    layout: list[_Run] = []
-    best: tuple[list[_Run], int] | None = None
-
-    def place(i: int, occupancy: _Occupancy, cost: int) -> bool:
-        """Lays out ``cameras[i:]``; False once the steps run out."""
-        nonlocal best, ceiling
-        if not step():
-            return False
-        if i == len(cameras):
-            best, ceiling = (list(layout), cost), cost
-            return True
-        cam_id = cameras[i]
-        for slot, start, length, robust in table.runs_by_cost(cam_id):
-            if cost + length + rest[i + 1] >= ceiling:
-                break  # runs arrive in non-decreasing length
-            if occupancy.fits(slot, start, length):
-                forked = occupancy.fork()
-                forked.place(slot, start, length)
-                layout.append((cam_id, slot, start, length, robust))
-                going = place(i + 1, forked, cost + length)
-                layout.pop()
-                if not going:
-                    return False
-        return True
-
-    place(0, _Occupancy(grid), 0)
-    return best

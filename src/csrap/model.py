@@ -71,8 +71,8 @@ class FrameGrid:
         # A size no sequence can index is malformed, not merely large.
         if max(self.num_subchannels, self.num_slots) > sys.maxsize:
             raise ValueError(f"num_subchannels and num_slots must be at most {sys.maxsize}")
-        if not self.frame_duration_ms > 0:
-            raise ValueError("frame_duration_ms must be positive")
+        if not 0 < self.frame_duration_ms < inf:
+            raise ValueError("frame_duration_ms must be positive and finite")
         cap = self.slot_capacity
         if cap is None:
             cap = (self.num_subchannels,) * self.num_slots

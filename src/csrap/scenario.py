@@ -645,11 +645,12 @@ def load_scenario(doc: Mapping) -> Scenario:
     """Parse a scenario document; errors name the offending field.
 
     A camera without an explicit ``rates`` list gets rates from the channel
-    model, seeded by the document seed and the camera id.
+    model, seeded by the document seed and the camera id.  A null ``area``,
+    ``channel`` or ``seed`` is read as None, as a hand-built scenario saves it.
     """
     doc = read_object(doc, "document")
-    area = read_number(*need_field(doc, "area"))
-    if not area > 0:
+    area, where = need_field(doc, "area")
+    if area is not None and not (area := read_number(area, where)) > 0:
         raise ScenarioFormatError("area: must be positive")
     grid = _frame_from_doc(*need_field(doc, "frame"))
     channel = _channel_from_doc(doc["channel"], "channel") if doc.get("channel") is not None else None
@@ -664,7 +665,6 @@ def load_scenario(doc: Mapping) -> Scenario:
         targets.append(TargetObject(target_id, pos))
 
     points = _points(targets)
-    center = (area / 2.0, area / 2.0)
     default_rng = None  # numpy's, imported for the first camera without rates
     cameras = []
     for entry, path in read_objects(*need_field(doc, "cameras")):
@@ -677,20 +677,22 @@ def load_scenario(doc: Mapping) -> Scenario:
         else:
             if channel is None:
                 raise ScenarioFormatError(f"{path}.rates: missing and no channel model to derive from")
+            if area is None:
+                raise ScenarioFormatError(f"{path}.rates: missing and no area to place the base station in")
             if default_rng is None:
                 from numpy.random import default_rng
             # numpy takes only non-negative seed words, and the id is one.
             rng = build_field(f"{path}.id", default_rng, [(seed or 0) % (2**63), 1, cam_id])
-            rates = tuple(derive_rates(pos, channel, rng, grid.num_subchannels, center))
+            rates = tuple(derive_rates(pos, channel, rng, grid.num_subchannels, (area / 2.0, area / 2.0)))
         slot_overrides = None
         if entry.get("slot_rates") is not None:
             slot_rates = f"{path}.slot_rates"
             slot_overrides = {}
             for s, vec in read_object(entry["slot_rates"], slot_rates).items():
-                try:
-                    slot = int(s)
-                except (TypeError, ValueError):
-                    raise ScenarioFormatError(f"{slot_rates}: slot keys must be integers") from None
+                # int() would also read "+1", " 1", "1_0" and non-ASCII digits.
+                if not (isinstance(s, str) and s.isascii() and s.isdigit()):
+                    raise ScenarioFormatError(f"{slot_rates}: slot keys must be decimal integers")
+                slot = int(s)
                 if not 1 <= slot <= grid.num_slots:
                     raise ScenarioFormatError(f"{slot_rates}[{s}]: slot must lie in 1..{grid.num_slots}")
                 if slot in slot_overrides:  # keys such as "2" and "02" name one slot

@@ -249,14 +249,16 @@ class CandidateTable:
         run = next(self.runs_by_cost(camera_id), None)
         return None if run is None else CandidateAllocation(camera_id, *run)
 
-    def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
-        """The first candidate in :meth:`runs_by_cost` order that ``occupancy``
-        admits; no allocation is built for the ones it rejects.
+    def free_runs(self, camera_id: int, occupancy: _Occupancy) -> Iterator[tuple[int, int, int, float]]:
+        """The runs of :meth:`runs_by_cost` that ``occupancy`` admits, in
+        that order; the ones it rejects are not tested one by one.
 
         A slot without room for ``length`` more RBs is skipped whole.  When a
         run clashes with used subchannels, every later run of its length that
         starts at or before the highest clashing subchannel covers that
-        subchannel too, so the walk jumps past them.
+        subchannel too, so the walk jumps past them.  A caller may place a
+        yielded run while it holds the walk, as long as it unplaces the run
+        before asking for the next.
         """
         slots, lengths, _ = self._index_of(camera_id)
         capacity, load, used = occupancy.capacity, occupancy.load, occupancy.used
@@ -272,9 +274,15 @@ class CandidateTable:
                     start, robust = runs[i]
                     clash = busy & (mask << (start - 1))
                     if not clash:
-                        return CandidateAllocation(camera_id, slot, start, length, robust)
-                    i = bisect_left(runs, clash.bit_length() + 1, i + 1, key=_run_start)
-        return None
+                        yield slot, start, length, robust
+                        i += 1
+                    else:
+                        i = bisect_left(runs, clash.bit_length() + 1, i + 1, key=_run_start)
+
+    def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
+        """The first run of :meth:`free_runs`, or None."""
+        run = next(self.free_runs(camera_id, occupancy), None)
+        return None if run is None else CandidateAllocation(camera_id, *run)
 
 
 class _Occupancy:
@@ -303,13 +311,63 @@ class _Occupancy:
         self.used[slot] |= ((1 << length) - 1) << (start - 1)
         self.load[slot] += length
 
-    def fork(self) -> _Occupancy:
-        """An independent copy."""
-        copy = _Occupancy.__new__(_Occupancy)
-        copy.capacity = self.capacity
-        copy.load = self.load[:]
-        copy.used = self.used[:]
-        return copy
+    def unplace(self, slot: int, start: int, length: int) -> None:
+        """Undoes :meth:`place` of the same run."""
+        self.used[slot] &= ~(((1 << length) - 1) << (start - 1))
+        self.load[slot] -= length
+
+
+# A laid-out run as CandidateAllocation fields (camera, slot, start, length,
+# robust rate); allocations are built for the result only.
+_Run = tuple[int, int, int, int, float]
+
+
+def _overlap_free_layout(
+    cameras: list[int],
+    table: CandidateTable,
+    ceiling: int,
+    step: Callable[[], bool],
+) -> tuple[list[_Run], int] | None:
+    """The cheapest overlap-free layout of one run per camera that costs
+    less than ``ceiling``, with its cost, or None.
+
+    Cameras are placed in the order given, each camera's runs in
+    :meth:`CandidateTable.free_runs` order on one occupancy, and each
+    placement is undone once its subtree is searched.  A partial layout is
+    pruned once its cost plus the minimum runs of the unplaced cameras
+    reaches the ceiling.  ``step()`` is called once per placement call; when
+    it returns False the search stops with what it has found.
+    """
+    rest = [0] * (len(cameras) + 1)  # rest[i]: minimum runs of cameras[i:]
+    for i in reversed(range(len(cameras))):
+        rest[i] = rest[i + 1] + table.min_phi(cameras[i])
+    occupancy = _Occupancy(table.grid)
+    layout: list[_Run] = []
+    best: tuple[list[_Run], int] | None = None
+
+    def place(i: int, cost: int) -> bool:
+        """Lays out ``cameras[i:]``; False once the steps run out."""
+        nonlocal best, ceiling
+        if not step():
+            return False
+        if i == len(cameras):
+            best, ceiling = (list(layout), cost), cost
+            return True
+        cam_id = cameras[i]
+        for slot, start, length, robust in table.free_runs(cam_id, occupancy):
+            if cost + length + rest[i + 1] >= ceiling:
+                break  # runs arrive in non-decreasing length
+            occupancy.place(slot, start, length)
+            layout.append((cam_id, slot, start, length, robust))
+            going = place(i + 1, cost + length)
+            layout.pop()
+            occupancy.unplace(slot, start, length)
+            if not going:
+                return False
+        return True
+
+    place(0, 0)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +464,20 @@ def mramc_relocate(
         trace.append(RelocationStep(camera_id, alloc, moved))
         del unadjusted[camera_id]
 
+    fits = occupancy.fits
     failed: int | None = None
     while unadjusted and failed is None:
-        cam_id = min(unadjusted, key=lambda c: (unadjusted[c].length, c))
+        # Runs that no longer fit beside the fixed ones move, smallest first, before
+        # the next run is kept; the first run kept is the smallest, if it fits.
+        conflicted = [c for c, a in unadjusted.items() if not fits(a.slot, a.start, a.length)] if fixed else []
+        cam_id = min(conflicted or unadjusted, key=lambda c: (unadjusted[c].length, c))
         alloc = unadjusted[cam_id]
-        if occupancy.fits(alloc.slot, alloc.start, alloc.length):
+        if not conflicted and fits(alloc.slot, alloc.start, alloc.length):
             fix(cam_id, alloc, moved=False)
-        # Otherwise cam_id is the first conflicted camera and moves below.
-        while failed is None:
-            conflicted = [c for c, a in unadjusted.items() if not occupancy.fits(a.slot, a.start, a.length)]
-            if not conflicted:
-                break
-            nxt = min(conflicted, key=lambda c: (unadjusted[c].length, c))
-            moved = table.first_fit(nxt, occupancy)
-            if moved is None:
-                failed = nxt
-            else:
-                fix(nxt, moved, moved=True)
+        elif (moved := table.first_fit(cam_id, occupancy)) is None:
+            failed = cam_id
+        else:
+            fix(cam_id, moved, moved=True)
 
     schedule = Schedule.build(fixed, scenario.cameras, scenario.target_ids)
     diag = Diagnostics(greedy=greedy_trace, relocation=tuple(trace))

@@ -165,25 +165,28 @@ class TestOccupancy:
             assert occ.fits(alloc.slot, alloc.start, alloc.length) == ref.admits(alloc)
 
     @given(occupancy_cases())
-    def test_fork_is_independent(self, case):
+    def test_unplace_undoes_place(self, case):
+        # Admitted runs are placed one on another and unplaced in reverse,
+        # as the layout search does; after each unplace every answer is the
+        # cell set's for the runs still placed.
         grid, allocs = case
-        occ, ref = _Occupancy(grid), Reference(grid)
-        for alloc, add in allocs:
-            if add:
-                occ.place(alloc.slot, alloc.start, alloc.length)
-                ref.add(alloc)
-        forked, child = occ.fork(), Reference(grid)
-        child.cells, child.load = set(ref.cells), Counter(ref.load)
-        later = [alloc for alloc, add in allocs if not add]
-        for alloc in later[::2]:
-            forked.place(alloc.slot, alloc.start, alloc.length)
-            child.add(alloc)
-        for alloc in later[1::2]:
+        occ = _Occupancy(grid)
+        placed = [alloc for alloc, add in allocs if add]
+        for alloc in placed:
             occ.place(alloc.slot, alloc.start, alloc.length)
-            ref.add(alloc)
+        kept = len(placed)
         for alloc, _ in allocs:
-            assert occ.fits(alloc.slot, alloc.start, alloc.length) == ref.admits(alloc)
-            assert forked.fits(alloc.slot, alloc.start, alloc.length) == child.admits(alloc)
+            if occ.fits(alloc.slot, alloc.start, alloc.length):
+                occ.place(alloc.slot, alloc.start, alloc.length)
+                placed.append(alloc)
+        while len(placed) > kept:
+            alloc = placed.pop()
+            occ.unplace(alloc.slot, alloc.start, alloc.length)
+            ref = Reference(grid)
+            for below in placed:
+                ref.add(below)
+            for other, _ in allocs:
+                assert occ.fits(other.slot, other.start, other.length) == ref.admits(other)
 
 
 @st.composite
@@ -209,9 +212,10 @@ def test_first_fit_is_the_first_admitted_run_by_cost(case):
     grid, cameras, occupancy = case
     table = CandidateTable(cameras, grid)
     for cam in cameras:
-        admitted = (run for run in table.runs_by_cost(cam.id) if occupancy.fits(*run[:3]))
-        expected = next(admitted, None)
+        admitted = [run for run in table.runs_by_cost(cam.id) if occupancy.fits(*run[:3])]
+        expected = admitted[0] if admitted else None
         assert table.first_fit(cam.id, occupancy) == (None if expected is None else CandidateAllocation(cam.id, *expected))
+        assert list(table.free_runs(cam.id, occupancy)) == admitted
 
 
 POSITIVE = st.floats(0.01, 10.0)

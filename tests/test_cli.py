@@ -125,6 +125,40 @@ class TestPipeline:
         assert main(["solve", scenario_path, "--algo", "mramc", "--quiet"]) == 1
         capsys.readouterr()
 
+    def test_solve_prints_a_summary_by_default(self, tmp_path, capsys):
+        scenario_path = write(tmp_path / "scn.json", one_camera_scenario())
+        assert main(["solve", scenario_path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "algorithm: mramc",
+            "status: feasible",
+            "total_rbs: 3",
+            "  camera 1: slot 1, subchannels 1-3 (3 RBs at rate 4)",
+        ]
+
+    def test_summary_of_an_infeasible_solve_ends_with_its_note(self, tmp_path, capsys):
+        doc = one_camera_scenario()
+        doc["targets"].append({"id": 2, "x": 90.0, "y": 90.0})
+        scenario_path = write(tmp_path / "scn.json", doc)
+        assert main(["solve", scenario_path, "--algo", "baseline"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "algorithm: baseline",
+            "status: infeasible_coverage",
+            "total_rbs: 3",
+            "  camera 1: slot 1, subchannels 1-3 (3 RBs at rate 4)",
+            "  note: uncovered targets: [2]",
+        ]
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+    def test_out_dash_is_stdout(self, tmp_path, capsys, quiet):
+        # With "-" stdout holds what it holds without --out: the summary, or
+        # with --quiet the schedule document alone.
+        scenario_path = write(tmp_path / "scn.json", one_camera_scenario())
+        assert main(["solve", scenario_path, *quiet]) == 0
+        expected = capsys.readouterr().out
+        assert main(["solve", scenario_path, "--out", "-", *quiet]) == 0
+        assert capsys.readouterr().out == expected
+        assert expected.startswith("{") == bool(quiet)
+
 
 def sweep_doc(**fields):
     return {
@@ -151,6 +185,14 @@ class TestSweepCommand:
         header = a.decode().splitlines()[0]
         assert header == "axis,value,algorithm,mean_rbs,std_rbs,infeasible,trials"
         capsys.readouterr()
+
+    def test_seed_option_is_the_base_seed(self, tmp_path, capsys):
+        assert main(["sweep", write(tmp_path / "a.json", sweep_doc(base_seed=7)), "--quiet"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["sweep", write(tmp_path / "b.json", sweep_doc()), "--seed", "7", "--quiet"]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["sweep", write(tmp_path / "c.json", sweep_doc()), "--quiet"]) == 0
+        assert capsys.readouterr().out != expected
 
     def test_timestamp_present_without_quiet(self, tmp_path, capsys):
         spec = write(tmp_path / "sweep.json", sweep_doc())
@@ -192,6 +234,14 @@ class TestBoundsCommand:
         assert "H(d_star): 1 (1.000000)" in out
         assert "r_max: 4" in out  # only the 3-RB run exists, robust rate 4
         assert "ratio_bound: 1.000000" in out
+
+    def test_no_covered_target_exits_one(self, tmp_path, capsys):
+        doc = one_camera_scenario()
+        doc["targets"] = [{"id": 1, "x": 90.0, "y": 90.0}]
+        assert main(["bounds", write(tmp_path / "scn.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "bounds unavailable: no camera covers any target\n"
+        assert captured.out == ""
 
 
 class TestErrorPaths:
@@ -335,8 +385,17 @@ class TestMalformedNumbers:
         "long_slot_rates": (with_camera(slot_rates={"1": [8, 4, 7, 7]}), "cameras[0].slot_rates[1]"),
         "slot_out_of_range": (with_camera(slot_rates={"99": [8, 4, 7]}), "cameras[0].slot_rates[99]"),
         "non_integer_slot_key": (with_camera(slot_rates={"1.5": [8, 4, 7]}), "cameras[0].slot_rates"),
+        # Keys int() would read as slot 1 or 10; only ASCII digits name a slot.
+        "signed_slot_key": (with_camera(slot_rates={"+1": [8, 4, 7]}), "cameras[0].slot_rates"),
+        "spaced_slot_key": (with_camera(slot_rates={" 1": [8, 4, 7]}), "cameras[0].slot_rates"),
+        "arabic_indic_slot_key": (with_camera(slot_rates={"\u0661": [8, 4, 7]}), "cameras[0].slot_rates"),
+        "underscored_slot_key": (
+            {**with_camera(slot_rates={"1_0": [8, 4, 7]}), "frame": {"M": 3, "T": 10}},
+            "cameras[0].slot_rates",
+        ),
         "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
         "negative_id_seeding_rates": ({**with_camera(id=-1, rates=None), "channel": {}}, "cameras[0].id"),
+        "null_area_seeding_rates": ({**with_camera(rates=None), "area": None, "channel": {}}, "cameras[0].rates"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

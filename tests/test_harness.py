@@ -13,11 +13,13 @@ from csrap import (
     Omnidirectional,
     Scenario,
     ScenarioConfig,
+    Schedule,
     SolveStatus,
     SweepSpec,
     TargetObject,
     baseline_schedule,
     greedy_based_reference,
+    harness,
     run_sweep,
     schedule_from_document,
     schedule_to_document,
@@ -27,7 +29,7 @@ from csrap import (
 )
 from csrap.harness import CSV_HEADER
 from csrap.scenario import ScenarioFormatError
-from csrap.solvers import CandidateTable, _scan_schedule
+from csrap.solvers import CandidateTable, SolverResult, _scan_schedule
 from support import brute_force_runs, random_instance
 
 
@@ -208,6 +210,15 @@ class TestRunSweep:
         reversed_result = run_sweep(replace(spec, algorithms=("m_mramc", "mramc")))
         assert sorted(calls.values()) == [2] * 12
         assert sorted(reversed_result.to_csv().splitlines()) == sorted(result.to_csv().splitlines())
+
+    def test_a_schedule_failing_verification_aborts_the_sweep(self, monkeypatch):
+        # An empty schedule claimed feasible covers no target.
+        monkeypatch.setitem(
+            harness.SOLVERS, "mramc", lambda *args: SolverResult(Schedule.empty(), SolveStatus.FEASIBLE)
+        )
+        spec = SweepSpec(config=SMALL_CONFIG, values=(4,), trials=2, algorithms=("baseline", "mramc"), base_seed=3)
+        with pytest.raises(RuntimeError, match=r"schedule from 'mramc' failed verification on seed 3 .*coverage"):
+            run_sweep(spec)
 
     def test_exact_and_exact_relaxed_entries(self):
         # A 4-RB frame is too small for some trials, which only the relaxed

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,11 @@ class TestTypes:
             FrameGrid(3, 1, slot_capacity=(4,))
         with pytest.raises(ValueError):
             FrameGrid(3, 1, frame_duration_ms=0)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0, -1.0])
+    def test_frame_grid_rejects_a_duration_that_is_not_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="frame_duration_ms"):
+            FrameGrid(8, 2, frame_duration_ms=duration)
 
     @pytest.mark.parametrize(
         "args, kwargs, field",

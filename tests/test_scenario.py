@@ -16,6 +16,7 @@ from csrap import (
     GeometrySpec,
     InvalidConfigError,
     Omnidirectional,
+    Scenario,
     ScenarioConfig,
     ScenarioFormatError,
     TargetObject,
@@ -456,6 +457,30 @@ class TestDocuments:
         scn = load_scenario(doc)
         assert scn.cameras[0].rates_in_slot(2) == (2.0, 2.0)
         assert save_scenario(scn)["cameras"][0]["slot_rates"] == {"2": [2.0, 2.0]}
+
+    def test_hand_built_scenario_round_trips(self):
+        # Without area_side, channel or seed the document holds three nulls.
+        cam = CameraNode(1, (0.0, 0.0), Omnidirectional(3.0), 4.0, (8.0, 2.0), frozenset({1}), {2: (2.0, 2.0)})
+        scn = Scenario(FrameGrid(2, 2), (cam,), (TargetObject(1, (1.0, 1.0)),))
+        doc = json.loads(json.dumps(save_scenario(scn)))
+        assert (doc["area"], doc["channel"], doc["seed"]) == (None, None, None)
+        assert load_scenario(doc) == scn
+
+    @pytest.mark.parametrize(
+        "area, channel, reason",
+        [
+            (None, None, "no channel model to derive from"),
+            (10.0, None, "no channel model to derive from"),
+            (None, {}, "no area to place the base station in"),
+        ],
+    )
+    def test_camera_without_rates_names_what_is_missing(self, area, channel, reason):
+        cam = CameraNode(1, (0.0, 0.0), Omnidirectional(3.0), 4.0, (8.0, 2.0), frozenset({1}))
+        doc = save_scenario(Scenario(FrameGrid(2, 1), (cam,), (TargetObject(1, (1.0, 1.0)),)))
+        doc.update(area=area, channel=channel)
+        del doc["cameras"][0]["rates"]
+        with pytest.raises(ScenarioFormatError, match=rf"^cameras\[0\]\.rates: missing and {reason}$"):
+            load_scenario(doc)
 
     def test_mcs_table_validation(self):
         with pytest.raises(ValueError):

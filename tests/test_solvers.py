@@ -32,7 +32,7 @@ from csrap import (
     traffic_scenario,
     verify_schedule,
 )
-from csrap.solvers import CandidateTable
+from csrap.solvers import CandidateTable, RelocationStep
 from support import brute_force_runs, crowded_fading, greedy_weighted_set_cover, random_instance
 
 
@@ -210,6 +210,26 @@ class TestRelocation:
         assert result.status is SolveStatus.FEASIBLE
         slots = sorted(a.slot for a in result.schedule.assignments)
         assert slots == [1, 2]
+
+    @pytest.mark.parametrize(
+        "capacity, steps",
+        [
+            # Camera 2's run is longer than slot 1's capacity, so it fits
+            # nowhere as it is; camera 1's smaller run is still kept first.
+            ((2, 4), [(1, (1, 1, 3, 1, 8.0), False), (2, (2, 2, 1, 3, 2.0), True)]),
+            # Camera 1's run, the smallest, does not fit on its own, so it moves first.
+            ((0, 4), [(1, (1, 2, 1, 1, 8.0), True), (2, (2, 2, 2, 3, 2.0), True)]),
+        ],
+    )
+    def test_a_run_over_its_slot_capacity_moves_in_size_order(self, capacity, steps):
+        cameras = [cam(1, [8, 8, 8, 8], 8.0, {1}), cam(2, [2, 2, 2, 2], 6.0, {2})]
+        scn = scenario_of(FrameGrid(4, 2, slot_capacity=capacity), cameras, 2)
+        tentative = [CandidateAllocation(2, 1, 1, 3, 2.0), CandidateAllocation(1, 1, 3, 1, 8.0)]
+        result = mramc_relocate(tentative, scn)
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.diagnostics.relocation == tuple(
+            RelocationStep(cam_id, CandidateAllocation(*alloc), moved) for cam_id, alloc, moved in steps
+        )
 
 
 class TestMramc:
