@@ -144,11 +144,14 @@ class _Search:
             raise self.overrun()
         return True
 
-    def bound(self, uncovered: frozenset[int], available: tuple[int, ...]) -> int | None:
-        """Admissible lower bound in whole RBs: the larger of the share bound
-        and the Lagrangian bound at the ascent prices of :meth:`ascend_prices`;
-        None if some target is uncoverable."""
+    def expand(self, uncovered: frozenset[int], available: tuple[int, ...]) -> tuple[int | None, list[int]]:
+        """One scan of ``available``: an admissible lower bound in whole RBs,
+        the larger of the share bound and the Lagrangian bound at the ascent
+        prices of :meth:`ascend_prices`, and the cameras covering the hardest
+        uncovered target (fewest covering cameras, then id), cheapest first.
+        The bound is None, with no cameras, if some target is uncoverable."""
         best: dict[int, int] = {}
+        covering: dict[int, list[int]] = {}
         for cam_id in available:
             hit = self.coverage[cam_id] & uncovered
             if hit:
@@ -156,20 +159,12 @@ class _Search:
                 for target in hit:
                     if share < best.get(target, share + 1):
                         best[target] = share
+                    covering.setdefault(target, []).append(cam_id)
         if len(best) < len(uncovered):
-            return None
-        return max(-(-sum(best.values()) // self.scale), sum(map(self.prices.__getitem__, uncovered)))
-
-    def branch_order(self, uncovered: frozenset[int], available: tuple[int, ...]) -> list[int]:
-        """Cameras covering the hardest uncovered target, cheapest first."""
-        target = min(
-            uncovered,
-            key=lambda t: (sum(1 for c in available if t in self.coverage[c]), t),
-        )
-        return sorted(
-            (c for c in available if target in self.coverage[c]),
-            key=lambda c: (self.min_phi[c], c),
-        )
+            return None, []
+        bound = max(-(-sum(best.values()) // self.scale), sum(map(self.prices.__getitem__, uncovered)))
+        target = min(uncovered, key=lambda t: (len(covering[t]), t), default=None)
+        return bound, sorted(covering.get(target, ()), key=lambda c: (self.min_phi[c], c))
 
     def diagnostics(self, notes: tuple[str, ...] = ()) -> Diagnostics:
         return Diagnostics(
@@ -225,7 +220,7 @@ def exact_solve(
     search = _Search(coverage, min_phi, node_budget)
     available = tuple(sorted(coverage))
     search.ascend_prices(target_ids, available)
-    root_bound = search.bound(target_ids, available)
+    root_bound, _ = search.expand(target_ids, available)
     assert root_bound is not None  # coverage reachability was checked above
     search.root_bound = root_bound
     capacity = sum(scenario.grid.slot_capacity)
@@ -296,12 +291,12 @@ def _branch_and_bound(
                 search.incumbent = search.best_cost
                 search.incumbent_updates += 1
             return
-        bound = search.bound(uncovered, avail)
+        bound, branches = search.expand(uncovered, avail)
         if bound is None or cost + bound >= search.best_cost:
             search.bound_prunes += 1
             return
         tried: list[int] = []
-        for cam_id in search.branch_order(uncovered, avail):
+        for cam_id in branches:
             chosen.append(cam_id)
             remaining = tuple(c for c in avail if c != cam_id and c not in tried)
             dfs(uncovered - search.coverage[cam_id], remaining, cost + search.min_phi[cam_id], chosen)

@@ -23,6 +23,7 @@ from .scenario import (
     build_field,
     config_from_document,
     generate_scenario,
+    known_keys,
     need_field,
     read_integer,
     read_list,
@@ -162,11 +163,6 @@ class SweepCell:
             return 0.0 if vals else math.nan
         return statistics.stdev(vals)
 
-    @property
-    def stderr_rbs(self) -> float:
-        vals = self.feasible_totals
-        return self.std_rbs / math.sqrt(len(vals)) if vals else math.nan
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -284,7 +280,8 @@ def _axis_value(axis: str, value: Any, path: str) -> Any:
 
 def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
     """Parse a sweep document; a malformed or unknown entry fails with its field name."""
-    doc = read_object(doc, "sweep")
+    keys = ("config", "axis", "values", "algorithms", "trials", "base_seed", "multiplicity", "freeze_placement")
+    doc = known_keys(read_object(doc, "sweep"), keys)
     kwargs: dict[str, Any] = {}
     if doc.get("config") is not None:
         kwargs["config"] = config_from_document(doc["config"])
@@ -327,9 +324,11 @@ def schedule_to_document(result: SolverResult) -> dict:
 
 def schedule_from_document(doc: Mapping, scenario: Scenario) -> Schedule:
     """Rebuild a schedule document against a scenario for verification."""
-    doc = read_object(doc, "schedule")
+    # ``status`` is written for the reader and not read back.
+    doc = known_keys(read_object(doc, "schedule"), ("assignments", "total_rbs", "status"))
     allocs = []
     for entry, path in read_objects(*need_field(doc, "assignments")):
+        known_keys(entry, ("camera_id", "slot", "start", "length", "robust_rate"), path)
         run = [read_integer(*need_field(entry, key, path)) for key in ("camera_id", "slot", "start", "length")]
         robust = read_number(*need_field(entry, "robust_rate", path))
         allocs.append(build_field(path, CandidateAllocation, *run, robust))

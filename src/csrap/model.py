@@ -40,12 +40,14 @@ __all__ = [
 
 
 def _integer(value: object, field: str) -> int:
-    """``value`` as an ``int`` by ``operator.index``; a float, string or
-    other non-integer raises ``ValueError`` naming ``field``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer, not {value!r}") from None
+    """``value`` as an ``int`` by ``operator.index``; a ``bool``, float,
+    string or other non-integer raises ``ValueError`` naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)

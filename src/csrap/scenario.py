@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .model import (
     CameraNode,
@@ -53,6 +53,7 @@ __all__ = [
     "save_scenario",
     "config_from_document",
     "need_field",
+    "known_keys",
     "read_object",
     "read_list",
     "read_objects",
@@ -315,12 +316,14 @@ def _uniform_point(rng: np.random.Generator, area: float) -> tuple[float, float]
 
 
 def _annulus_point(rng: np.random.Generator, area: float, r_min: float) -> tuple[float, float]:
+    # The cell-edge r_min is 0.4 * area and the corners lie 0.71 * area from
+    # the centre, so the annulus meets the square and about half of all
+    # draws land in it.
     cx = cy = area / 2.0
-    for _ in range(10_000):
+    while True:
         x, y = _uniform_point(rng, area)
         if math.hypot(x - cx, y - cy) >= r_min:
             return (x, y)
-    raise InvalidConfigError("annulus rejection sampling failed; annulus is empty")
 
 
 def _clamp(p: tuple[float, float], area: float) -> tuple[float, float]:
@@ -440,7 +443,7 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
 
     positions = [pos for pos, _, _ in placements]
     geometries = [
-        Directional(view, orient if orient is not None else 0.0, geom_spec.fov_deg) if directional else Omnidirectional(view)
+        Directional(view, orient, geom_spec.fov_deg) if directional else Omnidirectional(view)
         for _, view, orient in placements
     ]
     overrides = [None if config.rate_overrides is None else config.rate_overrides.get(i + 1) for i in range(k)]
@@ -487,6 +490,15 @@ def need_field(doc: Mapping, key: str, path: str = "") -> tuple[Any, str]:
     if key not in doc:
         raise ScenarioFormatError(f"{where}: missing")
     return doc[key], where
+
+
+def known_keys(doc: Mapping, keys: Collection[str], path: str = "") -> Mapping:
+    """``doc``, the object at ``path`` (the document when empty), once every
+    key of it is one of ``keys``; an unknown key is reported at its path."""
+    for key in doc:
+        if key not in keys:
+            raise ScenarioFormatError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return doc
 
 
 def read_object(value: Any, path: str) -> Mapping:
@@ -558,7 +570,7 @@ def _channel_to_doc(channel: ChannelParams) -> dict:
 
 
 def _channel_from_doc(doc: Any, path: str) -> ChannelParams:
-    doc = read_object(doc, path)
+    doc = known_keys(read_object(doc, path), (*_CHANNEL_SCALARS, "mcs_table"), path)
     kwargs = {}
     for key in _CHANNEL_SCALARS:
         if key in doc:
@@ -572,7 +584,7 @@ def _channel_from_doc(doc: Any, path: str) -> ChannelParams:
 
 
 def _frame_from_doc(doc: Any, path: str) -> FrameGrid:
-    doc = read_object(doc, path)
+    doc = known_keys(read_object(doc, path), ("M", "T", "slot_capacity", "rho_ms"), path)
     m = read_integer(*need_field(doc, "M", path))
     t = read_integer(*need_field(doc, "T", path))
     cap = doc.get("slot_capacity")
@@ -588,8 +600,10 @@ def _geometry_from_doc(doc: Any, path: str) -> Omnidirectional | Directional:
     kind, kind_path = need_field(doc, "kind", path)
     view = read_number(*need_field(doc, "view_distance", path))
     if kind == "omnidirectional":
+        known_keys(doc, ("kind", "view_distance"), path)
         return build_field(path, Omnidirectional, view)
     if kind == "directional":
+        known_keys(doc, ("kind", "view_distance", "orientation", "fov"), path)
         orientation = read_number(*need_field(doc, "orientation", path))
         fov = read_number(*need_field(doc, "fov", path))
         return build_field(path, Directional, view, orientation, fov)
@@ -648,7 +662,7 @@ def load_scenario(doc: Mapping) -> Scenario:
     model, seeded by the document seed and the camera id.  A null ``area``,
     ``channel`` or ``seed`` is read as None, as a hand-built scenario saves it.
     """
-    doc = read_object(doc, "document")
+    doc = known_keys(read_object(doc, "document"), ("area", "frame", "channel", "cameras", "targets", "seed"))
     area, where = need_field(doc, "area")
     if area is not None and not (area := read_number(area, where)) > 0:
         raise ScenarioFormatError("area: must be positive")
@@ -660,6 +674,7 @@ def load_scenario(doc: Mapping) -> Scenario:
 
     targets = []
     for entry, path in read_objects(*need_field(doc, "targets")):
+        known_keys(entry, ("id", "x", "y"), path)
         target_id = read_integer(*need_field(entry, "id", path))
         pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
         targets.append(TargetObject(target_id, pos))
@@ -668,6 +683,7 @@ def load_scenario(doc: Mapping) -> Scenario:
     default_rng = None  # numpy's, imported for the first camera without rates
     cameras = []
     for entry, path in read_objects(*need_field(doc, "cameras")):
+        known_keys(entry, ("id", "x", "y", "geometry", "rate_requirement", "rates", "slot_rates"), path)
         cam_id = read_integer(*need_field(entry, "id", path))
         pos = (read_number(*need_field(entry, "x", path)), read_number(*need_field(entry, "y", path)))
         geometry = _geometry_from_doc(*need_field(entry, "geometry", path))
@@ -714,11 +730,13 @@ def load_scenario(doc: Mapping) -> Scenario:
 
 
 def config_from_document(doc: Mapping) -> ScenarioConfig:
-    """Parse a generator configuration document; missing keys take defaults.
+    """Parse a generator configuration document; missing keys take
+    defaults and unknown keys are rejected.
 
     Each value is set on its own, so a rejected one is reported at its key.
     """
-    doc = read_object(doc, "config")
+    keys = ("area", "num_targets", "num_cameras", "deployment", "geometry", "rate_requirement", "frame", "channel", "seed")
+    doc = known_keys(read_object(doc, "config"), keys)
     config = ScenarioConfig()
     if "area" in doc:
         config = build_field("area", replace, config, area_side=read_number(doc["area"], "area"))
@@ -728,7 +746,7 @@ def config_from_document(doc: Mapping) -> ScenarioConfig:
     if "deployment" in doc:
         config = build_field("deployment", replace, config, deployment=doc["deployment"])
     if "geometry" in doc:
-        g = read_object(doc["geometry"], "geometry")
+        g = known_keys(read_object(doc["geometry"], "geometry"), ("kind", "view_distance", "fov"), "geometry")
         geometry = GeometrySpec()
         if "kind" in g:
             geometry = build_field("geometry.kind", replace, geometry, kind=g["kind"])

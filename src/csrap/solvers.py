@@ -445,39 +445,38 @@ def mramc_relocate(
 ) -> SolverResult:
     """Turn a covering tentative assignment into a conflict-free schedule.
 
-    Fixes the unadjusted camera with the smallest run (ties by camera id)
-    unchanged, then reassigns every unadjusted camera that now overlaps a
-    fixed allocation to its smallest candidate on still-free RBs.  A camera
-    left without any conflict-free candidate ends the pass; it is reported
-    as ``failed_camera`` with the allocations fixed so far.
+    Sorts the runs once by length, ties by camera id.  Each step takes the
+    first unadjusted run in that order that no longer fits beside the fixed
+    runs and moves it to its smallest candidate on still-free RBs; when every
+    run fits, the first is fixed unchanged.  The fixed runs only grow, so a
+    run that stops fitting never fits again.  A camera left without any
+    conflict-free candidate ends the pass; it is reported as
+    ``failed_camera`` with the allocations fixed so far.
     """
     if table is None:
         table = CandidateTable(scenario.cameras, scenario.grid)
     occupancy = _Occupancy(scenario.grid)
-    unadjusted: dict[int, CandidateAllocation] = {a.camera_id: a for a in tentative}
+    fits = occupancy.fits
+    runs = sorted({a.camera_id: a for a in tentative}.values(), key=lambda a: (a.length, a.camera_id))
     fixed: list[CandidateAllocation] = []
     trace: list[RelocationStep] = []
-
-    def fix(camera_id: int, alloc: CandidateAllocation, moved: bool) -> None:
+    failed: int | None = None
+    while runs:
+        # The first run that no longer fits beside the fixed ones moves; when
+        # all fit, the first is kept.  Before anything is fixed only the first
+        # run is tested, so the first run kept is the smallest, if it fits.
+        i = next((i for i, a in enumerate(runs if fixed else runs[:1]) if not fits(a.slot, a.start, a.length)), None)
+        if i is None:
+            alloc, moved = runs.pop(0), False
+        else:
+            cam_id = runs.pop(i).camera_id
+            alloc, moved = table.first_fit(cam_id, occupancy), True
+            if alloc is None:
+                failed = cam_id
+                break
         fixed.append(alloc)
         occupancy.place(alloc.slot, alloc.start, alloc.length)
-        trace.append(RelocationStep(camera_id, alloc, moved))
-        del unadjusted[camera_id]
-
-    fits = occupancy.fits
-    failed: int | None = None
-    while unadjusted and failed is None:
-        # Runs that no longer fit beside the fixed ones move, smallest first, before
-        # the next run is kept; the first run kept is the smallest, if it fits.
-        conflicted = [c for c, a in unadjusted.items() if not fits(a.slot, a.start, a.length)] if fixed else []
-        cam_id = min(conflicted or unadjusted, key=lambda c: (unadjusted[c].length, c))
-        alloc = unadjusted[cam_id]
-        if not conflicted and fits(alloc.slot, alloc.start, alloc.length):
-            fix(cam_id, alloc, moved=False)
-        elif (moved := table.first_fit(cam_id, occupancy)) is None:
-            failed = cam_id
-        else:
-            fix(cam_id, moved, moved=True)
+        trace.append(RelocationStep(alloc.camera_id, alloc, moved))
 
     schedule = Schedule.build(fixed, scenario.cameras, scenario.target_ids)
     diag = Diagnostics(greedy=greedy_trace, relocation=tuple(trace))
@@ -518,10 +517,10 @@ def _scan_schedule(
     At the current (slot, subchannel) the eligible camera with the highest
     positive ``rate(camera, slot, subchannel)`` wins, the first one on ties;
     the camera then extends over adjacent RBs, downgrading to the most robust
-    rate, until its requirement is met.  A run cut off by the end of the slot
-    (or by a zero-rate subchannel) is released and retried at the next scan
-    position; the skipped spectrum is not revisited.  Cameras that still fail
-    in the last slot are dropped from consideration.
+    rate, until its requirement is met.  It holds the cursor until its run is
+    placed: a run cut off by a zero-rate subchannel or the end of the slot is
+    retried just past the zero or at the next slot's start, and the skipped
+    spectrum is not revisited.  A camera cut off in the last slot is dropped.
     """
     grid = scenario.grid
     coverage = scenario.coverage
@@ -529,7 +528,7 @@ def _scan_schedule(
     assignments: list[CandidateAllocation] = []
     trace: list[GreedyStep] = []
     slot, pos = 1, 1
-    pending: CameraNode | None = None  # a camera retrying its run; it stays in the pool
+    cam: CameraNode | None = None  # the camera at the cursor, until its run is placed or it is dropped
     status = SolveStatus.FEASIBLE
     # The eligible cameras, in scenario order: those covering an uncovered
     # target, less the scheduled and the excluded ones.  It only shrinks, so
@@ -548,8 +547,6 @@ def _scan_schedule(
             slot += 1
             pos = 1
             continue
-        cam = pending
-        pending = None
         if cam is None:
             best_rate = 0.0
             for candidate in pool:
@@ -560,39 +557,33 @@ def _scan_schedule(
             if cam is None:
                 pos += 1
                 continue
+        # Extend from pos until the requirement is met at j, a zero rate
+        # blocks j, or j passes the end of the slot.
         rates = cam.rates_in_slot(slot)
         robust = math.inf
-        length = 0
-        achieved = False
         j = pos
-        while j <= width:
-            r = rates[j - 1]
-            if r <= 0:
-                break
-            robust = min(robust, r)
-            length += 1
-            if robust * length >= cam.rate_requirement:
-                achieved = True
+        while j <= width and rates[j - 1] > 0:
+            robust = min(robust, rates[j - 1])
+            if robust * (j - pos + 1) >= cam.rate_requirement:
                 break
             j += 1
-        if achieved:
-            alloc = CandidateAllocation(cam.id, slot, pos, length, robust)
-            assignments.append(alloc)
-            trace.append(GreedyStep(cam.id, alloc, Fraction(length)))
-            uncovered -= coverage[cam.id]
-            pool = [other for other in pool if not coverage[other.id].isdisjoint(uncovered)]
-            pos += length
-        elif j <= width:
-            # Blocked by a zero-rate subchannel: the camera retries just past it.
-            pending = cam
-            pos = j + 1
-        else:
+        if j > width:
             if slot == grid.num_slots:
                 pool = [other for other in pool if other is not cam]
+                cam = None
             else:
-                pending = cam
                 slot += 1
                 pos = 1
+        elif rates[j - 1] <= 0:
+            pos = j + 1  # the camera retries just past the zero rate
+        else:
+            alloc = CandidateAllocation(cam.id, slot, pos, j - pos + 1, robust)
+            assignments.append(alloc)
+            trace.append(GreedyStep(cam.id, alloc, Fraction(alloc.length)))
+            uncovered -= coverage[cam.id]
+            pool = [other for other in pool if not coverage[other.id].isdisjoint(uncovered)]
+            pos = j + 1
+            cam = None
 
     schedule = Schedule.build(assignments, scenario.cameras, scenario.target_ids)
     diag = Diagnostics(greedy=tuple(trace))
@@ -643,7 +634,8 @@ def m_mramc(
     """Cover every target, then add cameras until each target is watched by
     its desired number of cameras or no resources remain.
 
-    Extra rounds never move earlier assignments: round ``r`` gives each
+    Extra rounds never move earlier assignments: each round ``r`` up to the
+    largest multiplicity, even after one that adds no camera, gives each
     target still below ``r`` cameras (and wanting at least ``r``) the
     cheapest unscheduled covering camera whose candidate fits the free RBs.
     Targets wanting more cameras than exist are reported, not errors.
@@ -687,9 +679,7 @@ def m_mramc(
             notes.append(f"target {t} wants {desired[t]} cameras but only {len(covering[t])} cover it")
 
     extra_trace: list[RelocationStep] = []
-    max_round = max(desired.values(), default=1)
-    for rnd in range(2, max_round + 1):
-        progress = False
+    for rnd in range(2, max(desired.values(), default=1) + 1):
         for t in sorted(desired):
             if desired[t] < rnd or count[t] >= rnd:
                 continue
@@ -706,9 +696,6 @@ def m_mramc(
             extra_trace.append(RelocationStep(cam_id, alloc, True))
             for covered in coverage[cam_id]:
                 count[covered] += 1
-            progress = True
-        if not progress:
-            break
 
     unmet = tuple((t, count[t], desired[t]) for t in sorted(desired) if count[t] < desired[t])
     schedule = Schedule.build(fixed.values(), scenario.cameras, target_ids)
@@ -823,7 +810,7 @@ def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> Bou
     d_star = max(map(len, scenario.coverage.values()), default=0)
     if d_star == 0:
         raise ValueError("no camera covers any target")
-    rates = [r for cam in scenario.cameras for r in table.robust_rates(cam.id) if r > 0]
+    rates = [r for cam in scenario.cameras for r in table.robust_rates(cam.id)]
     if not rates:
         raise ValueError("no candidate allocations in the instance")
     return BoundParams(d_star=d_star, h_d_star=harmonic(d_star), r_max=max(rates), r_min=min(rates))

@@ -236,6 +236,12 @@ def test_criterion_05_unit_candidate_instances_degenerate_to_set_cover():
     assert passed
 
 
+def stderr_rbs(cell):
+    """Standard error of a sweep cell's mean RB count over its feasible trials."""
+    vals = cell.feasible_totals
+    return cell.std_rbs / math.sqrt(len(vals)) if vals else math.nan
+
+
 def monotone_violation(means, stderrs, non_increasing=True):
     """Worst tolerated-inversion accounting: at most one inversion and only
     within one standard error of the difference."""
@@ -274,7 +280,7 @@ def test_criterion_06_target_sweep_ordering_and_monotonicity():
         if not (m <= b <= g):
             ordering_ok = False
     means = [result.cell(v, "mramc").mean_rbs for v in spec.values]
-    ses = [result.cell(v, "mramc").stderr_rbs for v in spec.values]
+    ses = [stderr_rbs(result.cell(v, "mramc")) for v in spec.values]
     mono_problem = monotone_violation(means, ses, non_increasing=False)
     passed = ordering_ok and mono_problem is None
     report(
@@ -306,7 +312,7 @@ def _check_view_criterion(results, values):
     for algo in ("mramc", "baseline"):
         for deployment, res in results.items():
             means = [res.cell(v, algo).mean_rbs for v in values]
-            ses = [res.cell(v, algo).stderr_rbs for v in values]
+            ses = [stderr_rbs(res.cell(v, algo)) for v in values]
             mono = monotone_violation(means, ses, non_increasing=True)
             if mono:
                 problems.append(f"{deployment}/{algo}: {mono}")

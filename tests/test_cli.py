@@ -13,7 +13,7 @@ import csrap
 from csrap import harness
 from csrap.cli import main
 from csrap.harness import ALGORITHMS
-from csrap.scenario import derive_rates, load_scenario
+from csrap.scenario import ScenarioConfig, derive_rates, generate_scenario, load_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -359,6 +359,22 @@ class TestErrorPaths:
         assert (tmp_path / "a.json").read_text() != (tmp_path / "b.json").read_text()
         capsys.readouterr()
 
+    def test_generate_without_config_uses_the_defaults(self, tmp_path, capsys):
+        out = tmp_path / "scn.json"
+        assert main(["generate", "--out", str(out)]) == 0
+        assert load_scenario(json.loads(out.read_text())) == generate_scenario(ScenarioConfig())
+        assert capsys.readouterr().err == "generated 81 cameras / 20 targets (overall_grid, seed 0)\n"
+
+    def test_generate_summary_warns_of_uncoverable_targets(self, tmp_path, capsys):
+        # Cell-edge cameras that see 5 m leave most targets of a 120 m area unseen.
+        config = dict(small_config(), deployment="cell_edge", geometry={"kind": "omnidirectional", "view_distance": [5, 5]})
+        out = tmp_path / "scn.json"
+        assert main(["generate", "--config", write(tmp_path / "config.json", config), "--out", str(out)]) == 0
+        uncovered = load_scenario(json.loads(out.read_text())).uncovered_targets()
+        assert uncovered
+        warning = f"; WARNING uncoverable targets: {list(uncovered)}"
+        assert capsys.readouterr().err == f"generated 10 cameras / 6 targets (cell_edge, seed 5){warning}\n"
+
 
 def with_camera(**fields):
     doc = one_camera_scenario()
@@ -396,6 +412,8 @@ class TestMalformedNumbers:
         "negative_area": ({**one_camera_scenario(), "area": -100.0}, "area"),
         "negative_id_seeding_rates": ({**with_camera(id=-1, rates=None), "channel": {}}, "cameras[0].id"),
         "null_area_seeding_rates": ({**with_camera(rates=None), "area": None, "channel": {}}, "cameras[0].rates"),
+        # A misspelt key would drop the camera's slot rates without a word.
+        "unknown_camera_key": (with_camera(slot_rate={"1": [8, 4, 7]}), "cameras[0].slot_rate"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -461,6 +479,9 @@ class TestMalformedDocuments:
         "string_targets_in_config": ("generate", dict(small_config(), num_targets="6"), "num_targets"),
         "oversized_frame_config": ("generate", oversized_frame_config(), "frame"),
         "oversized_frame_sweep": ("sweep", sweep_doc(config=oversized_frame_config()), "frame"),
+        "unknown_config_key": ("generate", {**small_config(), "sed": 3}, "sed"),
+        "unknown_sweep_key": ("sweep", sweep_doc(trial=5), "trial"),
+        "unknown_schedule_key": ("verify", schedule_doc(rate=8.0), "assignments[0].rate"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

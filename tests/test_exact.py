@@ -236,6 +236,12 @@ def test_node_budget_must_be_an_integer():
     assert exact_solve(scn, node_budget=np.int64(10**6)) == exact_solve(scn)
 
 
+def test_node_budget_must_be_positive():
+    scn = random_instance(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="^node_budget must be >= 1, got 0$"):
+        exact_solve(scn, node_budget=0)
+
+
 def layout_trap(free, subchannels):
     """``free`` cameras and two more that can only send on subchannels 1-3,
     each the only one seeing its target with a 3-RB minimum run, in one
@@ -414,7 +420,7 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
     uncovered = frozenset(uncovered)
     # At zero prices, the default, the Lagrangian bound is 0 and the share
     # bound alone counts.
-    bound = _Search(coverage, min_phi, budget=1).bound(uncovered, available)
+    bound, _ = _Search(coverage, min_phi, budget=1).expand(uncovered, available)
     expected = fraction_bound(coverage, min_phi, uncovered, available)
     assert (bound is None) == (expected is None)
     if expected is not None:
@@ -448,7 +454,7 @@ def test_lagrangian_bound_equals_fraction_reference(covers, phis, targets, root_
     # A node below the root: some targets covered, some cameras chosen or tried.
     uncovered = frozenset(t for t in root_targets if node_targets[t - 1])
     available = tuple(c for c in root_cameras if node_picks[c - 1])
-    bound = search.bound(uncovered, available)
+    bound, _ = search.expand(uncovered, available)
     share = fraction_bound(coverage, min_phi, uncovered, available)
     optimum = residual_cover_optimum(coverage, min_phi, uncovered, available)
     assert (bound is None) == (share is None) == (optimum is None)

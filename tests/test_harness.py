@@ -27,7 +27,7 @@ from csrap import (
     solvers,
     verify_schedule,
 )
-from csrap.harness import CSV_HEADER
+from csrap.harness import CSV_HEADER, apply_axis
 from csrap.scenario import ScenarioFormatError
 from csrap.solvers import CandidateTable, SolverResult, _scan_schedule
 from support import brute_force_runs, random_instance
@@ -235,6 +235,30 @@ class TestRunSweep:
         for strict_total, relaxed_total in zip(exact.totals, relaxed.totals):
             if strict_total is not None:
                 assert relaxed_total <= strict_total
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"values": ()}, "values must not be empty"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"multiplicity": 0}, "multiplicity must be >= 1"),
+        ],
+    )
+    def test_rejects_empty_values_and_counts_below_one(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepSpec(**fields)
+
+    def test_fov_axis_sets_the_field_of_view(self):
+        config = ScenarioConfig(geometry=GeometrySpec(kind="directional", fov_deg=120.0))
+        assert apply_axis(config, "fov", 90).geometry == GeometrySpec(kind="directional", fov_deg=90.0)
+        with pytest.raises(ValueError, match=r"fov_deg must lie in \(0, 360\]"):
+            apply_axis(config, "fov", 0)
+
+    def test_cell_of_an_unswept_pair_is_a_key_error(self):
+        result = run_sweep(SweepSpec(config=SMALL_CONFIG, values=(3,), trials=1, algorithms=("mramc",)))
+        assert result.cell(3, "mramc").trials == 1
+        with pytest.raises(KeyError):
+            result.cell(3, "baseline")
 
     def test_rejects_unknown_algorithm_or_axis(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,12 @@ from csrap import (
     FrameGrid,
     Omnidirectional,
     Scenario,
+    ScenarioConfig,
     Schedule,
+    SweepSpec,
     TargetObject,
+    exact_solve,
+    m_mramc,
     verify_schedule,
 )
 from csrap.model import runs_by_length
@@ -189,6 +193,49 @@ class TestTypes:
         grid = FrameGrid(np.int64(4), np.int64(2), slot_capacity=(np.int64(3), 4))
         assert grid == FrameGrid(4, 2, slot_capacity=(3, 4))
         assert all(type(n) is int for n in (grid.num_subchannels, grid.num_slots, *grid.slot_capacity))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FrameGrid(4, 0), "num_slots must be >= 1"),
+            (lambda: Directional(10.0, 0.0, 0.0), r"fov_deg must lie in \(0, 360\]"),
+            (
+                lambda: CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={1: (2.0,)}),
+                "slot rate override length must match",
+            ),
+            (lambda: CandidateAllocation(1, 0, 1, 1, 8.0), "1-based and must be >= 1"),
+            (lambda: CandidateAllocation(1, 1, 1, 1, 0.0), "robust_rate must be positive"),
+            (
+                lambda: Scenario(FrameGrid(2, 1), (make_camera([8, 8], 5.0),), (TargetObject(1, (0, 0)),) * 2),
+                "target ids must be unique",
+            ),
+            (lambda: runs_by_length((8.0, 8.0), 0.0), "requirement must be positive"),
+        ],
+    )
+    def test_out_of_range_inputs_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    # Each caller of the integer check, with True where it wants an integer.
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FrameGrid(True, 2), "num_subchannels"),
+            (lambda: FrameGrid(2, 1, slot_capacity=(True,)), "each slot_capacity entry"),
+            (
+                lambda: CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0,), slot_rate_overrides={True: (2.0,)}),
+                "each slot_rate_overrides key",
+            ),
+            (lambda: ScenarioConfig(num_targets=True), "num_targets"),
+            (lambda: ScenarioConfig(rate_overrides={True: (8.0,)}), "each rate_overrides key"),
+            (lambda: SweepSpec(trials=True), "trials"),
+            (lambda: m_mramc(two_camera_scenario(), {1: True}), "multiplicity of target 1"),
+            (lambda: exact_solve(two_camera_scenario(), node_budget=True), "node_budget"),
+        ],
+    )
+    def test_a_bool_is_not_an_integer(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not True$"):
+            build()
 
     def test_camera_invariants(self):
         with pytest.raises(ValueError):
@@ -373,6 +420,11 @@ class TestVerifySchedule:
         schedule = Schedule(allocs, 5, frozenset({1, 2}))
         report = verify_schedule(schedule, scn)
         assert not report.check("declared_totals").passed
+
+    def test_check_of_an_unknown_name_is_a_key_error(self):
+        report = verify_schedule(Schedule.empty(), two_camera_scenario())
+        with pytest.raises(KeyError):
+            report.check("no_such_check")
 
     def test_capacity_violation_detected(self):
         grid = FrameGrid(3, 1, slot_capacity=(1,))

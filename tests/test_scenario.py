@@ -490,6 +490,18 @@ class TestDocuments:
         with pytest.raises(ValueError):
             ChannelParams(rb_bandwidth_hz=0.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ChannelParams(shadowing_sigma_db=-1.0), "shadowing_sigma_db must be non-negative"),
+            (lambda: ChannelParams(mcs_table=((-1.0, 0.0), (5.0, 4.0))), "mcs_table rates must be positive"),
+            (lambda: ScenarioConfig(num_cameras=0), "num_cameras must be >= 1"),
+        ],
+    )
+    def test_out_of_range_channel_and_config_values_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     # A NaN SNR sorts past every MCS threshold, so a NaN transmit power would
     # give every subchannel of every camera the top rate.
     @pytest.mark.parametrize(

@@ -296,6 +296,15 @@ class TestMMramc:
         assert result.diagnostics.unmet_multiplicity == ((1, 1, 3),)
         assert any("only 1" in note for note in result.diagnostics.notes)
 
+    def test_a_round_that_adds_no_camera_does_not_end_the_rounds(self):
+        # Round 2 adds nobody: camera 1 alone sees target 2 and camera 2
+        # alone target 3.  Round 3 still gives target 1 its third camera.
+        cameras = [cam(1, [2] * 6, 2.0, {1, 2}), cam(2, [2] * 6, 2.0, {1, 3}), cam(3, [2] * 6, 2.0, {1})]
+        scn = scenario_of(FrameGrid(6, 1), cameras, 3)
+        result = m_mramc(scn, {1: 3, 2: 3, 3: 3})
+        assert sorted(a.camera_id for a in result.schedule.assignments) == [1, 2, 3]
+        assert result.diagnostics.unmet_multiplicity == ((2, 1, 3), (3, 1, 3))
+
     def test_rounds_extend_without_moving_earlier_assignments(self):
         rng = np.random.default_rng(37)
         checked = 0
@@ -370,6 +379,10 @@ def test_mramc_results_are_frozen():
 
 
 class TestJointSchedule:
+    def test_traffic_item_kind_must_be_known(self):
+        with pytest.raises(ValueError, match="kind must be 'surveillance' or 'traditional'"):
+            TrafficItem(cam(1, [8, 8], 8.0, {1}), "bulk", 1.0)
+
     def grid(self):
         return FrameGrid(4, 2)
 
@@ -530,6 +543,10 @@ class TestJointSchedule:
 
 
 class TestBoundsAndSetCover:
+    def test_bound_params_need_a_camera(self):
+        with pytest.raises(ValueError, match="scenario has no cameras"):
+            bound_params(scenario_of(FrameGrid(2, 1), [], 1))
+
     def test_harmonic_values(self):
         assert harmonic(1) == Fraction(1)
         assert harmonic(3) == Fraction(11, 6)
