@@ -284,7 +284,7 @@ def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
     doc = known_keys(read_object(doc, "sweep"), keys)
     kwargs: dict[str, Any] = {}
     if doc.get("config") is not None:
-        kwargs["config"] = config_from_document(doc["config"])
+        kwargs["config"] = config_from_document(doc["config"], "config")
     axis = doc.get("axis", SweepSpec.axis)
     if axis not in SWEEP_AXES:
         raise ScenarioFormatError(f"axis: expected one of {SWEEP_AXES}")

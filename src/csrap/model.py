@@ -150,13 +150,26 @@ class Directional:
 Geometry = Omnidirectional | Directional
 
 
-def _check_rates(rates: tuple[float, ...]) -> None:
-    # Both tests run without a Python-level loop.  A sum of rates is finite
-    # exactly when every rate is, unless finite rates overflow it.
-    if not isfinite(sum(rates)) and not all(map(isfinite, rates)):
-        raise ValueError("per-subchannel rates must be finite")
-    if min(rates, default=0.0) < 0:
-        raise ValueError("per-subchannel rates must be non-negative")
+class _Rates(tuple):
+    """A rate vector of floats, checked finite and non-negative when built.
+
+    Building one from a ``_Rates`` returns it unchanged, so a vector shared
+    by many cameras is converted and checked once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rates: Iterable[float]) -> "_Rates":
+        if type(rates) is cls:
+            return rates
+        self = super().__new__(cls, map(float, rates))
+        # Both tests run without a Python-level loop.  A sum of rates is
+        # finite exactly when every rate is, unless finite rates overflow it.
+        if not isfinite(sum(self)) and not all(map(isfinite, self)):
+            raise ValueError("per-subchannel rates must be finite")
+        if min(self, default=0.0) < 0:
+            raise ValueError("per-subchannel rates must be non-negative")
+        return self
 
 
 @dataclass(frozen=True)
@@ -184,18 +197,16 @@ class CameraNode:
             raise ValueError("rate_requirement must be positive")
         if not self.rate_requirement < inf:
             raise ValueError("rate_requirement must be finite")
-        rates = tuple(map(float, self.per_subchannel_rate))
-        _check_rates(rates)
+        rates = _Rates(self.per_subchannel_rate)
         object.__setattr__(self, "per_subchannel_rate", rates)
         object.__setattr__(self, "position", _finite_position(self.position))
         object.__setattr__(self, "coverage_set", frozenset(self.coverage_set))
         if self.slot_rate_overrides is not None:
             fixed = {}
             for slot, vec in self.slot_rate_overrides.items():
-                vec = tuple(map(float, vec))
+                vec = _Rates(vec)
                 if len(vec) != len(rates):
                     raise ValueError("slot rate override length must match per_subchannel_rate")
-                _check_rates(vec)
                 fixed[_integer(slot, "each slot_rate_overrides key")] = vec
             object.__setattr__(self, "slot_rate_overrides", fixed)
 

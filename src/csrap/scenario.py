@@ -33,6 +33,7 @@ from .model import (
     Scenario,
     TargetObject,
     _integer,
+    _Rates,
 )
 
 if TYPE_CHECKING:
@@ -271,15 +272,16 @@ def _channel_rates(
     channel: ChannelParams,
     shadow: np.ndarray,
     base_station: tuple[float, float],
-) -> list[tuple[float, ...]]:
+) -> list[_Rates]:
     """:func:`derive_rates` for many cameras: row ``i`` of ``shadow`` holds
     the shadowing draws of ``positions[i]``.
 
     Path loss stays scalar per camera: numpy's ``hypot`` and ``log10`` may
     differ from :mod:`math`'s in the last ulp, and the rates must not.
-    Cameras whose rows of MCS tier indexes are equal get one shared tuple of
-    the table's rates: a paper-default scenario has about a dozen distinct
-    rows among its 81 cameras, so most rows are never converted.
+    Cameras whose rows of MCS tier indexes are equal get one shared rate
+    vector, checked once when it is built: a paper-default scenario has
+    about a dozen distinct rows among its 81 cameras, and each camera keeps
+    its row as it is.
     """
     import numpy as np
 
@@ -292,7 +294,7 @@ def _channel_rates(
     snr = np.array(budget).reshape(-1, 1) - shadow - channel.noise_floor_dbm
     thresholds = np.array([t for t, _ in channel.mcs_table])
     tiers = (0.0, *(r for _, r in channel.mcs_table))
-    rows: dict[bytes, tuple[float, ...]] = {}
+    rows: dict[bytes, _Rates] = {}
     out = []
     for index in np.searchsorted(thresholds, snr, side="right"):
         # The key is the whole index row as stored, so a table of any
@@ -300,7 +302,7 @@ def _channel_rates(
         key = index.tobytes()
         rates = rows.get(key)
         if rates is None:
-            rates = rows[key] = tuple(map(tiers.__getitem__, index.tolist()))
+            rates = rows[key] = _Rates(map(tiers.__getitem__, index.tolist()))
         out.append(rates)
     return out
 
@@ -729,40 +731,44 @@ def load_scenario(doc: Mapping) -> Scenario:
     )
 
 
-def config_from_document(doc: Mapping) -> ScenarioConfig:
+def config_from_document(doc: Mapping, path: str = "") -> ScenarioConfig:
     """Parse a generator configuration document; missing keys take
     defaults and unknown keys are rejected.
 
     Each value is set on its own, so a rejected one is reported at its key.
+    ``path`` is the config's own path when it sits inside another document
+    (``config`` in a sweep), and errors then name their keys below it.
     """
+    p = f"{path}." if path else ""
     keys = ("area", "num_targets", "num_cameras", "deployment", "geometry", "rate_requirement", "frame", "channel", "seed")
-    doc = known_keys(read_object(doc, "config"), keys)
+    doc = known_keys(read_object(doc, path or "config"), keys, path)
     config = ScenarioConfig()
     if "area" in doc:
-        config = build_field("area", replace, config, area_side=read_number(doc["area"], "area"))
+        config = build_field(f"{p}area", replace, config, area_side=read_number(doc["area"], f"{p}area"))
     for key in ("num_targets", "num_cameras"):
         if key in doc:
-            config = build_field(key, replace, config, **{key: read_integer(doc[key], key)})
+            config = build_field(p + key, replace, config, **{key: read_integer(doc[key], p + key)})
     if "deployment" in doc:
-        config = build_field("deployment", replace, config, deployment=doc["deployment"])
+        config = build_field(f"{p}deployment", replace, config, deployment=doc["deployment"])
     if "geometry" in doc:
-        g = known_keys(read_object(doc["geometry"], "geometry"), ("kind", "view_distance", "fov"), "geometry")
+        g = known_keys(read_object(doc["geometry"], f"{p}geometry"), ("kind", "view_distance", "fov"), f"{p}geometry")
         geometry = GeometrySpec()
         if "kind" in g:
-            geometry = build_field("geometry.kind", replace, geometry, kind=g["kind"])
+            geometry = build_field(f"{p}geometry.kind", replace, geometry, kind=g["kind"])
         if "view_distance" in g:
-            path = "geometry.view_distance"
-            geometry = build_field(path, replace, geometry, view_distance=read_numbers(g["view_distance"], path, 2))
+            where = f"{p}geometry.view_distance"
+            geometry = build_field(where, replace, geometry, view_distance=read_numbers(g["view_distance"], where, 2))
         if "fov" in g:
-            geometry = build_field("geometry.fov", replace, geometry, fov_deg=read_number(g["fov"], "geometry.fov"))
+            where = f"{p}geometry.fov"
+            geometry = build_field(where, replace, geometry, fov_deg=read_number(g["fov"], where))
         config = replace(config, geometry=geometry)
     if "rate_requirement" in doc:
-        path = "rate_requirement"
-        config = build_field(path, replace, config, rate_requirement_range=read_numbers(doc[path], path, 2))
+        where = f"{p}rate_requirement"
+        config = build_field(where, replace, config, rate_requirement_range=read_numbers(doc["rate_requirement"], where, 2))
     if "frame" in doc:
-        config = replace(config, frame=_frame_from_doc(doc["frame"], "frame"))
+        config = replace(config, frame=_frame_from_doc(doc["frame"], f"{p}frame"))
     if doc.get("channel") is not None:
-        config = replace(config, channel=_channel_from_doc(doc["channel"], "channel"))
+        config = replace(config, channel=_channel_from_doc(doc["channel"], f"{p}channel"))
     if "seed" in doc:
-        config = replace(config, rng_seed=read_integer(doc["seed"], "seed"))
+        config = replace(config, rng_seed=read_integer(doc["seed"], f"{p}seed"))
     return config

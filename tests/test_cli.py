@@ -478,7 +478,9 @@ class TestMalformedDocuments:
         "boolean_fov": ("sweep", sweep_doc(axis="fov", values=[True]), "values[0]"),
         "string_targets_in_config": ("generate", dict(small_config(), num_targets="6"), "num_targets"),
         "oversized_frame_config": ("generate", oversized_frame_config(), "frame"),
-        "oversized_frame_sweep": ("sweep", sweep_doc(config=oversized_frame_config()), "frame"),
+        "oversized_frame_sweep": ("sweep", sweep_doc(config=oversized_frame_config()), "config.frame"),
+        "zero_targets_in_sweep_config": ("sweep", sweep_doc(config=dict(small_config(), num_targets=0)), "config.num_targets"),
+        "unknown_sweep_config_key": ("sweep", sweep_doc(config={**small_config(), "sed": 3}), "config.sed"),
         "unknown_config_key": ("generate", {**small_config(), "sed": 3}, "sed"),
         "unknown_sweep_key": ("sweep", sweep_doc(trial=5), "trial"),
         "unknown_schedule_key": ("verify", schedule_doc(rate=8.0), "assignments[0].rate"),

@@ -149,7 +149,7 @@ REJECTED_VALUES = {
         [12, 4],
         "rate_requirement: rate_requirement_range must satisfy 0 < min <= max",
     ),
-    "sweep_config_fov": ("sweep", ("config", "geometry", "fov"), 0, "geometry.fov: fov_deg must lie in (0, 360]"),
+    "sweep_config_fov": ("sweep", ("config", "geometry", "fov"), 0, "config.geometry.fov: fov_deg must lie in (0, 360]"),
     "unknown_camera": (
         "schedule",
         ("assignments", 1, "camera_id"),

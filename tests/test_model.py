@@ -1,8 +1,11 @@
 """Core model: candidate runs, schedules and the feasibility verifier."""
 
 import ast
+import copy
 import importlib
 import math
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +315,61 @@ class TestTypes:
         # Slot 1 admits single-RB runs at rate 8; slot 2 needs no run at all
         # since 2*2 = 4 < 5, so only slot-1 candidates exist.
         assert [(c.slot, c.start, c.length) for c in cands] == [(1, 1, 1), (1, 2, 1)]
+
+
+class TestRateVectors:
+    """A camera's rate vectors are floats, checked once when they are built,
+    and a vector that is already checked is kept as it is."""
+
+    @pytest.mark.parametrize(
+        "rates",
+        [[8, 4.5, 0], (8, 4, 0), np.array([8.0, 4.5, 0.0]), np.array([8, 4, 0]), (np.float32(2.5), 4.0, 0.0)],
+        ids=["list", "int_tuple", "numpy_row", "numpy_int_row", "numpy_scalar"],
+    )
+    def test_vectors_are_stored_as_floats(self, rates):
+        cam = CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, rates, slot_rate_overrides={2: rates})
+        for vec in (cam.per_subchannel_rate, cam.rates_in_slot(2)):
+            assert vec == tuple(map(float, rates))
+            assert isinstance(vec, tuple)
+            assert all(type(r) is float for r in vec)
+            assert repr(vec) == repr(tuple(map(float, rates)))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "per-subchannel rates must be finite"),
+            (math.inf, "per-subchannel rates must be finite"),
+            (-math.inf, "per-subchannel rates must be finite"),
+            (-1.0, "per-subchannel rates must be non-negative"),
+        ],
+    )
+    def test_bad_values_are_rejected_wherever_a_vector_enters(self, bad, message):
+        cam = CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={2: (4.0, 4.0)})
+        builds = [
+            lambda: CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, [bad, 8.0]),
+            lambda: CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, (8.0, 8.0), slot_rate_overrides={1: [8.0, bad]}),
+            lambda: replace(cam, per_subchannel_rate=[bad, 8.0]),
+            lambda: replace(cam, per_subchannel_rate=np.array([8.0, bad])),
+            lambda: replace(cam, slot_rate_overrides={1: (bad, bad)}),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_a_checked_vector_is_kept_as_the_same_object(self):
+        cam = CameraNode(1, (0, 0), Omnidirectional(1.0), 5.0, [8, 4], slot_rate_overrides={2: [2, 2]})
+        base, override = cam.per_subchannel_rate, cam.rates_in_slot(2)
+        other = CameraNode(2, (1, 1), Omnidirectional(1.0), 3.0, base, slot_rate_overrides={1: override, 2: base})
+        assert other.per_subchannel_rate is base
+        assert other.rates_in_slot(1) is override and other.rates_in_slot(2) is base
+        assert replace(cam, id=3).per_subchannel_rate is base
+        assert replace(cam, id=3).rates_in_slot(2) is override
+
+    def test_copies_and_pickles_are_equal(self):
+        cam = CameraNode(1, (3, 4), Omnidirectional(1.0), 5.0, [8, 4], frozenset({1}), {2: [2, 2]})
+        for copied in (copy.deepcopy(cam), pickle.loads(pickle.dumps(cam))):
+            assert copied == cam
+            assert repr(copied) == repr(cam)
 
 
 def two_camera_scenario():

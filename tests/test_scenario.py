@@ -153,6 +153,13 @@ class TestDeriveRates:
             assert all(type(r) is float for r in rates)
             assert tuple(rates) == cam.per_subchannel_rate
 
+    def test_cameras_with_equal_tier_rows_share_one_rate_vector(self):
+        # Each distinct row is built and checked once; the cameras keep it.
+        scn = generate_scenario(ScenarioConfig(rng_seed=3))
+        rows = [cam.per_subchannel_rate for cam in scn.cameras]
+        assert len(rows) == 81
+        assert len({id(row) for row in rows}) == len(set(rows)) == 12
+
     def test_tier_rows_are_keyed_beyond_255_tiers(self):
         # Tier indexes 20 and 276 agree modulo 256, so a row key narrowed to
         # one byte per index would give the second camera the first's rates.

@@ -33,7 +33,7 @@ from csrap import (
     verify_schedule,
 )
 from csrap.solvers import CandidateTable, RelocationStep
-from support import brute_force_runs, crowded_fading, greedy_weighted_set_cover, random_instance
+from support import brute_force_runs, crowded_fading, exhaustive_optimum, greedy_weighted_set_cover, random_instance
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -574,6 +574,24 @@ class TestBoundsAndSetCover:
             ]
             assert params.r_max == max(robusts)
             assert params.r_min == min(r for r in robusts if r > 0)
+
+    def test_the_ratio_bound_as_coded_fails_on_two_cameras(self):
+        # Relocation keeps camera 1 on subchannel 1 and moves camera 2 to a
+        # 2-RB run; the optimum puts camera 1 on subchannel 2 and camera 2 on
+        # subchannel 1.  So (r_max/r_min)*H(d*) is not a guarantee here.
+        scn = scenario_of(FrameGrid(3, 1), [cam(1, [6, 6, 8], 4.0, {1}), cam(2, [8, 6, 6], 8.0, {2})], 2)
+        result = mramc(scn)
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.schedule.total_rbs == 3
+        assert verify_schedule(result.schedule, scn).feasible
+        optimum = exact_solve(scn)
+        assert optimum.status is SolveStatus.FEASIBLE and optimum.schedule.total_rbs == 2
+        assert exhaustive_optimum(scn) == 2
+        params = bound_params(scn)
+        assert (params.r_max, params.r_min, params.d_star) == (8.0, 6.0, 1)
+        bound = Fraction(params.r_max) / Fraction(params.r_min) * params.h_d_star
+        assert bound == Fraction(4, 3)
+        assert result.schedule.total_rbs > bound * 2
 
     def test_set_cover_greedy_small_example(self):
         order = greedy_weighted_set_cover(
