@@ -137,7 +137,6 @@ class SweepCell:
     value: Any
     algorithm: str
     totals: tuple[int | None, ...]
-    wall_clock_s: float
 
     @property
     def feasible_totals(self) -> tuple[int, ...]:
@@ -220,7 +219,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     totals: dict[tuple[Any, str], list[int | None]] = {
         (value, algo): [] for value in spec.values for algo in spec.algorithms
     }
-    clocks: dict[tuple[Any, str], float] = {key: 0.0 for key in totals}
 
     for value in spec.values:
         cfg = apply_axis(spec.config, spec.axis, value)
@@ -235,9 +233,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             # result alive for the trial makes the cyclic GC run more often.
             base: SolverResult | None = None
             for algo in spec.algorithms:
-                t0 = time.perf_counter()
                 result = SOLVERS[algo](scn, table, spec.multiplicity, DEFAULT_NODE_BUDGET, base)
-                clocks[(value, algo)] += time.perf_counter() - t0
                 if algo == "mramc":
                     base = result
                 if result.status is SolveStatus.FEASIBLE:
@@ -259,7 +255,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             value=value,
             algorithm=algo,
             totals=tuple(totals[(value, algo)]),
-            wall_clock_s=clocks[(value, algo)],
         )
         for value in spec.values
         for algo in spec.algorithms

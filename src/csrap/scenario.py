@@ -255,16 +255,21 @@ def derive_rates(
     rng: np.random.Generator,
     num_subchannels: int,
     base_station: tuple[float, float] = (0.0, 0.0),
-) -> list[float]:
+) -> tuple[float, ...]:
     """Per-subchannel rates for a camera at ``position``.
 
     Per subchannel the SNR is transmit power minus path loss, an i.i.d.
     log-normal shadowing draw and the noise floor; the rate is the highest
     MCS tier whose threshold the SNR meets, or 0 below the lowest tier.
-    Distances under one meter are clamped to one meter.
+    Distances under one meter are clamped to one meter.  The result is an
+    immutable vector already checked as a camera's rates, so a camera built
+    from it keeps it as it is.
     """
-    shadow = rng.normal(0.0, channel.shadowing_sigma_db, (1, num_subchannels))
-    return list(_channel_rates([position], channel, shadow, base_station)[0])
+    m = _integer(num_subchannels, "num_subchannels")
+    if m < 1:
+        raise ValueError("num_subchannels must be >= 1")
+    shadow = rng.normal(0.0, channel.shadowing_sigma_db, (1, m))
+    return _channel_rates([position], channel, shadow, base_station)[0]
 
 
 def _channel_rates(
@@ -701,7 +706,7 @@ def load_scenario(doc: Mapping) -> Scenario:
                 from numpy.random import default_rng
             # numpy takes only non-negative seed words, and the id is one.
             rng = build_field(f"{path}.id", default_rng, [(seed or 0) % (2**63), 1, cam_id])
-            rates = tuple(derive_rates(pos, channel, rng, grid.num_subchannels, (area / 2.0, area / 2.0)))
+            rates = derive_rates(pos, channel, rng, grid.num_subchannels, (area / 2.0, area / 2.0))
         slot_overrides = None
         if entry.get("slot_rates") is not None:
             slot_rates = f"{path}.slot_rates"

@@ -577,8 +577,10 @@ class TestNumpyImport:
         got = run_fresh(LOAD, write(tmp_path / "scenario.json", doc))
         center = (scn.area_side / 2.0, scn.area_side / 2.0)
         expected = {
-            str(cam.id): derive_rates(
-                cam.position, scn.channel, np.random.default_rng([scn.seed, 1, cam.id]), scn.grid.num_subchannels, center
+            str(cam.id): list(
+                derive_rates(
+                    cam.position, scn.channel, np.random.default_rng([scn.seed, 1, cam.id]), scn.grid.num_subchannels, center
+                )
             )
             for cam in scn.cameras
         }

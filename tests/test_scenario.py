@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from csrap import (
     load_scenario,
     save_scenario,
 )
+from csrap import scenario as scenario_module
+from csrap.model import _Rates
 from csrap.scenario import CELL_EDGE_ANNULUS, DEPLOYMENTS, _channel_rates, _geometry_to_doc
 from support import brute_force_coverage
 
@@ -76,7 +79,7 @@ class TestDeriveRates:
     def test_degenerate_single_entry_table(self):
         channel = ChannelParams(mcs_table=((-1e9, 4.0),), shadowing_sigma_db=0.0)
         rates = derive_rates((100.0, 0.0), channel, np.random.default_rng(0), 6)
-        assert rates == [4.0] * 6
+        assert rates == (4.0,) * 6
 
     def test_farther_camera_never_beats_nearer_without_shadowing(self):
         channel = ChannelParams(shadowing_sigma_db=0.0)
@@ -149,7 +152,7 @@ class TestDeriveRates:
         center = (config.area_side / 2.0, config.area_side / 2.0)
         for cam in scn.cameras:
             rates = derive_rates(cam.position, config.channel, rng, config.frame.num_subchannels, center)
-            assert type(rates) is list
+            assert type(rates) is _Rates
             assert all(type(r) is float for r in rates)
             assert tuple(rates) == cam.per_subchannel_rate
 
@@ -170,6 +173,16 @@ class TestDeriveRates:
         shadow = np.array([[snr + 280.5] * 3, [snr + 24.5] * 3])
         low, high = channel.mcs_table[19][1], channel.mcs_table[275][1]
         assert _channel_rates([pos, pos], channel, shadow, (0.0, 0.0)) == [(low,) * 3, (high,) * 3]
+
+    def test_a_camera_keeps_the_drawn_row(self):
+        rates = derive_rates((100.0, 0.0), ChannelParams(), np.random.default_rng(0), 6)
+        cam = CameraNode(1, (100.0, 0.0), Omnidirectional(30.0), 5.0, rates)
+        assert cam.per_subchannel_rate is rates
+
+    @pytest.mark.parametrize("num_subchannels", [0, -1, 2.5, True])
+    def test_num_subchannels_must_be_a_positive_integer(self, num_subchannels):
+        with pytest.raises(ValueError, match="num_subchannels"):
+            derive_rates((100.0, 0.0), ChannelParams(), np.random.default_rng(0), num_subchannels)
 
 
 class TestGenerateScenario:
@@ -319,6 +332,25 @@ class TestGenerateScenario:
         assert scn.cameras[0].per_subchannel_rate == (8.0, 4.0, 7.0)
         assert scn.cameras[1].rates_in_slot(1) == (2.0, 2.0, 2.0)
         assert scn.cameras[1].rates_in_slot(2) == scn.cameras[1].per_subchannel_rate
+
+    def test_drawn_slot_rate_overrides_are_kept_as_drawn(self):
+        # A derive_rates row per camera and slot, drawn at a weak transmit
+        # power so that the rows differ: each camera keeps every row as the
+        # same object, and the scenario is the one list copies give.
+        cfg = ScenarioConfig(num_targets=10, frame=FrameGrid(6, 3), rng_seed=2)
+        weak = replace(cfg.channel, tx_power_dbm=6.0)
+        rng = np.random.default_rng(5)
+        center = (cfg.area_side / 2.0, cfg.area_side / 2.0)
+        overrides = {
+            cam.id: {slot: derive_rates(cam.position, weak, rng, 6, center) for slot in (1, 2, 3)}
+            for cam in generate_scenario(cfg).cameras
+        }
+        scn = generate_scenario(replace(cfg, rate_overrides=overrides))
+        for cam in scn.cameras:
+            for slot, row in overrides[cam.id].items():
+                assert cam.slot_rate_overrides[slot] is row
+        copies = {cam_id: {slot: list(row) for slot, row in rows.items()} for cam_id, rows in overrides.items()}
+        assert repr(generate_scenario(replace(cfg, rate_overrides=copies))) == repr(scn)
 
 
 class TestDocuments:
@@ -488,6 +520,23 @@ class TestDocuments:
         del doc["cameras"][0]["rates"]
         with pytest.raises(ScenarioFormatError, match=rf"^cameras\[0\]\.rates: missing and {reason}$"):
             load_scenario(doc)
+
+    def test_camera_without_rates_keeps_the_derived_row(self, monkeypatch):
+        cfg = ScenarioConfig(deployment="partial_random", num_cameras=12, num_targets=6, frame=FrameGrid(5, 2), rng_seed=8)
+        doc = json.loads(json.dumps(save_scenario(generate_scenario(cfg))))
+        for cam in doc["cameras"]:
+            del cam["rates"]
+        drawn = []
+
+        def recording(*args):
+            drawn.append(derive_rates(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(scenario_module, "derive_rates", recording)
+        cameras = load_scenario(doc).cameras
+        assert len(drawn) == len(cameras)
+        for cam, row in zip(cameras, drawn):
+            assert cam.per_subchannel_rate is row
 
     def test_mcs_table_validation(self):
         with pytest.raises(ValueError):
