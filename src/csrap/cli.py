@@ -87,7 +87,10 @@ def _positive_int(name: str) -> Callable[[str], int]:
     names ``name``."""
 
     def positive_int(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, not {text!r}") from None
         if value < 1:
             raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
         return value
@@ -116,7 +119,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(_read_json(args.scenario, "scenario"))
-    result = SOLVERS[args.algo](scenario, None, args.multiplicity, args.budget, None)
+    result = SOLVERS[args.algo](scenario, args.multiplicity, args.budget, None)
     # Without a file ("-" is none), stdout holds the document under --quiet, else the summary.
     to_file = args.out not in (None, "", "-")
     if to_file or args.quiet:

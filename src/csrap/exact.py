@@ -189,7 +189,8 @@ def exact_solve(
     Relaxed results carry ``relaxed=True``: their feasibility refers to
     coverage and the one-allocation-per-camera rule only, and the returned
     schedule may overlap RBs when no overlap-free layout of minimum runs
-    exists.  ``table`` reuses a candidate table built for ``scenario``.
+    exists.  ``table`` defaults to ``scenario.table``; pass one only to
+    reuse a table already built over ``scenario``'s cameras and grid.
 
     Raises :class:`SearchBudgetExceeded` rather than returning a wrong or
     partial answer when the search outgrows ``node_budget``.
@@ -201,7 +202,7 @@ def exact_solve(
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     relaxed = mode == "without_exclusivity"
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     target_ids = scenario.target_ids
 
     # Cameras that cover nothing or can never transmit are useless; the

@@ -33,7 +33,6 @@ from .scenario import (
     read_string,
 )
 from .solvers import (
-    CandidateTable,
     SolveStatus,
     SolverResult,
     baseline_schedule,
@@ -59,18 +58,18 @@ __all__ = [
 SWEEP_AXES = ("num_targets", "view_distance", "fov", "deployment")
 CSV_HEADER = "axis,value,algorithm,mean_rbs,std_rbs,infeasible,trials"
 
-# name -> solver(scenario, table, multiplicity, node_budget, mramc_result).
-# ``table`` may be None; ``mramc_result`` is ``mramc(scenario, table)`` when
-# the caller already has it, else None, and only m_mramc reads it (it extends
-# that result instead of running MRAMC again).  Each solver reads only the
-# arguments it needs.
-SOLVERS: dict[str, Callable[[Scenario, CandidateTable | None, int, int, SolverResult | None], SolverResult]] = {
-    "baseline": lambda scn, table, mult, budget, base: baseline_schedule(scn, table),
-    "mramc": lambda scn, table, mult, budget, base: mramc(scn, table),
-    "m_mramc": lambda scn, table, mult, budget, base: m_mramc(scn, {t.id: mult for t in scn.targets}, table, base),
-    "exact": lambda scn, table, mult, budget, base: exact_solve(scn, "with_exclusivity", budget, table),
-    "exact_relaxed": lambda scn, table, mult, budget, base: exact_solve(scn, "without_exclusivity", budget, table),
-    "greedy_based": lambda scn, table, mult, budget, base: greedy_based_reference(scn, table),
+# name -> solver(scenario, multiplicity, node_budget, mramc_result).  Every
+# solver reads the scenario's one candidate table, ``scenario.table``.
+# ``mramc_result`` is ``mramc(scenario)`` when the caller already has it,
+# else None, and only m_mramc reads it (it extends that result instead of
+# running MRAMC again).  Each solver reads only the arguments it needs.
+SOLVERS: dict[str, Callable[[Scenario, int, int, SolverResult | None], SolverResult]] = {
+    "baseline": lambda scn, mult, budget, base: baseline_schedule(scn),
+    "mramc": lambda scn, mult, budget, base: mramc(scn),
+    "m_mramc": lambda scn, mult, budget, base: m_mramc(scn, {t.id: mult for t in scn.targets}, base=base),
+    "exact": lambda scn, mult, budget, base: exact_solve(scn, "with_exclusivity", budget),
+    "exact_relaxed": lambda scn, mult, budget, base: exact_solve(scn, "without_exclusivity", budget),
+    "greedy_based": lambda scn, mult, budget, base: greedy_based_reference(scn),
 }
 ALGORITHMS = tuple(SOLVERS)
 
@@ -112,7 +111,8 @@ class SweepSpec:
             if name not in SOLVERS:
                 raise ValueError(f"unknown algorithm '{name}'; expected one of {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algos)
-        if _integer(self.multiplicity, "multiplicity") < 1:
+        object.__setattr__(self, "multiplicity", _integer(self.multiplicity, "multiplicity"))
+        if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
         # An out-of-range or repeated value fails here, naming it, before any
         # trial runs (the rows of a repeated value would pool the same seeds).
@@ -228,12 +228,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 scn = generate_scenario(replace(cfg, rng_seed=spec.base_seed), shadow_seed=seed)
             else:
                 scn = generate_scenario(replace(cfg, rng_seed=seed))
-            table = CandidateTable(scn.cameras, scn.grid)
             # Only the mramc result outlives its iteration: keeping every
             # result alive for the trial makes the cyclic GC run more often.
             base: SolverResult | None = None
             for algo in spec.algorithms:
-                result = SOLVERS[algo](scn, table, spec.multiplicity, DEFAULT_NODE_BUDGET, base)
+                result = SOLVERS[algo](scn, spec.multiplicity, DEFAULT_NODE_BUDGET, base)
                 if algo == "mramc":
                     base = result
                 if result.status is SolveStatus.FEASIBLE:

@@ -21,7 +21,10 @@ from functools import cached_property
 from itertools import repeat
 from math import ceil, inf, isfinite
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .solvers import CandidateTable
 
 __all__ = [
     "FrameGrid",
@@ -331,6 +334,16 @@ class Scenario:
         return MappingProxyType(
             {cam.id: cam.coverage_set & targets for cam in self.cameras if not cam.coverage_set.isdisjoint(targets)}
         )
+
+    @cached_property
+    def table(self) -> CandidateTable:
+        """The :class:`~csrap.solvers.CandidateTable` over the cameras and
+        grid, built on the first read and kept (not a field).  Every solver
+        given no table reads it, so the solvers run on one scenario share
+        its runs, and none may change them."""
+        from .solvers import CandidateTable
+
+        return CandidateTable(self.cameras, self.grid)
 
     def uncovered_targets(self) -> tuple[int, ...]:
         """Targets no camera can see; a non-empty result means no solver can succeed."""

@@ -426,7 +426,7 @@ def mramc_greedy(scenario: Scenario, table: CandidateTable | None = None) -> Gre
     may tentatively claim the same RBs; relocation resolves that afterwards.
     """
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     # Cameras that cover no target or have no candidate never win, so they
     # stay out of the pool, and the table never builds the first kind.
     pool = [
@@ -454,7 +454,7 @@ def mramc_relocate(
     ``failed_camera`` with the allocations fixed so far.
     """
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     occupancy = _Occupancy(scenario.grid)
     fits = occupancy.fits
     runs = sorted({a.camera_id: a for a in tentative}.values(), key=lambda a: (a.length, a.camera_id))
@@ -495,8 +495,6 @@ def _unrelocated(phase: GreedyPhase, scenario: Scenario, status: SolveStatus, no
 
 def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
     """Greedy coverage selection followed by RB relocation."""
-    if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
     phase = mramc_greedy(scenario, table)
     if phase.status is not SolveStatus.FEASIBLE:
         return _unrelocated(phase, scenario, phase.status, f"uncovered targets: {sorted(phase.uncovered)}")
@@ -599,7 +597,7 @@ def baseline_schedule(scenario: Scenario, table: CandidateTable | None = None) -
     RB it hands the run to the camera with the highest rate on that
     subchannel among cameras that still cover an uncovered target.  It
     needs no candidate table; ``table`` is accepted, and ignored, so that
-    every solver takes the same arguments.
+    a caller can hand every solver the same table.
     """
     return _scan_schedule(scenario, lambda cam, slot, pos: cam.rates_in_slot(slot)[pos - 1])
 
@@ -613,7 +611,7 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
     left-to-right scan allocator the baseline uses.
     """
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     # The scan asks for a rate at every position, so read each camera's once;
     # it asks only about cameras that cover a target.
     best = {cam_id: max(table.robust_rates(cam_id), default=0.0) for cam_id in scenario.coverage}
@@ -643,7 +641,7 @@ def m_mramc(
     extend it instead of running MRAMC again.
     """
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     target_ids = scenario.target_ids
     desired = dict.fromkeys(sorted(target_ids), 1)
     for t, want in multiplicity.items():
@@ -749,7 +747,7 @@ def joint_schedule(
     as in the pure surveillance case.
     """
     scn = traffic_scenario(traffic, grid, target_ids)
-    table = CandidateTable(scn.cameras, grid)
+    table = scn.table
     # A traditional item covers a token of its own, so the greedy prices it
     # at min_phi/alpha until it is scheduled.  Surveillance items that cover
     # no target never win, so they stay out of the pool.
@@ -806,7 +804,7 @@ def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> Bou
     if not scenario.cameras:
         raise ValueError("scenario has no cameras")
     if table is None:
-        table = CandidateTable(scenario.cameras, scenario.grid)
+        table = scenario.table
     d_star = max(map(len, scenario.coverage.values()), default=0)
     if d_star == 0:
         raise ValueError("no camera covers any target")

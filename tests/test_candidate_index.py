@@ -4,6 +4,7 @@ brute-force references."""
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from csrap import (
     CameraNode,
     CandidateAllocation,
     FrameGrid,
+    GeometrySpec,
     Omnidirectional,
     ScenarioConfig,
     SolveStatus,
@@ -23,6 +25,7 @@ from csrap import (
     exact_solve,
     generate_scenario,
     harness,
+    mramc,
     run_sweep,
     solvers,
 )
@@ -353,3 +356,48 @@ class TestLaziness:
         rates = [r for cam in scn.cameras for *_, r in brute_force_runs(*self.key(cam)) if r > 0]
         assert (params.r_max, params.r_min) == (max(rates), min(rates))
         assert params.d_star == max(len(cam.coverage_set & scn.target_ids) for cam in scn.cameras)
+
+
+# A small partial_random instance on which both exact modes finish quickly.
+LADDER_CONFIG = ScenarioConfig(
+    area_side=200.0,
+    num_targets=6,
+    num_cameras=8,
+    deployment="partial_random",
+    geometry=GeometrySpec(view_distance=(40.0, 60.0)),
+    frame=FrameGrid(8, 2),
+)
+
+
+class TestOneTablePerScenario:
+    """Every solver reads ``Scenario.table``, built once per scenario."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        tables = []
+        init = CandidateTable.__init__
+
+        def counted(self, *args, **kwargs):
+            tables.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateTable, "__init__", counted)
+        return tables
+
+    def test_exact_modes_and_mramc_share_one_table(self, built):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=3))
+        for mode in ("with_exclusivity", "without_exclusivity"):
+            exact_solve(scn, mode)
+        mramc(scn)
+        assert built == [scn.table]
+
+    def test_sweep_builds_one_table_per_trial(self, built):
+        spec = SweepSpec(config=LADDER_CONFIG, values=(6,), trials=3, algorithms=harness.ALGORITHMS, multiplicity=2)
+        run_sweep(spec)
+        assert len(built) == 3
+
+    def test_table_is_kept_and_a_replaced_scenario_gets_its_own(self):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=4))
+        assert scn.table is scn.table
+        fewer = replace(scn, targets=scn.targets[:3])
+        assert fewer.table is not scn.table

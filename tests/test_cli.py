@@ -345,6 +345,14 @@ class TestErrorPaths:
         assert main(["solve", scenario_path, "--algo", algo, "--multiplicity", "-3", "--quiet"]) == 2
         assert "multiplicity must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("option", "text", "name"), [("--budget", "abc", "node_budget"), ("--multiplicity", "1.5", "multiplicity")]
+    )
+    def test_non_integer_option_is_a_usage_error(self, tmp_path, capsys, option, text, name):
+        scenario_path = write(tmp_path / "scenario.json", one_camera_scenario())
+        assert main(["solve", scenario_path, option, text, "--quiet"]) == 2
+        assert f"argument {option}: {name} must be an integer, not '{text}'" in capsys.readouterr().err
+
     def test_relaxed_solve_outlasts_a_long_layout_search(self, tmp_path, capsys):
         scenario_path = write(tmp_path / "scenario.json", layout_trap_scenario())
         assert main(["solve", scenario_path, "--algo", "exact_relaxed", "--budget", "100000", "--quiet"]) == 0

@@ -18,6 +18,7 @@ from csrap import (
     SweepSpec,
     TargetObject,
     baseline_schedule,
+    generate_scenario,
     greedy_based_reference,
     harness,
     run_sweep,
@@ -27,6 +28,7 @@ from csrap import (
     solvers,
     verify_schedule,
 )
+from csrap.exact import DEFAULT_NODE_BUDGET
 from csrap.harness import CSV_HEADER, apply_axis
 from csrap.scenario import ScenarioFormatError
 from csrap.solvers import CandidateTable, SolverResult, _scan_schedule
@@ -267,6 +269,7 @@ class TestRunSweep:
             SweepSpec(axis="humidity")
         with pytest.raises(ValueError, match="multiplicity must be an integer"):
             SweepSpec(multiplicity=2.5)
+        assert type(SweepSpec(multiplicity=np.int64(2)).multiplicity) is int
         # int() would run 10 targets under a CSV row reading 10.7; a float
         # trials or base_seed would fail only at the first trial.
         with pytest.raises(ValueError, match=r"^values\[0\]: num_targets must be an integer, not 10.7$"):
@@ -308,6 +311,25 @@ class TestRunSweep:
         assert spec.config.deployment == "partial_random"
         with pytest.raises(ScenarioFormatError):
             sweep_spec_from_document({"axis": "nope"})
+
+
+class TestSolverOrder:
+    @pytest.mark.parametrize(
+        "config",
+        [ScenarioConfig(num_targets=20, rng_seed=11), replace(SMALL_CONFIG, rng_seed=12)],
+        ids=["paper_default", "partial_random"],
+    )
+    def test_solvers_sharing_a_scenario_answer_as_on_a_fresh_one(self, config):
+        # Every solver reads the scenario's one candidate table and its run
+        # lists, so a solver that changed them would change the next one's
+        # result.
+        def solve(scn, name):
+            return harness.SOLVERS[name](scn, 2, DEFAULT_NODE_BUDGET, None)
+
+        expected = {name: solve(generate_scenario(config), name) for name in harness.ALGORITHMS}
+        scn = generate_scenario(config)
+        for name in harness.ALGORITHMS + harness.ALGORITHMS[::-1]:
+            assert solve(scn, name) == expected[name], name
 
 
 class TestPerformance:
