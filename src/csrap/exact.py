@@ -50,7 +50,7 @@ from itertools import repeat
 from typing import Callable
 
 from .model import CandidateAllocation, Scenario, Schedule, _integer
-from .solvers import CandidateTable, Diagnostics, SolverResult, SolveStatus, _overlap_free_layout
+from .solvers import Diagnostics, SolverResult, SolveStatus, _overlap_free_layout
 
 __all__ = ["exact_solve", "SearchBudgetExceeded", "DEFAULT_NODE_BUDGET"]
 
@@ -180,7 +180,6 @@ def exact_solve(
     scenario: Scenario,
     mode: str = "with_exclusivity",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    table: CandidateTable | None = None,
 ) -> SolverResult:
     """Provably minimum-RB schedule, or an infeasibility verdict.
 
@@ -189,8 +188,8 @@ def exact_solve(
     Relaxed results carry ``relaxed=True``: their feasibility refers to
     coverage and the one-allocation-per-camera rule only, and the returned
     schedule may overlap RBs when no overlap-free layout of minimum runs
-    exists.  ``table`` defaults to ``scenario.table``; pass one only to
-    reuse a table already built over ``scenario``'s cameras and grid.
+    exists.  The search reads the scenario's one candidate table,
+    ``scenario.table``.
 
     Raises :class:`SearchBudgetExceeded` rather than returning a wrong or
     partial answer when the search outgrows ``node_budget``.
@@ -201,8 +200,7 @@ def exact_solve(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     relaxed = mode == "without_exclusivity"
-    if table is None:
-        table = scenario.table
+    table = scenario.table
     target_ids = scenario.target_ids
 
     # Cameras that cover nothing or can never transmit are useless; the

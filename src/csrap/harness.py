@@ -12,25 +12,22 @@ import math
 import numbers
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping
 
 from .exact import DEFAULT_NODE_BUDGET, exact_solve
 from .model import CandidateAllocation, Scenario, Schedule, _integer, verify_schedule
 from .scenario import (
     ScenarioConfig,
-    ScenarioFormatError,
     build_field,
     config_from_document,
     generate_scenario,
     known_keys,
     need_field,
     read_integer,
-    read_list,
     read_number,
     read_object,
     read_objects,
-    read_string,
 )
 from .solvers import (
     SolveStatus,
@@ -84,7 +81,9 @@ class SweepSpec:
     Trial ``i`` uses seed ``base_seed + i``; with ``freeze_placement`` the
     placement keeps the base seed and only the shadowing draws vary between
     trials.  ``multiplicity`` is the uniform per-target camera count used
-    when ``m_mramc`` is among the algorithms.
+    when ``m_mramc`` is among the algorithms.  Every field is checked here,
+    and a rejected one raises a ``ValueError`` that begins with its name;
+    :func:`sweep_spec_from_document` adds no check of its own.
     """
 
     config: ScenarioConfig = ScenarioConfig()
@@ -99,21 +98,25 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
+        for field in ("values", "algorithms"):
+            if not isinstance(getattr(self, field), (list, tuple)):
+                raise ValueError(f"{field} must be a list or tuple, not {getattr(self, field)!r}")
+            object.__setattr__(self, field, tuple(getattr(self, field)))
         if not self.values:
             raise ValueError("values must not be empty")
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
+        for field in ("trials", "base_seed", "multiplicity"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        object.__setattr__(self, "values", tuple(self.values))
-        algos = tuple(self.algorithms)
-        for name in algos:
-            if name not in SOLVERS:
-                raise ValueError(f"unknown algorithm '{name}'; expected one of {ALGORITHMS}")
-        object.__setattr__(self, "algorithms", algos)
-        object.__setattr__(self, "multiplicity", _integer(self.multiplicity, "multiplicity"))
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        if not isinstance(self.freeze_placement, bool):
+            raise ValueError(f"freeze_placement must be a boolean, not {self.freeze_placement!r}")
+        # A tuple lookup compares by equality, so an unhashable entry is
+        # rejected here too.
+        for i, name in enumerate(self.algorithms):
+            if name not in ALGORITHMS:
+                raise ValueError(f"algorithms[{i}]: unknown algorithm {name!r}; expected one of {ALGORITHMS}")
         # An out-of-range or repeated value fails here, naming it, before any
         # trial runs (the rows of a repeated value would pool the same seeds).
         for i, value in enumerate(self.values):
@@ -200,7 +203,10 @@ def apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
         raise ValueError(f"{axis} must be a number, not {value!r}")
     if axis == "num_targets":
         return replace(config, num_targets=_integer(value, "num_targets"))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if axis == "view_distance":
         return replace(config, geometry=replace(config.geometry, view_distance=(v, v)))
     return replace(config, geometry=replace(config.geometry, fov_deg=v))
@@ -261,41 +267,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, cells=cells)
 
 
-def _axis_value(axis: str, value: Any, path: str) -> Any:
-    """Check one sweep value for ``axis``; it is kept as written, because
-    the CSV prints it (a view distance of 30 stays ``30``)."""
-    if axis == "num_targets":
-        return read_integer(value, path)
-    if axis == "deployment":
-        return read_string(value, path)
-    read_number(value, path)
-    return value
-
-
 def sweep_spec_from_document(doc: Mapping) -> SweepSpec:
-    """Parse a sweep document; a malformed or unknown entry fails with its field name."""
-    keys = ("config", "axis", "values", "algorithms", "trials", "base_seed", "multiplicity", "freeze_placement")
-    doc = known_keys(read_object(doc, "sweep"), keys)
-    kwargs: dict[str, Any] = {}
+    """Parse a sweep document.  Its keys are :class:`SweepSpec`'s fields and
+    SweepSpec checks them; only ``config`` is parsed here (null keeps the
+    default).  A rejected entry fails with its field name."""
+    doc = known_keys(read_object(doc, "sweep"), [field.name for field in fields(SweepSpec)])
+    kwargs = {key: value for key, value in doc.items() if key != "config"}
     if doc.get("config") is not None:
         kwargs["config"] = config_from_document(doc["config"], "config")
-    axis = doc.get("axis", SweepSpec.axis)
-    if axis not in SWEEP_AXES:
-        raise ScenarioFormatError(f"axis: expected one of {SWEEP_AXES}")
-    kwargs["axis"] = axis
-    if "values" in doc:
-        values = read_list(doc["values"], "values")
-        kwargs["values"] = tuple(_axis_value(axis, v, f"values[{i}]") for i, v in enumerate(values))
-    if "algorithms" in doc:
-        algos = read_list(doc["algorithms"], "algorithms")
-        kwargs["algorithms"] = tuple(read_string(a, f"algorithms[{i}]") for i, a in enumerate(algos))
-    for key in ("trials", "base_seed", "multiplicity"):
-        if key in doc:
-            kwargs[key] = read_integer(doc[key], key)
-    if "freeze_placement" in doc:
-        if not isinstance(doc["freeze_placement"], bool):
-            raise ScenarioFormatError("freeze_placement: expected a boolean")
-        kwargs["freeze_placement"] = doc["freeze_placement"]
     return build_field("", SweepSpec, **kwargs)
 
 

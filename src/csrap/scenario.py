@@ -61,7 +61,6 @@ __all__ = [
     "read_number",
     "read_numbers",
     "read_integer",
-    "read_string",
     "build_field",
 ]
 
@@ -555,12 +554,6 @@ def read_integer(value: Any, path: str) -> int:
     return value
 
 
-def read_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioFormatError(f"{path}: expected a string")
-    return value
-
-
 def build_field(path: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
     """``build(*args, **kwargs)``, its ValueError reported at ``path`` (the
     whole document when empty)."""
@@ -750,11 +743,9 @@ def config_from_document(doc: Mapping, path: str = "") -> ScenarioConfig:
     config = ScenarioConfig()
     if "area" in doc:
         config = build_field(f"{p}area", replace, config, area_side=read_number(doc["area"], f"{p}area"))
-    for key in ("num_targets", "num_cameras"):
+    for key in ("num_targets", "num_cameras", "deployment"):
         if key in doc:
-            config = build_field(p + key, replace, config, **{key: read_integer(doc[key], p + key)})
-    if "deployment" in doc:
-        config = build_field(f"{p}deployment", replace, config, deployment=doc["deployment"])
+            config = build_field(p + key, replace, config, **{key: doc[key]})
     if "geometry" in doc:
         g = known_keys(read_object(doc["geometry"], f"{p}geometry"), ("kind", "view_distance", "fov"), f"{p}geometry")
         geometry = GeometrySpec()
@@ -775,5 +766,5 @@ def config_from_document(doc: Mapping, path: str = "") -> ScenarioConfig:
     if doc.get("channel") is not None:
         config = replace(config, channel=_channel_from_doc(doc["channel"], f"{p}channel"))
     if "seed" in doc:
-        config = replace(config, rng_seed=read_integer(doc["seed"], f"{p}seed"))
+        config = build_field(f"{p}seed", replace, config, rng_seed=doc["seed"])
     return config

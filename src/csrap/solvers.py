@@ -636,7 +636,10 @@ def m_mramc(
     largest multiplicity, even after one that adds no camera, gives each
     target still below ``r`` cameras (and wanting at least ``r``) the
     cheapest unscheduled covering camera whose candidate fits the free RBs.
-    Targets wanting more cameras than exist are reported, not errors.
+    After round ``r`` each target has ``min(r, desired)`` cameras, or nothing
+    fits it any more, so the rounds stop at the largest number of cameras
+    covering a target.  Targets wanting more cameras than exist are
+    reported, not errors.
     ``base``, when given, must be ``mramc(scenario, table)``: the rounds
     extend it instead of running MRAMC again.
     """
@@ -677,7 +680,8 @@ def m_mramc(
             notes.append(f"target {t} wants {desired[t]} cameras but only {len(covering[t])} cover it")
 
     extra_trace: list[RelocationStep] = []
-    for rnd in range(2, max(desired.values(), default=1) + 1):
+    rounds = min(max(desired.values(), default=1), max(map(len, covering.values()), default=1))
+    for rnd in range(2, rounds + 1):
         for t in sorted(desired):
             if desired[t] < rnd or count[t] >= rnd:
                 continue
@@ -795,7 +799,7 @@ def harmonic(n: int) -> Fraction:
     return total
 
 
-def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> BoundParams:
+def bound_params(scenario: Scenario) -> BoundParams:
     """Instance quantities for the approximation guarantee.
 
     ``d_star`` is the largest coverage set, and ``r_max``/``r_min`` the best
@@ -803,12 +807,10 @@ def bound_params(scenario: Scenario, table: CandidateTable | None = None) -> Bou
     """
     if not scenario.cameras:
         raise ValueError("scenario has no cameras")
-    if table is None:
-        table = scenario.table
     d_star = max(map(len, scenario.coverage.values()), default=0)
     if d_star == 0:
         raise ValueError("no camera covers any target")
-    rates = [r for cam in scenario.cameras for r in table.robust_rates(cam.id)]
+    rates = [r for cam in scenario.cameras for r in scenario.table.robust_rates(cam.id)]
     if not rates:
         raise ValueError("no candidate allocations in the instance")
     return BoundParams(d_star=d_star, h_d_star=harmonic(d_star), r_max=max(rates), r_min=min(rates))

@@ -343,12 +343,11 @@ class TestLaziness:
     @pytest.mark.parametrize("targets", PAPER_TARGETS)
     def test_exact_and_bounds(self, builds, targets):
         scn = generate_scenario(ScenarioConfig(num_targets=targets, rng_seed=3))
-        table = CandidateTable(scn.cameras, scn.grid)
         for mode in ("with_exclusivity", "without_exclusivity"):
-            assert exact_solve(scn, mode, table=table).status is SolveStatus.FEASIBLE
+            assert exact_solve(scn, mode).status is SolveStatus.FEASIBLE
         assert builds == self.covering_keys(scn)
         builds.clear()
-        params = bound_params(scn, table)
+        params = bound_params(scn)
         assert sum(builds.values()) == len(scn.cameras) - sum(self.covering_keys(scn).values())
         # The values of an eager enumeration of every camera's runs; paper
         # default cameras keep one rate vector for every slot.

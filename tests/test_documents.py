@@ -10,11 +10,12 @@ malformed input.
 """
 
 import copy
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csrap.harness import schedule_from_document, sweep_spec_from_document
+from csrap.harness import SweepSpec, schedule_from_document, sweep_spec_from_document
 from csrap.scenario import ScenarioFormatError, config_from_document, load_scenario
 
 MCS_TABLE = [[-1.0, 2.0], [5.0, 4.0], [11.0, 6.0]]
@@ -150,6 +151,8 @@ REJECTED_VALUES = {
         "rate_requirement: rate_requirement_range must satisfy 0 < min <= max",
     ),
     "sweep_config_fov": ("sweep", ("config", "geometry", "fov"), 0, "config.geometry.fov: fov_deg must lie in (0, 360]"),
+    "seed": ("config", ("seed",), "x", "seed: rng_seed must be an integer, not 'x'"),
+    "sweep_config_num_cameras": ("sweep", ("config", "num_cameras"), 2.5, "config.num_cameras: num_cameras must be an integer, not 2.5"),
     "unknown_camera": (
         "schedule",
         ("assignments", 1, "camera_id"),
@@ -166,3 +169,23 @@ def test_rejected_value_is_reported_at_its_key(case):
     with pytest.raises(ScenarioFormatError) as exc:
         load(replaced(doc, path, value))
     assert str(exc.value).startswith(message)
+
+
+def outcome(error, build, *args, **kwargs):
+    """What ``build`` returns, or the message of the ``error`` it raises."""
+    try:
+        return build(*args, **kwargs)
+    except error as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", WRONG_VALUES, ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("key", sorted(key for key in SWEEP if key != "config"))
+def test_sweep_loader_and_spec_check_a_field_alike(key, value):
+    # The loader parses ``config`` and hands every other field to SweepSpec
+    # unchanged, so it rejects a value exactly when SweepSpec does, with the
+    # same message, and both may accept it (a huge ``trials``).
+    assert set(SWEEP) == {field.name for field in fields(SweepSpec)}
+    doc = replaced(SWEEP, (key,), value)
+    expected = outcome(ValueError, SweepSpec, **dict(doc, config=config_from_document(CONFIG)))
+    assert outcome(ScenarioFormatError, sweep_spec_from_document, doc) == expected

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from csrap import (
     CameraNode,
-    CandidateTable,
     ChannelParams,
     FrameGrid,
     Omnidirectional,
@@ -382,15 +381,10 @@ def test_paper_default_ratio_chain():
     for targets in (10, 20, 30, 40):
         for seed in range(10):
             scn = generate_scenario(replace(PAPER_SCALE, num_targets=targets, rng_seed=seed))
-            table = CandidateTable(scn.cameras, scn.grid)
-            results = (
-                exact_solve(scn, "without_exclusivity", table=table),
-                exact_solve(scn, table=table),
-                mramc(scn, table),
-            )
+            results = (exact_solve(scn, "without_exclusivity"), exact_solve(scn), mramc(scn))
             assert all(r.status is SolveStatus.FEASIBLE for r in results), (targets, seed)
             relaxed, optimum, heuristic = (r.schedule.total_rbs for r in results)
-            ratio = bound_params(scn, table).ratio()
+            ratio = bound_params(scn).ratio()
             assert relaxed <= optimum <= heuristic <= ratio * optimum, (targets, seed)
 
 

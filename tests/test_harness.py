@@ -295,6 +295,29 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=message):
             SweepSpec(axis=axis, values=values, trials=2, algorithms=("mramc",))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # A non-empty string is truthy, so "no" would freeze placement.
+            ({"freeze_placement": "no"}, r"^freeze_placement must be a boolean, not 'no'$"),
+            ({"freeze_placement": 1}, r"^freeze_placement must be a boolean, not 1$"),
+            ({"algorithms": [[1]]}, r"^algorithms\[0\]: unknown algorithm \[1\]; expected one of "),
+            ({"algorithms": ("mramc", 3)}, r"^algorithms\[1\]: unknown algorithm 3; expected one of "),
+            ({"algorithms": "mramc"}, r"^algorithms must be a list or tuple, not 'mramc'$"),
+            ({"values": 5}, r"^values must be a list or tuple, not 5$"),
+            ({"values": "ab"}, r"^values must be a list or tuple, not 'ab'$"),
+            ({"axis": "fov", "values": (10**400,)}, r"^values\[0\]: fov_deg must lie in \(0, 360\]$"),
+            ({"axis": "view_distance", "values": (10**400,)}, r"^values\[0\]: view_distance range must be finite$"),
+        ],
+    )
+    def test_each_field_is_checked_by_the_spec(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**fields)
+
+    def test_a_list_is_kept_as_a_tuple(self):
+        spec = SweepSpec(values=[4, 8], algorithms=["mramc"])
+        assert (spec.values, spec.algorithms) == ((4, 8), ("mramc",))
+
     def test_spec_from_document(self):
         doc = {
             "axis": "view_distance",

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -333,6 +334,21 @@ class TestMMramc:
         scn = scenario_of(FrameGrid(2, 1), cameras, 1)
         with pytest.raises(ValueError, match="multiplicity of target 1 must be"):
             m_mramc(scn, {1: want})
+
+    def test_rounds_stop_at_the_largest_covering_count(self):
+        # No round past the largest number of cameras covering a target can
+        # add one, so a huge multiplicity runs no more rounds than that.
+        scn = generate_scenario(ScenarioConfig(num_targets=20, rng_seed=3))
+        most = max(sum(t in covered for covered in scn.coverage.values()) for t in scn.target_ids)
+        capped = m_mramc(scn, {t: most for t in scn.target_ids})
+        start = time.perf_counter()
+        huge = m_mramc(scn, {t: 10**9 for t in scn.target_ids})
+        assert time.perf_counter() - start < 1.0
+        assert huge.schedule == capped.schedule
+        assert huge.diagnostics.relocation == capped.diagnostics.relocation
+        scheduled = [scn.coverage.get(a.camera_id, frozenset()) for a in huge.schedule.assignments]
+        count = {t: sum(t in covered for covered in scheduled) for t in sorted(scn.target_ids)}
+        assert huge.diagnostics.unmet_multiplicity == tuple((t, n, 10**9) for t, n in count.items())
 
     def test_extending_a_given_mramc_result_changes_nothing(self):
         rng = np.random.default_rng(41)
