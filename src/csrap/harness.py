@@ -96,14 +96,16 @@ class SweepSpec:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.config, ScenarioConfig):
+            raise ValueError(f"config must be a ScenarioConfig, not {self.config!r}")
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
         for field in ("values", "algorithms"):
             if not isinstance(getattr(self, field), (list, tuple)):
                 raise ValueError(f"{field} must be a list or tuple, not {getattr(self, field)!r}")
             object.__setattr__(self, field, tuple(getattr(self, field)))
-        if not self.values:
-            raise ValueError("values must not be empty")
+            if not getattr(self, field):
+                raise ValueError(f"{field} must not be empty")
         for field in ("trials", "base_seed", "multiplicity"):
             object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.trials < 1:

@@ -317,17 +317,29 @@ def _grid_side(area_side: float, view_min: float) -> int:
     return max(1, math.ceil(area_side / (view_min * math.sqrt(2.0))))
 
 
-def _uniform_point(rng: np.random.Generator, area: float) -> tuple[float, float]:
-    return (float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)))
+def _between(u: Callable[[], float], lo: float, hi: float) -> float:
+    # Generator.uniform(lo, hi) returns lo + (hi - lo) * u for its next double
+    # u, so mapping a double of Generator.random the same way draws the same
+    # number.
+    return lo + (hi - lo) * u()
 
 
-def _annulus_point(rng: np.random.Generator, area: float, r_min: float) -> tuple[float, float]:
+def _draws(rng: np.random.Generator, n: int) -> Callable[[], float]:
+    """The next of ``n`` doubles drawn with one call, in draw order."""
+    return iter(rng.random(n).tolist()).__next__
+
+
+def _uniform_point(u: Callable[[], float], area: float) -> tuple[float, float]:
+    return (_between(u, 0.0, area), _between(u, 0.0, area))
+
+
+def _annulus_point(u: Callable[[], float], area: float, r_min: float) -> tuple[float, float]:
     # The cell-edge r_min is 0.4 * area and the corners lie 0.71 * area from
     # the centre, so the annulus meets the square and about half of all
     # draws land in it.
     cx = cy = area / 2.0
     while True:
-        x, y = _uniform_point(rng, area)
+        x, y = _uniform_point(u, area)
         if math.hypot(x - cx, y - cy) >= r_min:
             return (x, y)
 
@@ -337,7 +349,7 @@ def _clamp(p: tuple[float, float], area: float) -> tuple[float, float]:
 
 
 def _near_point(
-    rng: np.random.Generator,
+    u: Callable[[], float],
     anchor: tuple[float, float],
     radius: float,
     area: float,
@@ -347,8 +359,8 @@ def _near_point(
     Clamping projects onto the square, which never increases the distance to
     the anchor, so the point stays within ``radius`` of it.
     """
-    rad = radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
-    ang = float(rng.uniform(0.0, 2.0 * math.pi))
+    rad = radius * math.sqrt(_between(u, 0.0, 1.0))
+    ang = _between(u, 0.0, 2.0 * math.pi)
     return _clamp((anchor[0] + rad * math.cos(ang), anchor[1] + rad * math.sin(ang)), area)
 
 
@@ -362,6 +374,14 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
     Placement draws come from one stream and shadowing draws from another, so
     passing a different ``shadow_seed`` re-rolls the channel while keeping
     every position fixed.
+
+    Where the number of placement draws is known before the first one (the
+    pinned and scattered cameras of ``partial_random``, the cameras beyond an
+    ``overall_grid`` lattice), one ``Generator.random(n)`` call draws them
+    all, and each double ``u`` maps to ``lo + (hi - lo) * u``, as
+    ``Generator.uniform(lo, hi)`` maps it, so the numbers are those of one
+    scalar draw each.  ``cell_edge`` draws per attempt, because its
+    rejection loop does not know its count in advance.
 
     Deployments:
 
@@ -406,14 +426,12 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
     # (position, view, orientation or None) per camera, in camera-id order.
     placements: list[tuple[tuple[float, float], float, float | None]] = []
 
-    def sample_view() -> float:
-        return float(place_rng.uniform(vmin, vmax))
+    def orientation(u: Callable[[], float]) -> float | None:
+        return _between(u, 0.0, 360.0) if directional else None
 
-    def sample_orientation() -> float | None:
-        if not directional:
-            return None
-        return float(place_rng.uniform(0.0, 360.0))
-
+    # A scattered camera draws x, y, its view and, when directional, its
+    # orientation.
+    scatter_draws = 4 if directional else 3
     if config.deployment == "overall_grid":
         side = _grid_side(area, vmin)
         needed = side * side
@@ -430,19 +448,26 @@ def generate_scenario(config: ScenarioConfig, shadow_seed: int | None = None) ->
             for col in range(side):
                 pos = ((col + 0.5) * spacing, (row + 0.5) * spacing)
                 placements.append((pos, views[row * side + col], None))
-        for _ in range(k - needed):
-            placements.append((_uniform_point(place_rng, area), sample_view(), sample_orientation()))
+        scattered = k - needed
+        u = _draws(place_rng, scatter_draws * scattered)
     elif config.deployment == "cell_edge":
+        # The rejection loop does not know its number of draws in advance,
+        # so every draw is a scalar one.
+        u = place_rng.random
         for _ in range(k):
-            placements.append((_annulus_point(place_rng, area, annulus_r), sample_view(), sample_orientation()))
+            placements.append((_annulus_point(u, area, annulus_r), _between(u, vmin, vmax), orientation(u)))
+        scattered = 0
     else:
+        # A pinned camera draws its view, then a radius fraction and an angle.
+        scattered = k - y
+        u = _draws(place_rng, 3 * y + scatter_draws * scattered)
         for tgt in targets:
-            view = sample_view()
-            pos = _near_point(place_rng, tgt.position, view, area)
+            view = _between(u, vmin, vmax)
+            pos = _near_point(u, tgt.position, view, area)
             orient = _bearing(pos, tgt.position) if directional else None
             placements.append((pos, view, orient))
-        for _ in range(k - y):
-            placements.append((_uniform_point(place_rng, area), sample_view(), sample_orientation()))
+    for _ in range(scattered):
+        placements.append((_uniform_point(u, area), _between(u, vmin, vmax), orientation(u)))
 
     req_lo, req_hi = config.rate_requirement_range
     requirements = place_rng.uniform(req_lo, req_hi, k).tolist()

@@ -507,6 +507,12 @@ class TestMalformedDocuments:
         assert main(args) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
+    def test_empty_algorithms_exit_two_without_a_csv(self, tmp_path, capsys):
+        path = write(tmp_path / "doc.json", sweep_doc(algorithms=[]))
+        assert main(["sweep", path, "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+        assert "error: algorithms must not be empty\n" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestGoldenOutputs:
     """``--quiet`` schedule documents of every algorithm, byte for byte.

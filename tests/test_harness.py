@@ -244,6 +244,9 @@ class TestRunSweep:
             ({"values": ()}, "values must not be empty"),
             ({"trials": 0}, "trials must be >= 1"),
             ({"multiplicity": 0}, "multiplicity must be >= 1"),
+            # An empty list would generate every scenario and write a
+            # header-only CSV.
+            ({"algorithms": []}, "algorithms must not be empty"),
         ],
     )
     def test_rejects_empty_values_and_counts_below_one(self, fields, message):
@@ -308,6 +311,9 @@ class TestRunSweep:
             ({"values": "ab"}, r"^values must be a list or tuple, not 'ab'$"),
             ({"axis": "fov", "values": (10**400,)}, r"^values\[0\]: fov_deg must lie in \(0, 360\]$"),
             ({"axis": "view_distance", "values": (10**400,)}, r"^values\[0\]: view_distance range must be finite$"),
+            # Not a dataclass, so it would fail only in apply_axis's replace().
+            ({"config": "x"}, r"^config must be a ScenarioConfig, not 'x'$"),
+            ({"config": None}, r"^config must be a ScenarioConfig, not None$"),
         ],
     )
     def test_each_field_is_checked_by_the_spec(self, fields, message):

@@ -716,6 +716,26 @@ GENERATION_DIGESTS = {
         99,
         "56b4bac7c9de7c2ac7bfea476c3b3ad3c134b2a12b1af56e02af862c5a51a45c",
     ),
+    # The shape of perfbench's larger exact_ladder rung.
+    "random_ladder_rung": (
+        ScenarioConfig(
+            area_side=200.0,
+            deployment="partial_random",
+            num_cameras=10,
+            num_targets=7,
+            geometry=GeometrySpec(view_distance=(40.0, 60.0)),
+            frame=FrameGrid(10, 2),
+            rng_seed=12,
+        ),
+        None,
+        "51192d751f837f91026d483efff5023d415a686e7b0306dbaeea14e806ddf6d1",
+    ),
+    # A 9x9 lattice and 19 cameras scattered beyond it.
+    "grid_extra_cameras": (
+        ScenarioConfig(num_cameras=100, frame=FrameGrid(10, 2), rng_seed=13),
+        None,
+        "9a2f43e9e00f983eba03b7ac11765e2c42bc4e7a6f742ac7b6d4d9f8467e0fc1",
+    ),
 }
 
 
@@ -724,6 +744,19 @@ def test_generation_digest_is_frozen(name):
     config, shadow_seed, digest = GENERATION_DIGESTS[name]
     text = json.dumps(save_scenario(generate_scenario(config, shadow_seed=shadow_seed)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(40.0, 40.0), (40.0, 60.0), (30.0, 90.0), (20.0, 80.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (0.0, 200.0), (0.0, 500.0), (0.0, 360.0)],
+)
+def test_a_mapped_double_is_the_uniform_draw(lo, hi):
+    # Generation maps each placement double of Generator.random to
+    # lo + (hi - lo) * u, taking it for Generator.uniform's draw; a numpy
+    # build that fuses the multiply-add in uniform breaks that.
+    a, b = np.random.default_rng(17), np.random.default_rng(17)
+    for u in b.random(50_000).tolist():
+        assert float(a.uniform(lo, hi)) == lo + (hi - lo) * u
 
 
 # ---------------------------------------------------------------------------
