@@ -85,7 +85,6 @@ class _Search:
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
-    incumbent: int | None = None  # cost of the best settled leaf, reported on an overrun
     root_bound: int = 0  # the lower bound reported, set before the first node
     bound_prunes: int = 0
     incumbent_updates: int = 0
@@ -132,7 +131,7 @@ class _Search:
         return SearchBudgetExceeded(
             f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
             self.nodes,
-            self.incumbent,
+            self.best_cost if self.incumbent_updates else None,
             self.root_bound,
         )
 
@@ -287,7 +286,6 @@ def _branch_and_bound(
         if not uncovered:
             if cost < search.best_cost and (settled := settle(chosen, cost)) is not None:
                 best, search.best_cost = settled
-                search.incumbent = search.best_cost
                 search.incumbent_updates += 1
             return
         bound, branches = search.expand(uncovered, avail)

@@ -117,6 +117,8 @@ class TargetObject:
     position: tuple[float, float]
 
     def __post_init__(self) -> None:
+        if type(self.id) is not int:
+            object.__setattr__(self, "id", _integer(self.id, "id"))
         object.__setattr__(self, "position", _finite_position(self.position))
 
 
@@ -196,6 +198,8 @@ class CameraNode:
     slot_rate_overrides: Mapping[int, tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
+        if type(self.id) is not int:
+            object.__setattr__(self, "id", _integer(self.id, "id"))
         if not self.rate_requirement > 0:
             raise ValueError("rate_requirement must be positive")
         if not self.rate_requirement < inf:
@@ -237,6 +241,10 @@ class CandidateAllocation:
     robust_rate: float
 
     def __post_init__(self) -> None:
+        # Solvers build allocations of exact ints on hot paths; only others pay for the check.
+        if not type(self.camera_id) is type(self.slot) is type(self.start) is type(self.length) is int:
+            for name in ("camera_id", "slot", "start", "length"):
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.slot < 1 or self.start < 1 or self.length < 1:
             raise ValueError("slot, start and length are 1-based and must be >= 1")
         if not self.robust_rate > 0:
@@ -475,65 +483,45 @@ def verify_schedule(schedule: Schedule, scenario: Scenario) -> FeasibilityReport
 
     Unknown camera or target ids are an argument error, not a failed check.
     """
+    grid = scenario.grid
     cams = {c.id: c for c in scenario.cameras}
+    bad_allocs: list[tuple[int, str]] = []
+    in_frame: list[CandidateAllocation] = []
+    covered: set[int] = set()
+    slot_used: dict[int, int] = {}
+    # One bitmask of used subchannels per slot (bit ``m - 1`` for subchannel
+    # ``m``) screens for a shared RB; only then are the cells listed below,
+    # to name each shared one with its owners.
+    used: dict[int, int] = {}
+    shared = False
+    per_cam: dict[int, int] = {}
     for alloc in schedule.assignments:
-        if alloc.camera_id not in cams:
-            raise ValueError(f"schedule references unknown camera {alloc.camera_id}")
+        cam_id, slot, start, length = alloc.camera_id, alloc.slot, alloc.start, alloc.length
+        cam = cams.get(cam_id)
+        if cam is None:
+            raise ValueError(f"schedule references unknown camera {cam_id}")
+        covered |= cam.coverage_set
+        slot_used[slot] = slot_used.get(slot, 0) + length
+        per_cam[cam_id] = per_cam.get(cam_id, 0) + 1
+        # A run outside the frame fails here, and its cells may be too many
+        # to enumerate, so it takes no part in the exclusivity check.
+        if slot > grid.num_slots or start + length - 1 > grid.num_subchannels:
+            bad_allocs.append((cam_id, "run outside frame"))
+            continue
+        in_frame.append(alloc)
+        run = ((1 << length) - 1) << (start - 1)
+        busy = used.get(slot, 0)
+        shared = shared or bool(busy & run)
+        used[slot] = busy | run
+        r = alloc.robust_rate
+        if min(cam.rates_in_slot(slot)[start - 1 : start - 1 + length]) != r:
+            bad_allocs.append((cam_id, "robust rate mismatch"))
+        elif not (r * (length - 1) < cam.rate_requirement <= r * length):
+            bad_allocs.append((cam_id, "run does not just achieve the requirement"))
     unknown_targets = schedule.covered_targets - scenario.target_ids
     if unknown_targets:
         raise ValueError(f"schedule references unknown targets {sorted(unknown_targets)}")
 
-    grid = scenario.grid
-    checks: list[ConstraintCheck] = []
-
-    bad_allocs: list[tuple[int, str]] = []
-    in_frame: list[CandidateAllocation] = []
-    for alloc in schedule.assignments:
-        cam = cams[alloc.camera_id]
-        if alloc.slot > grid.num_slots or alloc.start + alloc.length - 1 > grid.num_subchannels:
-            bad_allocs.append((alloc.camera_id, "run outside frame"))
-            continue
-        in_frame.append(alloc)
-        rates = cam.rates_in_slot(alloc.slot)
-        run = rates[alloc.start - 1 : alloc.start - 1 + alloc.length]
-        expect = min(run)
-        if expect != alloc.robust_rate:
-            bad_allocs.append((alloc.camera_id, "robust rate mismatch"))
-            continue
-        r = alloc.robust_rate
-        if not (r * (alloc.length - 1) < cam.rate_requirement <= r * alloc.length):
-            bad_allocs.append((alloc.camera_id, "run does not just achieve the requirement"))
-    checks.append(ConstraintCheck("allocation_validity", not bad_allocs, tuple(bad_allocs)))
-
-    covered: set[int] = set()
-    for alloc in schedule.assignments:
-        covered |= cams[alloc.camera_id].coverage_set
-    uncovered = tuple(sorted(scenario.target_ids - covered))
-    checks.append(ConstraintCheck("coverage", not uncovered, uncovered))
-
-    slot_used: dict[int, int] = {}
-    for alloc in schedule.assignments:
-        slot_used[alloc.slot] = slot_used.get(alloc.slot, 0) + alloc.length
-    over = tuple(
-        (slot, used, grid.capacity(slot))
-        for slot, used in sorted(slot_used.items())
-        if slot <= grid.num_slots and used > grid.capacity(slot)
-    )
-    checks.append(ConstraintCheck("slot_capacity", not over, over))
-
-    # A run outside the frame is already flagged above, and its cells may be
-    # too many to enumerate.  One bitmask of used subchannels per slot (bit
-    # ``m - 1`` for subchannel ``m``) screens for a shared RB; only then are
-    # the cells listed, to name each shared one with its owners.
-    used: dict[int, int] = {}
-    shared = False
-    for alloc in in_frame:
-        run = ((1 << alloc.length) - 1) << (alloc.start - 1)
-        busy = used.get(alloc.slot, 0)
-        if busy & run:
-            shared = True
-            break
-        used[alloc.slot] = busy | run
     clashes: tuple = ()
     if shared:
         cell_owners: dict[tuple[int, int], list[int]] = {}
@@ -545,21 +533,25 @@ def verify_schedule(schedule: Schedule, scenario: Scenario) -> FeasibilityReport
             for cell, owners in sorted(cell_owners.items())
             if len(owners) > 1
         )
-    checks.append(ConstraintCheck("rb_exclusivity", not clashes, clashes))
-
-    per_cam: dict[int, int] = {}
-    for alloc in schedule.assignments:
-        per_cam[alloc.camera_id] = per_cam.get(alloc.camera_id, 0) + 1
-    dupes = tuple(sorted(k for k, n in per_cam.items() if n > 1))
-    checks.append(ConstraintCheck("single_allocation", not dupes, dupes))
-
-    mismatches: list[str] = []
-    actual_total = sum(a.length for a in schedule.assignments)
+    over = tuple(
+        (slot, n, grid.capacity(slot))
+        for slot, n in sorted(slot_used.items())
+        if slot <= grid.num_slots and n > grid.capacity(slot)
+    )
+    actual_total = sum(slot_used.values())
+    mismatches = []
     if actual_total != schedule.total_rbs:
         mismatches.append(f"total_rbs declared {schedule.total_rbs}, recomputed {actual_total}")
-    actual_covered = frozenset(covered & scenario.target_ids)
-    if actual_covered != schedule.covered_targets:
+    if covered & scenario.target_ids != schedule.covered_targets:
         mismatches.append("covered_targets does not match assigned cameras")
-    checks.append(ConstraintCheck("declared_totals", not mismatches, tuple(mismatches)))
-
-    return FeasibilityReport(tuple(checks))
+    uncovered = tuple(sorted(scenario.target_ids - covered))
+    dupes = tuple(sorted(k for k, n in per_cam.items() if n > 1))
+    checks = (
+        ConstraintCheck("allocation_validity", not bad_allocs, tuple(bad_allocs)),
+        ConstraintCheck("coverage", not uncovered, uncovered),
+        ConstraintCheck("slot_capacity", not over, over),
+        ConstraintCheck("rb_exclusivity", not clashes, clashes),
+        ConstraintCheck("single_allocation", not dupes, dupes),
+        ConstraintCheck("declared_totals", not mismatches, tuple(mismatches)),
+    )
+    return FeasibilityReport(checks)

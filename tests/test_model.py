@@ -240,6 +240,29 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, not True$"):
             build()
 
+    # Each integer field of an allocation, a camera and a target; a float
+    # slot let through would fail only later, as a tuple index in the verifier.
+    INTEGER_FIELDS = {
+        "camera_id": lambda v: CandidateAllocation(v, 1, 1, 1, 2.0),
+        "slot": lambda v: CandidateAllocation(1, v, 1, 1, 2.0),
+        "start": lambda v: CandidateAllocation(1, 1, v, 1, 2.0),
+        "length": lambda v: CandidateAllocation(1, 1, 1, v, 2.0),
+        "CameraNode.id": lambda v: CameraNode(v, (0, 0), Omnidirectional(1.0), 5.0, (8.0,)),
+        "TargetObject.id": lambda v: TargetObject(v, (0, 0)),
+    }
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("bad", [True, 1.5, "1"])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field.split('.')[-1]} must be an integer, not {bad!r}$"):
+            self.INTEGER_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_fields_store_an_integer_like_value_as_int(self, field):
+        built = self.INTEGER_FIELDS[field](np.int64(1))
+        value = getattr(built, field.split(".")[-1])
+        assert value == 1 and type(value) is int
+
     def test_camera_invariants(self):
         with pytest.raises(ValueError):
             make_camera([8, 4], 0.0)
@@ -462,8 +485,14 @@ class TestVerifySchedule:
 
     def test_unknown_camera_id_is_an_argument_error(self):
         scn = two_camera_scenario()
-        bad = Schedule((CandidateAllocation(9, 1, 1, 1, 8.0),), 1, frozenset())
-        with pytest.raises(ValueError):
+        bad = Schedule((CandidateAllocation(1, 1, 1, 1, 8.0), CandidateAllocation(9, 1, 2, 1, 8.0)), 2, frozenset({1}))
+        with pytest.raises(ValueError, match=r"^schedule references unknown camera 9$"):
+            verify_schedule(bad, scn)
+
+    def test_an_unknown_camera_is_reported_before_unknown_targets(self):
+        scn = two_camera_scenario()
+        bad = Schedule((CandidateAllocation(9, 1, 1, 1, 8.0),), 1, frozenset({7}))
+        with pytest.raises(ValueError, match=r"^schedule references unknown camera 9$"):
             verify_schedule(bad, scn)
 
     def test_unknown_covered_target_is_an_argument_error(self):
