@@ -21,6 +21,10 @@ exclusivity, which can only lower cost, so both are admissible:
 The share bound is rounded up to whole RBs because every cost is a whole
 number of RBs.
 
+The root (the usable cameras, their shares, the ascent prices, the root
+bound and the branch order) is computed once per scenario by
+:func:`exact_root`, kept as ``Scenario.exact_root``, and both modes read it.
+
 The strict mode settles a cover by the cheapest overlap-free layout of its
 cameras' runs below the incumbent: covers in the search and layouts in a
 subproblem, as in logic-based Benders decomposition (Hooker and Ottosson,
@@ -44,7 +48,7 @@ modes report the root bound as ``Diagnostics.root_bound`` and as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 from typing import Callable
@@ -78,61 +82,114 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"{reason} (nodes: {nodes}, incumbent: {found}, lower bound: {lower_bound} RBs)")
 
 
+@dataclass(frozen=True)
+class Root:
+    """The root of a scenario's covering search (see :func:`exact_root`),
+    shared and never changed by every solve of both modes: the usable
+    cameras' ``coverage`` and ``min_phi``, their ``shares`` (``shares[c][k]``
+    is camera c's ``min_phi / k`` times ``scale``), the ascent ``prices``,
+    the root ``bound`` and the ``available`` cameras in (min_phi, id) order,
+    which every branch keeps.  When some target has no usable camera, ``missing``
+    lists those targets and the other fields are empty.
+    """
+
+    coverage: dict[int, frozenset[int]] = field(default_factory=dict)
+    min_phi: dict[int, int] = field(default_factory=dict)
+    scale: int = 1
+    shares: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    prices: dict[int, int] = field(default_factory=dict)
+    bound: int = 0
+    available: tuple[int, ...] = ()
+    missing: tuple[int, ...] = ()
+
+    def expand(self, uncovered: frozenset[int], available: tuple[int, ...]) -> tuple[int | None, list[int]]:
+        """One scan of ``available``: an admissible lower bound in whole RBs,
+        the larger of the share bound and the Lagrangian bound at the root
+        prices, and the cameras covering the hardest uncovered target (fewest
+        covering cameras, then id), in the order of ``available``.  The bound
+        is None, with no cameras, if some target is uncoverable."""
+        coverage, shares = self.coverage, self.shares
+        best: dict[int, int] = {}
+        covering: dict[int, list[int]] = {}
+        for cam_id in available:
+            hit = coverage[cam_id] & uncovered
+            share = shares[cam_id][len(hit)]
+            for target in hit:
+                if share < best.get(target, share + 1):
+                    best[target] = share
+                covering.setdefault(target, []).append(cam_id)
+        if len(best) < len(uncovered):
+            return None, []
+        bound = max(-(-sum(best.values()) // self.scale), sum(map(self.prices.__getitem__, uncovered)))
+        target = min(uncovered, key=lambda t: (len(covering[t]), t), default=None)
+        return bound, covering.get(target, [])
+
+
+def exact_root(scenario: Scenario) -> Root:
+    """The root of ``scenario``'s covering search.  Read it as
+    ``scenario.exact_root``, which computes it once and keeps it."""
+    table = scenario.table
+    # Cameras that cover nothing or can never transmit are useless; the
+    # table builds runs only for those that cover something.
+    min_phi = {cam_id: phi for cam_id in scenario.coverage if (phi := table.min_phi(cam_id)) is not None}
+    return _root({cam_id: scenario.coverage[cam_id] for cam_id in min_phi}, min_phi, scenario.target_ids)
+
+
+def _root(coverage: dict[int, frozenset[int]], min_phi: dict[int, int], targets: frozenset[int]) -> Root:
+    """The root over the usable cameras ``coverage`` and the ``targets`` to cover.
+
+    A camera covering k uncovered targets charges each min_phi/k RBs; scaled
+    by lcm(1..largest coverage) that share is an exact integer.
+
+    The prices come from dual ascent: visit the targets hardest first (fewest
+    covering cameras, then id) and raise each price to the smallest slack
+    ``min_phi - sum of prices`` left among the cameras covering it.  Slacks
+    start at whole RBs and lose whole prices, so every price is a whole
+    number of RBs.  No slack goes negative, and a node only drops targets
+    and cameras, so no camera's reduced cost is negative at any node: there
+    the Lagrangian bound is the sum of the uncovered targets' prices.
+    """
+    missing = tuple(sorted(targets.difference(*coverage.values())))
+    if missing:
+        return Root(missing=missing)
+    scale = math.lcm(*range(1, max(map(len, coverage.values()), default=1) + 1))
+    shares = {
+        cam_id: (0,) + tuple(min_phi[cam_id] * scale // k for k in range(1, len(cov) + 1))
+        for cam_id, cov in coverage.items()
+    }
+    available = tuple(sorted(coverage, key=lambda c: (min_phi[c], c)))
+    prices = dict.fromkeys(targets, 0)
+    slack = dict(min_phi)
+    covering: dict[int, list[int]] = {target: [] for target in targets}
+    for cam_id in available:
+        for target in coverage[cam_id] & targets:
+            covering[target].append(cam_id)
+    for _, target in sorted((len(cams), target) for target, cams in covering.items()):
+        cams = covering[target]
+        price = prices[target] = min(map(slack.__getitem__, cams))
+        for cam_id in cams:
+            slack[cam_id] -= price
+    root = Root(coverage, min_phi, scale, shares, prices, 0, available)
+    return replace(root, bound=root.expand(targets, available)[0])
+
+
 @dataclass
 class _Search:
-    coverage: dict[int, frozenset[int]]
-    min_phi: dict[int, int]
+    """The state of one solve: its budget and counters, over a shared root."""
+
+    root: Root
     budget: int
     nodes: int = 0
     best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
-    root_bound: int = 0  # the lower bound reported, set before the first node
     bound_prunes: int = 0
     incumbent_updates: int = 0
-    scale: int = field(init=False)
-    shares: dict[int, tuple[int, ...]] = field(init=False)  # camera -> scaled share by hit count
-    prices: dict[int, int] = field(init=False)  # target -> Lagrangian price in RBs
-
-    def __post_init__(self) -> None:
-        # A camera covering k uncovered targets charges each min_phi/k RBs;
-        # scaled by lcm(1..largest coverage) that share is an exact integer.
-        self.scale = math.lcm(*range(1, max(map(len, self.coverage.values()), default=1) + 1))
-        self.shares = {
-            cam_id: (0,) + tuple(self.min_phi[cam_id] * self.scale // k for k in range(1, len(cov) + 1))
-            for cam_id, cov in self.coverage.items()
-        }
-        self.prices = {target: 0 for cov in self.coverage.values() for target in cov}
-
-    def ascend_prices(self, targets: frozenset[int], available: tuple[int, ...]) -> None:
-        """Dual ascent: visit the targets hardest first (fewest covering
-        cameras, then id) and raise each price to the smallest slack
-        ``min_phi - sum of prices`` left among the cameras covering it.
-
-        Slacks start at whole RBs and lose whole prices, so every price is a
-        whole number of RBs.  No slack goes negative, and a node only drops
-        targets and cameras, so no camera's reduced cost is negative at any
-        node below ``targets`` and ``available``: there the Lagrangian bound
-        is the sum of the uncovered targets' prices.
-        """
-        prices = dict.fromkeys(self.prices, 0)
-        slack: dict[int, int] = {}
-        covering: dict[int, list[int]] = {target: [] for target in targets}
-        for cam_id in available:
-            slack[cam_id] = self.min_phi[cam_id]
-            for target in self.coverage[cam_id] & targets:
-                covering[target].append(cam_id)
-        for _, target in sorted((len(cams), target) for target, cams in covering.items()):
-            cams = covering[target]
-            price = prices[target] = min(map(slack.__getitem__, cams))
-            for cam_id in cams:
-                slack[cam_id] -= price
-        self.prices = prices
 
     def overrun(self) -> SearchBudgetExceeded:
         return SearchBudgetExceeded(
             f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
             self.nodes,
             self.best_cost if self.incumbent_updates else None,
-            self.root_bound,
+            self.root.bound,
         )
 
     def tick(self) -> bool:
@@ -143,35 +200,13 @@ class _Search:
             raise self.overrun()
         return True
 
-    def expand(self, uncovered: frozenset[int], available: tuple[int, ...]) -> tuple[int | None, list[int]]:
-        """One scan of ``available``: an admissible lower bound in whole RBs,
-        the larger of the share bound and the Lagrangian bound at the ascent
-        prices of :meth:`ascend_prices`, and the cameras covering the hardest
-        uncovered target (fewest covering cameras, then id), cheapest first.
-        The bound is None, with no cameras, if some target is uncoverable."""
-        best: dict[int, int] = {}
-        covering: dict[int, list[int]] = {}
-        for cam_id in available:
-            hit = self.coverage[cam_id] & uncovered
-            if hit:
-                share = self.shares[cam_id][len(hit)]
-                for target in hit:
-                    if share < best.get(target, share + 1):
-                        best[target] = share
-                    covering.setdefault(target, []).append(cam_id)
-        if len(best) < len(uncovered):
-            return None, []
-        bound = max(-(-sum(best.values()) // self.scale), sum(map(self.prices.__getitem__, uncovered)))
-        target = min(uncovered, key=lambda t: (len(covering[t]), t), default=None)
-        return bound, sorted(covering.get(target, ()), key=lambda c: (self.min_phi[c], c))
-
     def diagnostics(self, notes: tuple[str, ...] = ()) -> Diagnostics:
         return Diagnostics(
             notes=notes,
             nodes_expanded=self.nodes,
             bound_prunes=self.bound_prunes,
             incumbent_updates=self.incumbent_updates,
-            root_bound=self.root_bound,
+            root_bound=self.root.bound,
         )
 
 
@@ -199,34 +234,24 @@ def exact_solve(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     relaxed = mode == "without_exclusivity"
-    table = scenario.table
-    target_ids = scenario.target_ids
-
-    # Cameras that cover nothing or can never transmit are useless; the
-    # table builds runs only for those that cover something.
-    min_phi = {cam_id: phi for cam_id in scenario.coverage if (phi := table.min_phi(cam_id)) is not None}
-    coverage = {cam_id: scenario.coverage[cam_id] for cam_id in min_phi}
-    missing = sorted(target_ids.difference(*coverage.values()))
-    if missing:
+    root = scenario.exact_root
+    if root.missing:
         return SolverResult(
             Schedule.empty(),
             SolveStatus.INFEASIBLE_COVERAGE,
-            Diagnostics(notes=(f"targets with no usable camera: {missing}",)),
+            Diagnostics(notes=(f"targets with no usable camera: {list(root.missing)}",)),
             relaxed=relaxed,
         )
 
-    search = _Search(coverage, min_phi, node_budget)
-    available = tuple(sorted(coverage))
-    search.ascend_prices(target_ids, available)
-    root_bound, _ = search.expand(target_ids, available)
-    assert root_bound is not None  # coverage reachability was checked above
-    search.root_bound = root_bound
+    table = scenario.table
+    target_ids = scenario.target_ids
+    search = _Search(root, node_budget)
     capacity = sum(scenario.grid.slot_capacity)
 
     if relaxed:
         # Every cover costs less than this ceiling and settles to itself.
         cover = _branch_and_bound(
-            search, target_ids, available, lambda cameras, cost: (list(cameras), cost), sum(min_phi.values()) + 1
+            search, target_ids, lambda cameras, cost: (list(cameras), cost), sum(root.min_phi.values()) + 1
         )
         assert cover is not None
         cover.sort()
@@ -246,7 +271,6 @@ def exact_solve(
         runs = _branch_and_bound(
             search,
             target_ids,
-            available,
             lambda cameras, cost: _overlap_free_layout(cameras, table, search.best_cost, search.tick),
             capacity + 1,
         )
@@ -264,19 +288,22 @@ def exact_solve(
 def _branch_and_bound(
     search: _Search,
     targets: frozenset[int],
-    available: tuple[int, ...],
     settle: Callable[[list[int], int], tuple[list, int] | None],
     ceiling: int,
 ) -> list | None:
     """Depth-first search for the cheapest settled cover below ``ceiling``.
 
     Each node branches on the cameras covering the hardest uncovered target,
-    each at its minimum run length.  A camera already tried at a node is left
-    out of its later siblings' subtrees.  A cover that costs less than
+    each at its minimum run length, in the root's (min_phi, id) order.  A
+    child keeps only the cameras that cover one of its uncovered targets and
+    were not tried at its node: a camera already tried is left out of its
+    later siblings' subtrees.  A cover that costs less than
     ``search.best_cost`` is passed to ``settle(cameras, cost)``, with its
     cameras in path order, which returns its cheapest choice list below
     ``search.best_cost`` with that list's cost, or None.
     """
+    root = search.root
+    coverage, min_phi = root.coverage, root.min_phi
     search.best_cost = ceiling
     best: list | None = None
 
@@ -288,18 +315,18 @@ def _branch_and_bound(
                 best, search.best_cost = settled
                 search.incumbent_updates += 1
             return
-        bound, branches = search.expand(uncovered, avail)
+        bound, branches = root.expand(uncovered, avail)
         if bound is None or cost + bound >= search.best_cost:
             search.bound_prunes += 1
             return
-        tried: list[int] = []
+        tried: set[int] = set()
         for cam_id in branches:
+            rest = uncovered - coverage[cam_id]
             chosen.append(cam_id)
-            remaining = tuple(c for c in avail if c != cam_id and c not in tried)
-            dfs(uncovered - search.coverage[cam_id], remaining, cost + search.min_phi[cam_id], chosen)
+            remaining = tuple(c for c in avail if c not in tried and not coverage[c].isdisjoint(rest))
+            dfs(rest, remaining, cost + min_phi[cam_id], chosen)
             chosen.pop()
-            tried.append(cam_id)
+            tried.add(cam_id)
 
-    dfs(targets, available, 0, [])
+    dfs(targets, root.available, 0, [])
     return best
-

@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
+    from .exact import Root
     from .solvers import CandidateTable
 
 __all__ = [
@@ -207,7 +208,11 @@ class CameraNode:
         rates = _Rates(self.per_subchannel_rate)
         object.__setattr__(self, "per_subchannel_rate", rates)
         object.__setattr__(self, "position", _finite_position(self.position))
-        object.__setattr__(self, "coverage_set", frozenset(self.coverage_set))
+        coverage = frozenset(self.coverage_set)
+        # At most one type pass; a set holding anything but exact ints is checked.
+        if coverage and not {int}.issuperset(map(type, coverage)):
+            coverage = frozenset(_integer(target, "each coverage_set entry") for target in coverage)
+        object.__setattr__(self, "coverage_set", coverage)
         if self.slot_rate_overrides is not None:
             fixed = {}
             for slot, vec in self.slot_rate_overrides.items():
@@ -352,6 +357,16 @@ class Scenario:
         from .solvers import CandidateTable
 
         return CandidateTable(self.cameras, self.grid)
+
+    @cached_property
+    def exact_root(self) -> Root:
+        """The :class:`~csrap.exact.Root` of the exact search over this
+        scenario, computed on the first read and kept (not a field).  Both
+        modes of ``exact_solve`` read it, so their solves share its bound,
+        prices and branch order."""
+        from .exact import exact_root
+
+        return exact_root(self)
 
     def uncovered_targets(self) -> tuple[int, ...]:
         """Targets no camera can see; a non-empty result means no solver can succeed."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csrap import (
     CameraNode,
@@ -19,9 +19,11 @@ from csrap import (
     GeometrySpec,
     Omnidirectional,
     ScenarioConfig,
+    SearchBudgetExceeded,
     SolveStatus,
     SweepSpec,
     bound_params,
+    exact,
     exact_solve,
     generate_scenario,
     harness,
@@ -32,7 +34,7 @@ from csrap import (
 from csrap.model import runs_by_length
 from csrap.scenario import load_scenario
 from csrap.solvers import BoundParams, CandidateTable, _Occupancy
-from support import brute_force_runs, crowded_fading, slot_runs
+from support import brute_force_runs, crowded_fading, random_instance, slot_runs
 
 RATES = st.sampled_from([0.0, 2.0, 3.0, 4.0, 6.0, 8.0])
 
@@ -400,3 +402,63 @@ class TestOneTablePerScenario:
         assert scn.table is scn.table
         fewer = replace(scn, targets=scn.targets[:3])
         assert fewer.table is not scn.table
+
+
+def _exact_outcome(scn, mode, budget):
+    """A solve's result, or its overrun's fields and message."""
+    try:
+        return exact_solve(scn, mode, budget)
+    except SearchBudgetExceeded as exc:
+        return exc.nodes, exc.incumbent, exc.lower_bound, str(exc)
+
+
+class TestOneRootPerScenario:
+    """Both exact modes read ``Scenario.exact_root``, computed once per scenario."""
+
+    MODES = ("with_exclusivity", "without_exclusivity")
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        roots = []
+        compute = exact.exact_root
+
+        def counted(scenario):
+            roots.append(scenario)
+            return compute(scenario)
+
+        monkeypatch.setattr(exact, "exact_root", counted)
+        return roots
+
+    def test_strict_relaxed_and_strict_again_compute_one_root(self, computed):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=3))
+        for mode in self.MODES + self.MODES[:1]:
+            exact_solve(scn, mode)
+        assert len(computed) == 1 and computed[0] is scn
+
+    def test_sweep_computes_one_root_per_trial(self, computed):
+        spec = SweepSpec(config=LADDER_CONFIG, values=(6,), trials=3, algorithms=("exact", "exact_relaxed"))
+        run_sweep(spec)
+        assert len(computed) == 3
+        assert len(set(map(id, computed))) == 3
+
+    def test_a_replaced_scenario_gets_its_own_root(self, computed):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=4))
+        assert scn.exact_root is scn.exact_root
+        fewer = replace(scn, targets=scn.targets[:3])
+        assert fewer.exact_root is not scn.exact_root
+        assert set(fewer.exact_root.prices) == fewer.target_ids
+        assert len(computed) == 2 and computed[0] is scn and computed[1] is fewer
+
+    @given(seed=st.integers(0, 2**32 - 1), cover_all=st.booleans())
+    @example(seed=4, cover_all=False)  # targets 3 and 8 have no usable camera
+    @settings(max_examples=100, deadline=None)
+    def test_solve_order_and_a_fresh_scenario_give_equal_results(self, seed, cover_all):
+        def build():
+            return random_instance(np.random.default_rng(seed), cover_all=cover_all)
+
+        for budget in (exact.DEFAULT_NODE_BUDGET, 1, 30):
+            strict_first, relaxed_first = build(), build()
+            forward = [_exact_outcome(strict_first, mode, budget) for mode in self.MODES]
+            backward = [_exact_outcome(relaxed_first, mode, budget) for mode in reversed(self.MODES)][::-1]
+            fresh = [_exact_outcome(build(), mode, budget) for mode in self.MODES]
+            assert forward == backward == fresh

@@ -25,7 +25,7 @@ from csrap import (
     mramc,
     verify_schedule,
 )
-from csrap.exact import _Search
+from csrap.exact import _root
 from csrap.harness import RELAXED_WAIVERS
 from csrap.scenario import GeometrySpec
 from support import (
@@ -388,6 +388,26 @@ def test_paper_default_ratio_chain():
             assert relaxed <= optimum <= heuristic <= ratio * optimum, (targets, seed)
 
 
+def test_search_trees_are_frozen():
+    # Both modes' counters pin each search tree, not only its schedule.
+    scenarios = [partial_random(*rung, seed=seed) for rung in ((8, 6, 8, 2), (10, 7, 10, 2)) for seed in range(80)]
+    scenarios += [
+        generate_scenario(replace(PAPER_SCALE, num_targets=targets, rng_seed=seed))
+        for targets in (10, 20, 30, 40)
+        for seed in range(4)
+    ]
+    lines = []
+    for scn in scenarios:
+        for mode in ("with_exclusivity", "without_exclusivity"):
+            result = exact_solve(scn, mode)
+            d = result.diagnostics
+            lines.append(
+                f"{result.status.value} {result.schedule.total_rbs} {d.nodes_expanded} {d.bound_prunes}"
+                f" {d.incumbent_updates} {d.root_bound}"
+            )
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "b7fd6f6768dc2f52"
+
+
 def test_search_counters_are_deterministic():
     scn = partial_random(10, 7, 8, 4, seed=3)
     first = exact_solve(scn).diagnostics
@@ -412,9 +432,9 @@ def test_integer_bound_equals_fraction_reference(covers, phis, uncovered, picks,
     min_phi = {cam_id: phis[cam_id - 1] for cam_id in coverage}
     available = tuple(c for c in coverage if picks[c - 1])
     uncovered = frozenset(uncovered)
-    # At zero prices, the default, the Lagrangian bound is 0 and the share
-    # bound alone counts.
-    bound, _ = _Search(coverage, min_phi, budget=1).expand(uncovered, available)
+    # At zero prices the Lagrangian bound is 0 and the share bound alone counts.
+    root = _root(coverage, min_phi, frozenset().union(*coverage.values()))
+    bound, _ = replace(root, prices=dict.fromkeys(root.prices, 0)).expand(uncovered, available)
     expected = fraction_bound(coverage, min_phi, uncovered, available)
     assert (bound is None) == (expected is None)
     if expected is not None:
@@ -442,13 +462,12 @@ def test_lagrangian_bound_equals_fraction_reference(covers, phis, targets, root_
     # A root whose every target some root camera covers, as the search requires.
     root_cameras = tuple(c for c in coverage if root_picks[c - 1])
     root_targets = frozenset(t for t in targets if any(t in coverage[c] for c in root_cameras))
-    search = _Search(coverage, min_phi, budget=1)
-    search.ascend_prices(root_targets, root_cameras)
-    assert all(price >= 0 for price in search.prices.values())
+    root = _root({c: coverage[c] for c in root_cameras}, min_phi, root_targets)
+    assert all(price >= 0 for price in root.prices.values())
     # A node below the root: some targets covered, some cameras chosen or tried.
     uncovered = frozenset(t for t in root_targets if node_targets[t - 1])
     available = tuple(c for c in root_cameras if node_picks[c - 1])
-    bound, _ = search.expand(uncovered, available)
+    bound, _ = root.expand(uncovered, available)
     share = fraction_bound(coverage, min_phi, uncovered, available)
     optimum = residual_cover_optimum(coverage, min_phi, uncovered, available)
     assert (bound is None) == (share is None) == (optimum is None)
@@ -456,8 +475,8 @@ def test_lagrangian_bound_equals_fraction_reference(covers, phis, targets, root_
         return
     # Ascent prices leave no reduced cost negative at any node below the
     # root, so the Lagrangian bound is the sum of the uncovered prices.
-    lagrangian = lagrangian_bound(coverage, min_phi, uncovered, available, search.prices)
-    assert lagrangian == sum(search.prices[t] for t in uncovered)
+    lagrangian = lagrangian_bound(coverage, min_phi, uncovered, available, root.prices)
+    assert lagrangian == sum(root.prices[t] for t in uncovered)
     assert bound == max(math.ceil(share), lagrangian)
     assert bound <= optimum
 

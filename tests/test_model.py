@@ -263,6 +263,17 @@ class TestTypes:
         value = getattr(built, field.split(".")[-1])
         assert value == 1 and type(value) is int
 
+    # frozenset() alone let a string cover nothing and True cover target 1.
+    @pytest.mark.parametrize("bad", ["1", True, 1.5])
+    def test_coverage_set_entries_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match=f"^each coverage_set entry must be an integer, not {bad!r}$"):
+            make_camera([8.0, 8.0], 5.0, coverage={2, bad})
+
+    def test_coverage_set_stores_an_integer_like_entry_as_int(self):
+        cam = make_camera([8.0, 8.0], 5.0, coverage={np.int64(1), 2})
+        assert cam.coverage_set == {1, 2}
+        assert all(type(target) is int for target in cam.coverage_set)
+
     def test_camera_invariants(self):
         with pytest.raises(ValueError):
             make_camera([8, 4], 0.0)
