@@ -119,7 +119,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(_read_json(args.scenario, "scenario"))
-    result = SOLVERS[args.algo](scenario, args.multiplicity, args.budget, None)
+    result = SOLVERS[args.algo](scenario, args.multiplicity, args.budget)
     # Without a file ("-" is none), stdout holds the document under --quiet, else the summary.
     to_file = args.out not in (None, "", "-")
     if to_file or args.quiet:

@@ -25,6 +25,18 @@ The root (the usable cameras, their shares, the ascent prices, the root
 bound and the branch order) is computed once per scenario by
 :func:`exact_root`, kept as ``Scenario.exact_root``, and both modes read it.
 
+Both modes start from the scenario's one MRAMC result, ``Scenario.mramc``,
+and search only for something cheaper, as Beasley's heuristic keeps the
+best known cover's cost as its upper bound.  The strict search's ceiling is
+MRAMC's cost when MRAMC's schedule is feasible, else the frame's capacity
++ 1; when nothing cheaper settles, MRAMC's schedule is returned, which the
+search has then proved optimal, with ``incumbent_updates == 0``.  The
+relaxed search's ceiling is the cost of MRAMC's greedy cover, its cameras at
+their minimum runs before relocation; when nothing cheaper settles, that
+cover is the relaxed optimum.  A budget overrun reports the cheapest
+schedule held, the search's incumbent or the warm start, as
+``SearchBudgetExceeded.incumbent``.
+
 The strict mode settles a cover by the cheapest overlap-free layout of its
 cameras' runs below the incumbent: covers in the search and layouts in a
 subproblem, as in logic-based Benders decomposition (Hooker and Ottosson,
@@ -40,9 +52,9 @@ LAYOUT_STEPS)`` steps, which are not nodes, and returns that layout, or the
 minimum runs overlapping, at the same cost R, when none is found.
 
 Nodes count against ``node_budget`` and in ``nodes_expanded``.  A root bound
-above the frame's capacity ends the strict search at its first node.  Both
-modes report the root bound as ``Diagnostics.root_bound`` and as
-``SearchBudgetExceeded.lower_bound``.
+at or above the ceiling, such as one above the frame's capacity, ends the
+search at its first node.  Both modes report the root bound as
+``Diagnostics.root_bound`` and as ``SearchBudgetExceeded.lower_bound``.
 """
 
 from __future__ import annotations
@@ -70,7 +82,8 @@ class SearchBudgetExceeded(RuntimeError):
     """The instance exceeded the configured node-expansion budget.
 
     ``nodes`` counts the expansions made, ``incumbent`` is the cost of the
-    best schedule found (None before one exists) and ``lower_bound`` the
+    best schedule held, found by the search or its warm start (None when
+    there is none), and ``lower_bound`` the
     search's lower bound in RBs (see ``Diagnostics.root_bound``).
     """
 
@@ -175,12 +188,18 @@ def _root(coverage: dict[int, frozenset[int]], min_phi: dict[int, int], targets:
 
 @dataclass
 class _Search:
-    """The state of one solve: its budget and counters, over a shared root."""
+    """The state of one solve: its budget and counters, over a shared root.
+
+    The search settles only schedules that cost less than ``best_cost``;
+    ``held`` tells whether a schedule of that cost is held, the warm start's
+    or the search's own incumbent, or whether ``best_cost`` is only a ceiling.
+    """
 
     root: Root
     budget: int
+    best_cost: int
+    held: bool
     nodes: int = 0
-    best_cost: int = 0  # cost of the incumbent, or the ceiling before one exists
     bound_prunes: int = 0
     incumbent_updates: int = 0
 
@@ -188,7 +207,7 @@ class _Search:
         return SearchBudgetExceeded(
             f"exceeded {self.budget} node expansions; raise the budget or shrink the instance",
             self.nodes,
-            self.best_cost if self.incumbent_updates else None,
+            self.best_cost if self.held else None,
             self.root.bound,
         )
 
@@ -223,7 +242,8 @@ def exact_solve(
     coverage and the one-allocation-per-camera rule only, and the returned
     schedule may overlap RBs when no overlap-free layout of minimum runs
     exists.  The search reads the scenario's one candidate table,
-    ``scenario.table``.
+    ``scenario.table``, and starts from its one MRAMC result,
+    ``scenario.mramc``.
 
     Raises :class:`SearchBudgetExceeded` rather than returning a wrong or
     partial answer when the search outgrows ``node_budget``.
@@ -245,15 +265,18 @@ def exact_solve(
 
     table = scenario.table
     target_ids = scenario.target_ids
-    search = _Search(root, node_budget)
     capacity = sum(scenario.grid.slot_capacity)
+    warm = scenario.mramc
 
     if relaxed:
-        # Every cover costs less than this ceiling and settles to itself.
-        cover = _branch_and_bound(
-            search, target_ids, lambda cameras, cost: (list(cameras), cost), sum(root.min_phi.values()) + 1
-        )
-        assert cover is not None
+        # MRAMC's greedy phase reads the same usable cameras as the root, so
+        # it covers every target here, each camera at its minimum run: the
+        # search looks for a cheaper cover, and every cover settles to itself.
+        cover = [step.camera_id for step in warm.diagnostics.greedy]
+        search = _Search(root, node_budget, sum(map(root.min_phi.__getitem__, cover)), True)
+        cheaper = _branch_and_bound(search, target_ids, lambda cameras, cost: (list(cameras), cost))
+        if cheaper is not None:
+            cover = cheaper
         cover.sort()
         # True for the first min(node_budget, LAYOUT_STEPS) steps, then False.
         steps = partial(next, repeat(True, min(node_budget, LAYOUT_STEPS)), False)
@@ -265,23 +288,30 @@ def exact_solve(
             assignments = [table.min_allocation(cam_id) for cam_id in cover]
         else:
             assignments = [CandidateAllocation(*run) for run in layout[0]]
+        schedule = Schedule.build(assignments, scenario.cameras, target_ids)
     else:
-        # No schedule costs more than the frame's capacity.  A cover settles
-        # to its cheapest layout below the incumbent; each step is a node.
+        # The search looks for a schedule cheaper than MRAMC's, or, when
+        # MRAMC has none, for any: none costs more than the frame's capacity.
+        # A cover settles to its cheapest layout below the incumbent; each
+        # step is a node.
+        held = warm.status is SolveStatus.FEASIBLE
+        search = _Search(root, node_budget, warm.schedule.total_rbs if held else capacity + 1, held)
         runs = _branch_and_bound(
             search,
             target_ids,
             lambda cameras, cost: _overlap_free_layout(cameras, table, search.best_cost, search.tick),
-            capacity + 1,
         )
-        if runs is None:
+        if runs is not None:
+            schedule = Schedule.build([CandidateAllocation(*run) for run in runs], scenario.cameras, target_ids)
+        elif held:
+            # Nothing is cheaper: MRAMC's schedule is optimal.
+            schedule = warm.schedule
+        else:
             return SolverResult(
                 Schedule.empty(),
                 SolveStatus.INFEASIBLE_CAPACITY,
                 search.diagnostics(("no conflict-free assignment exists",)),
             )
-        assignments = [CandidateAllocation(*run) for run in runs]
-    schedule = Schedule.build(assignments, scenario.cameras, target_ids)
     return SolverResult(schedule, SolveStatus.FEASIBLE, search.diagnostics(), relaxed=relaxed)
 
 
@@ -289,9 +319,9 @@ def _branch_and_bound(
     search: _Search,
     targets: frozenset[int],
     settle: Callable[[list[int], int], tuple[list, int] | None],
-    ceiling: int,
 ) -> list | None:
-    """Depth-first search for the cheapest settled cover below ``ceiling``.
+    """Depth-first search for the cheapest settled cover below
+    ``search.best_cost``, or None when no cover settles below it.
 
     Each node branches on the cameras covering the hardest uncovered target,
     each at its minimum run length, in the root's (min_phi, id) order.  A
@@ -304,7 +334,6 @@ def _branch_and_bound(
     """
     root = search.root
     coverage, min_phi = root.coverage, root.min_phi
-    search.best_cost = ceiling
     best: list | None = None
 
     def dfs(uncovered: frozenset[int], avail: tuple[int, ...], cost: int, chosen: list[int]) -> None:
@@ -313,6 +342,7 @@ def _branch_and_bound(
         if not uncovered:
             if cost < search.best_cost and (settled := settle(chosen, cost)) is not None:
                 best, search.best_cost = settled
+                search.held = True
                 search.incumbent_updates += 1
             return
         bound, branches = root.expand(uncovered, avail)

@@ -55,18 +55,17 @@ __all__ = [
 SWEEP_AXES = ("num_targets", "view_distance", "fov", "deployment")
 CSV_HEADER = "axis,value,algorithm,mean_rbs,std_rbs,infeasible,trials"
 
-# name -> solver(scenario, multiplicity, node_budget, mramc_result).  Every
-# solver reads the scenario's one candidate table, ``scenario.table``.
-# ``mramc_result`` is ``mramc(scenario)`` when the caller already has it,
-# else None, and only m_mramc reads it (it extends that result instead of
-# running MRAMC again).  Each solver reads only the arguments it needs.
-SOLVERS: dict[str, Callable[[Scenario, int, int, SolverResult | None], SolverResult]] = {
-    "baseline": lambda scn, mult, budget, base: baseline_schedule(scn),
-    "mramc": lambda scn, mult, budget, base: mramc(scn),
-    "m_mramc": lambda scn, mult, budget, base: m_mramc(scn, {t.id: mult for t in scn.targets}, base=base),
-    "exact": lambda scn, mult, budget, base: exact_solve(scn, "with_exclusivity", budget),
-    "exact_relaxed": lambda scn, mult, budget, base: exact_solve(scn, "without_exclusivity", budget),
-    "greedy_based": lambda scn, mult, budget, base: greedy_based_reference(scn),
+# name -> solver(scenario, multiplicity, node_budget).  Every solver reads
+# the scenario's one candidate table, ``scenario.table``, and its one MRAMC
+# result, ``scenario.mramc``, when it needs them.  Each solver reads only the
+# arguments it needs.
+SOLVERS: dict[str, Callable[[Scenario, int, int], SolverResult]] = {
+    "baseline": lambda scn, mult, budget: baseline_schedule(scn),
+    "mramc": lambda scn, mult, budget: mramc(scn),
+    "m_mramc": lambda scn, mult, budget: m_mramc(scn, {t.id: mult for t in scn.targets}),
+    "exact": lambda scn, mult, budget: exact_solve(scn, "with_exclusivity", budget),
+    "exact_relaxed": lambda scn, mult, budget: exact_solve(scn, "without_exclusivity", budget),
+    "greedy_based": lambda scn, mult, budget: greedy_based_reference(scn),
 }
 ALGORITHMS = tuple(SOLVERS)
 
@@ -221,8 +220,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     checks in ``RELAXED_WAIVERS``; a verification failure is a correctness
     bug in a solver, never data, so it aborts the sweep naming the
     offending seed and algorithm.  Output is fully deterministic for a given
-    spec.  A trial runs MRAMC once: ``m_mramc`` extends the trial's
-    ``mramc`` result when ``mramc`` is listed before it.
+    spec.  A trial runs MRAMC at most once: every solver that needs its
+    result reads the trial scenario's ``Scenario.mramc``.
     """
     totals: dict[tuple[Any, str], list[int | None]] = {
         (value, algo): [] for value in spec.values for algo in spec.algorithms
@@ -236,13 +235,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 scn = generate_scenario(replace(cfg, rng_seed=spec.base_seed), shadow_seed=seed)
             else:
                 scn = generate_scenario(replace(cfg, rng_seed=seed))
-            # Only the mramc result outlives its iteration: keeping every
-            # result alive for the trial makes the cyclic GC run more often.
-            base: SolverResult | None = None
             for algo in spec.algorithms:
-                result = SOLVERS[algo](scn, spec.multiplicity, DEFAULT_NODE_BUDGET, base)
-                if algo == "mramc":
-                    base = result
+                result = SOLVERS[algo](scn, spec.multiplicity, DEFAULT_NODE_BUDGET)
                 if result.status is SolveStatus.FEASIBLE:
                     waived = RELAXED_WAIVERS if result.relaxed else frozenset()
                     report = verify_schedule(result.schedule, scn)

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .exact import Root
-    from .solvers import CandidateTable
+    from .solvers import CandidateTable, SolverResult
 
 __all__ = [
     "FrameGrid",
@@ -367,6 +367,16 @@ class Scenario:
         from .exact import exact_root
 
         return exact_root(self)
+
+    @cached_property
+    def mramc(self) -> SolverResult:
+        """The :func:`~csrap.solvers.mramc` result over ``table``, computed
+        on the first read and kept (not a field).  ``mramc`` given no table
+        returns it, ``m_mramc`` extends it and both exact modes start their
+        search from its cost."""
+        from .solvers import mramc
+
+        return mramc(self, self.table)
 
     def uncovered_targets(self) -> tuple[int, ...]:
         """Targets no camera can see; a non-empty result means no solver can succeed."""

@@ -494,7 +494,13 @@ def _unrelocated(phase: GreedyPhase, scenario: Scenario, status: SolveStatus, no
 
 
 def mramc(scenario: Scenario, table: CandidateTable | None = None) -> SolverResult:
-    """Greedy coverage selection followed by RB relocation."""
+    """Greedy coverage selection followed by RB relocation.
+
+    Given no table it returns ``scenario.mramc``, the one result kept per
+    scenario; given a table it computes the result afresh over that table.
+    """
+    if table is None:
+        return scenario.mramc
     phase = mramc_greedy(scenario, table)
     if phase.status is not SolveStatus.FEASIBLE:
         return _unrelocated(phase, scenario, phase.status, f"uncovered targets: {sorted(phase.uncovered)}")
@@ -627,7 +633,6 @@ def m_mramc(
     scenario: Scenario,
     multiplicity: Mapping[int, int],
     table: CandidateTable | None = None,
-    base: SolverResult | None = None,
 ) -> SolverResult:
     """Cover every target, then add cameras until each target is watched by
     its desired number of cameras or no resources remain.
@@ -639,12 +644,9 @@ def m_mramc(
     After round ``r`` each target has ``min(r, desired)`` cameras, or nothing
     fits it any more, so the rounds stop at the largest number of cameras
     covering a target.  Targets wanting more cameras than exist are
-    reported, not errors.
-    ``base``, when given, must be ``mramc(scenario, table)``: the rounds
-    extend it instead of running MRAMC again.
+    reported, not errors.  The rounds extend ``mramc(scenario, table)``,
+    which given no table is the scenario's kept result.
     """
-    if table is None:
-        table = scenario.table
     target_ids = scenario.target_ids
     desired = dict.fromkeys(sorted(target_ids), 1)
     for t, want in multiplicity.items():
@@ -655,10 +657,11 @@ def m_mramc(
             raise ValueError(f"multiplicity of target {t} must be >= 1, not {want}")
         desired[t] = want
 
-    if base is None:
-        base = mramc(scenario, table)
+    base = mramc(scenario, table)
     if base.status is not SolveStatus.FEASIBLE:
         return base
+    if table is None:
+        table = scenario.table
 
     coverage = scenario.coverage
     occupancy = _Occupancy(scenario.grid)

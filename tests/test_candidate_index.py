@@ -27,6 +27,7 @@ from csrap import (
     exact_solve,
     generate_scenario,
     harness,
+    m_mramc,
     mramc,
     run_sweep,
     solvers,
@@ -462,3 +463,50 @@ class TestOneRootPerScenario:
             backward = [_exact_outcome(relaxed_first, mode, budget) for mode in reversed(self.MODES)][::-1]
             fresh = [_exact_outcome(build(), mode, budget) for mode in self.MODES]
             assert forward == backward == fresh
+
+
+class TestOneMramcPerScenario:
+    """``mramc``, ``m_mramc`` and both exact modes read ``Scenario.mramc``,
+    computed once per scenario."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        # Every MRAMC computation runs its greedy phase once.
+        scenarios = []
+        phase = solvers.mramc_greedy
+
+        def counted(scenario, table=None):
+            scenarios.append(scenario)
+            return phase(scenario, table)
+
+        monkeypatch.setattr(solvers, "mramc_greedy", counted)
+        return scenarios
+
+    def test_every_reader_shares_one_result(self, computed):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=3))
+        for mode in TestOneRootPerScenario.MODES:
+            exact_solve(scn, mode)
+        assert mramc(scn) is scn.mramc
+        m_mramc(scn, {t.id: 2 for t in scn.targets})
+        assert computed == [scn]
+
+    def test_sweep_computes_one_result_per_trial(self, computed):
+        algorithms = ("mramc", "m_mramc", "exact", "exact_relaxed")
+        run_sweep(SweepSpec(config=LADDER_CONFIG, values=(6,), trials=3, algorithms=algorithms))
+        assert len(computed) == 3
+        assert len(set(map(id, computed))) == 3
+
+    def test_a_replaced_scenario_gets_its_own_result(self, computed):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=4))
+        assert mramc(scn) is scn.mramc
+        fewer = replace(scn, targets=scn.targets[:3])
+        assert fewer.mramc is not scn.mramc
+        assert fewer.mramc.status is SolveStatus.FEASIBLE
+        assert fewer.mramc.schedule.covered_targets == fewer.target_ids
+        assert len(computed) == 2 and computed[0] is scn and computed[1] is fewer
+
+    def test_a_given_table_computes_afresh(self, computed):
+        scn = generate_scenario(replace(LADDER_CONFIG, rng_seed=5))
+        fresh = mramc(scn, CandidateTable(scn.cameras, scn.grid))
+        assert fresh == scn.mramc and fresh is not scn.mramc
+        assert len(computed) == 2

@@ -304,11 +304,13 @@ class TestErrorPaths:
         assert "allocation_validity: FAIL  ((1, 'run outside frame'),)" in capsys.readouterr().out
 
     def test_budget_exhaustion_exits_three(self, tmp_path, capsys):
-        cfg = write(tmp_path / "config.json", small_config())
+        # MRAMC's schedule costs 4 RBs above a root bound of 3: the search
+        # overruns at its second node and reports MRAMC's cost as the incumbent.
+        cfg = write(tmp_path / "config.json", {**small_config(), "seed": 6})
         scenario_path = str(tmp_path / "scenario.json")
         main(["generate", "--config", cfg, "--out", scenario_path, "--quiet"])
         assert main(["solve", scenario_path, "--algo", "exact", "--budget", "1", "--quiet"]) == 3
-        capsys.readouterr()
+        assert "(nodes: 2, incumbent: 4 RBs, lower bound: 3 RBs)" in capsys.readouterr().err
 
     def test_budget_exhaustion_reports_search_progress(self, tmp_path, capsys):
         # Weak rates: the first covers have no overlap-free layout, so the

@@ -209,8 +209,9 @@ class TestRunSweep:
         assert sorted(calls.values()) == [1] * 12
         assert 0 < result.cell(8, "mramc").infeasible < 6
         calls.clear()
+        # Either order reads the trial scenario's one result.
         reversed_result = run_sweep(replace(spec, algorithms=("m_mramc", "mramc")))
-        assert sorted(calls.values()) == [2] * 12
+        assert sorted(calls.values()) == [1] * 12
         assert sorted(reversed_result.to_csv().splitlines()) == sorted(result.to_csv().splitlines())
 
     def test_a_schedule_failing_verification_aborts_the_sweep(self, monkeypatch):
@@ -353,7 +354,7 @@ class TestSolverOrder:
         # lists, so a solver that changed them would change the next one's
         # result.
         def solve(scn, name):
-            return harness.SOLVERS[name](scn, 2, DEFAULT_NODE_BUDGET, None)
+            return harness.SOLVERS[name](scn, 2, DEFAULT_NODE_BUDGET)
 
         expected = {name: solve(generate_scenario(config), name) for name in harness.ALGORITHMS}
         scn = generate_scenario(config)
