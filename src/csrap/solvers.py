@@ -12,7 +12,6 @@ identical results including diagnostics.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,7 +27,8 @@ from .model import (
     Schedule,
     TargetObject,
     _integer,
-    runs_by_length,
+    run_lengths,
+    runs_of_length,
 )
 
 __all__ = [
@@ -172,78 +172,119 @@ class BoundParams:
         return (self.r_max / self.r_min) * float(self.h_d_star)
 
 
-# A rate vector's runs: length -> [(start, robust_rate), ...] in start order.
-_RunIndex = dict[int, list[tuple[int, float]]]
-_run_start = operator.itemgetter(0)
+class _CameraRuns(dict):
+    """One camera's runs, built one run length and one rate vector at a time:
+    ``self[length, v]`` is :func:`~csrap.model.runs_of_length` of ``length``
+    over ``vectors[v]``, built on the first lookup.
+
+    ``vectors`` are the camera's distinct slot rate vectors in the order of
+    their first slot, and ``slot_vector`` holds the index of each slot's
+    vector, slot 1 first.  ``lengths`` maps the run lengths the camera's
+    rates admit (:func:`~csrap.model.run_lengths`), ascending from
+    ``phi``, the shortest with a run (None if none has one), to the rates
+    that admit them.
+    """
+
+    __slots__ = ("vectors", "slot_vector", "lengths", "phi")
+
+    def __init__(self, cam: CameraNode, one_vector: tuple[int, ...]):
+        rates = cam.per_subchannel_rate
+        if not cam.slot_rate_overrides:
+            self.vectors = (rates,)
+            self.slot_vector = one_vector
+        else:
+            order: dict[tuple[float, ...], int] = {}
+            self.slot_vector = tuple(order.setdefault(cam.rates_in_slot(slot), len(order)) for slot in range(1, len(one_vector) + 1))
+            self.vectors = tuple(order)
+            rates = tuple(set().union(*order))
+        # Every slot shares the camera's requirement, so the lengths come
+        # once from the union of its rates; a length may have no run in
+        # some vector, or in any.
+        lengths = self.lengths = run_lengths(rates, cam.rate_requirement, len(cam.per_subchannel_rate))
+        self.phi = None
+        for length in tuple(lengths):
+            for v in range(len(self.vectors)):
+                if self[length, v][0]:
+                    self.phi = length
+                    return
+            del lengths[length]
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[Sequence[int], list[float]]:
+        length, v = key
+        runs = self[key] = runs_of_length(self.vectors[v], length, *self.lengths[length])
+        return runs
 
 
 class CandidateTable:
     """Every camera's candidate runs, indexed by slot and by run length,
-    built per camera on first access.
+    built lazily per camera and per run length.
 
-    Slots with the same rate vector share one ``length -> [(start,
-    robust_rate)]`` index from :func:`~csrap.model.runs_by_length`, computed
-    once: a camera without ``slot_rate_overrides`` scans its rates once for
-    the whole frame, and overridden slots are grouped by equal vectors.
-    A camera no method is asked about is never scanned, so a solver that
-    reads only the cameras covering a target pays for those alone.
-    :meth:`runs_by_cost` walks the candidates in cost order with no per-slot
-    copy of the runs.
+    A camera's first read groups its slots by equal rate vectors and takes
+    its run lengths from its rates (:func:`~csrap.model.run_lengths`).  The
+    runs of one length over one vector (:func:`~csrap.model.runs_of_length`)
+    are built the first time a walk reaches them, once for every slot with
+    that vector.  So a camera no method is asked about is never scanned, and
+    a walk that stops at a camera's shortest (free) run never builds its
+    longer ones.  :meth:`runs_by_cost` walks the candidates in cost order
+    with no per-slot copy of the runs.
     """
 
     def __init__(self, cameras: Iterable[CameraNode], grid: FrameGrid):
         self.grid = grid
         self._cameras = {cam.id: cam for cam in cameras}
-        # Per camera id, once built: the run index of each slot, shared by
-        # slots with equal rate vectors, the sorted run lengths, and the
-        # distinct run indexes in the order of their first slot.
-        self._index: dict[int, tuple[list[_RunIndex], list[int], list[_RunIndex]]] = {}
+        self._runs: dict[int, _CameraRuns] = {}
+        # The slot -> vector map of every camera without slot overrides.
+        self._one_vector = (0,) * grid.num_slots
 
-    def _index_of(self, camera_id: int) -> tuple[list[_RunIndex], list[int], list[_RunIndex]]:
-        """The slot indexes, sorted run lengths and distinct run indexes of
-        ``camera_id``, built on the first call; an unknown id raises
-        ``KeyError``."""
-        index = self._index.get(camera_id)
-        if index is not None:
-            return index
-        cam = self._cameras[camera_id]
-        requirement = cam.rate_requirement
-        if not cam.slot_rate_overrides:
-            by_len = runs_by_length(cam.per_subchannel_rate, requirement)
-            distinct = [by_len]
-            slots = [by_len] * self.grid.num_slots
-        else:
-            cache: dict[tuple[float, ...], _RunIndex] = {}
-            slots = []
-            for slot in range(1, self.grid.num_slots + 1):
-                rates = cam.rates_in_slot(slot)
-                by_len = cache.get(rates)
-                if by_len is None:
-                    by_len = cache[rates] = runs_by_length(rates, requirement)
-                slots.append(by_len)
-            distinct = list(cache.values())
-        index = self._index[camera_id] = (slots, sorted(set().union(*distinct)), distinct)
-        return index
+    def _camera_runs(self, camera_id: int) -> _CameraRuns:
+        """The runs of ``camera_id``, set up on the first call; an unknown
+        id raises ``KeyError``."""
+        runs = self._runs.get(camera_id)
+        if runs is None:
+            runs = self._runs[camera_id] = _CameraRuns(self._cameras[camera_id], self._one_vector)
+        return runs
 
     def min_phi(self, camera_id: int) -> int | None:
-        lengths = self._index_of(camera_id)[1]
-        return lengths[0] if lengths else None
+        """The shortest run length with a run, or None; setting up a camera
+        builds no longer length."""
+        return self._camera_runs(camera_id).phi
+
+    def best_rate(self, camera_id: int) -> float:
+        """The highest robust rate of any run, 0.0 without runs.
+
+        A longer run length is admitted only by lower rates, so the best
+        rate is read from the runs of :meth:`min_phi` alone.
+        """
+        cam = self._camera_runs(camera_id)
+        phi = cam.phi
+        if phi is None:
+            return 0.0
+        lowest, highest = cam.lengths[phi]
+        if lowest == highest:
+            # Every run of that length has the one rate that admits it.
+            return highest
+        return max(max(cam[phi, v][1], default=0.0) for v in range(len(cam.vectors)))
 
     def robust_rates(self, camera_id: int) -> list[float]:
-        """Robust rates of the runs of each distinct slot rate vector, once each."""
-        return [robust for by_len in self._index_of(camera_id)[2] for runs in by_len.values() for _, robust in runs]
+        """Robust rates of the runs of each distinct slot rate vector, once
+        each: a vector's runs by length, then start.  Builds every length."""
+        cam = self._camera_runs(camera_id)
+        return [robust for v in range(len(cam.vectors)) for length in cam.lengths for robust in cam[length, v][1]]
 
     def candidate_count(self, camera_id: int) -> int:
-        return sum(len(runs) for by_len in self._index_of(camera_id)[0] for runs in by_len.values())
+        """The number of runs over all slots.  Builds every length."""
+        cam = self._camera_runs(camera_id)
+        return sum(len(cam[length, v][0]) for length in cam.lengths for v in cam.slot_vector)
 
     def runs_by_cost(self, camera_id: int) -> Iterator[tuple[int, int, int, float]]:
         """``(slot, start, length, robust_rate)`` ordered by length, then
         slot, then start, without building an allocation per candidate."""
-        slots, lengths, _ = self._index_of(camera_id)
-        for length in lengths:
-            for slot, by_len in enumerate(slots, 1):
-                for start, robust in by_len.get(length, ()):
-                    yield slot, start, length, robust
+        cam = self._camera_runs(camera_id)
+        for length in cam.lengths:
+            for slot, v in enumerate(cam.slot_vector, 1):
+                starts, robust = cam[length, v]
+                for start, rate in zip(starts, robust):
+                    yield slot, start, length, rate
 
     def min_allocation(self, camera_id: int) -> CandidateAllocation | None:
         run = next(self.runs_by_cost(camera_id), None)
@@ -253,31 +294,32 @@ class CandidateTable:
         """The runs of :meth:`runs_by_cost` that ``occupancy`` admits, in
         that order; the ones it rejects are not tested one by one.
 
-        A slot without room for ``length`` more RBs is skipped whole.  When a
-        run clashes with used subchannels, every later run of its length that
-        starts at or before the highest clashing subchannel covers that
-        subchannel too, so the walk jumps past them.  A caller may place a
-        yielded run while it holds the walk, as long as it unplaces the run
-        before asking for the next.
+        A slot without room for ``length`` more RBs is skipped whole, before
+        its runs of that length are built.  When a run clashes with used
+        subchannels, every later run of its length that starts at or before
+        the highest clashing subchannel covers that subchannel too, so the
+        walk jumps past them.  A caller may place a yielded run while it
+        holds the walk, as long as it unplaces the run before asking for the
+        next.
         """
-        slots, lengths, _ = self._index_of(camera_id)
+        cam = self._camera_runs(camera_id)
         capacity, load, used = occupancy.capacity, occupancy.load, occupancy.used
-        for length in lengths:
+        for length in cam.lengths:
             mask = (1 << length) - 1
-            for slot, by_len in enumerate(slots, 1):
-                runs = by_len.get(length)
-                if not runs or load[slot] + length > capacity[slot]:
+            for slot, v in enumerate(cam.slot_vector, 1):
+                if load[slot] + length > capacity[slot]:
                     continue
+                starts, robust = cam[length, v]
                 busy = used[slot]
                 i = 0
-                while i < len(runs):
-                    start, robust = runs[i]
+                while i < len(starts):
+                    start = starts[i]
                     clash = busy & (mask << (start - 1))
                     if not clash:
-                        yield slot, start, length, robust
+                        yield slot, start, length, robust[i]
                         i += 1
                     else:
-                        i = bisect_left(runs, clash.bit_length() + 1, i + 1, key=_run_start)
+                        i = bisect_left(starts, clash.bit_length() + 1, i + 1)
 
     def first_fit(self, camera_id: int, occupancy: _Occupancy) -> CandidateAllocation | None:
         """The first run of :meth:`free_runs`, or None."""
@@ -620,7 +662,7 @@ def greedy_based_reference(scenario: Scenario, table: CandidateTable | None = No
         table = scenario.table
     # The scan asks for a rate at every position, so read each camera's once;
     # it asks only about cameras that cover a target.
-    best = {cam_id: max(table.robust_rates(cam_id), default=0.0) for cam_id in scenario.coverage}
+    best = {cam_id: table.best_rate(cam_id) for cam_id in scenario.coverage}
     return _scan_schedule(scenario, lambda cam, slot, pos: best[cam.id])
 
 

@@ -32,7 +32,7 @@ from csrap import (
     run_sweep,
     solvers,
 )
-from csrap.model import runs_by_length
+from csrap.model import run_lengths, runs_by_length, runs_of_length
 from csrap.scenario import load_scenario
 from csrap.solvers import BoundParams, CandidateTable, _Occupancy
 from support import brute_force_runs, crowded_fading, random_instance, slot_runs
@@ -94,6 +94,8 @@ class TestCandidateIndex:
         table = CandidateTable(cameras, grid)
         for cam in cameras:
             cands = brute_candidates(cam, grid)
+            # Read first, while only the camera's shortest runs are built.
+            assert table.best_rate(cam.id) == max((c.robust_rate for c in cands), default=0.0)
             assert table.candidate_count(cam.id) == len(cands)
             assert table.min_phi(cam.id) == min((c.length for c in cands), default=None)
             assert max(table.robust_rates(cam.id), default=None) == max((c.robust_rate for c in cands), default=None)
@@ -251,9 +253,30 @@ def test_candidate_runs_matches_window_scan(rates, requirement):
         by_len.setdefault(length, []).append((start, rate))
     found = runs_by_length(rates, requirement)
     assert found == by_len
+    assert list(found) == sorted(found)
     for runs in found.values():
         starts = [start for start, _ in runs]
         assert starts == sorted(starts)
+    # Each admitted length's rates are the interval run_lengths reports.
+    spans = run_lengths(rates, requirement, len(rates))
+    assert list(spans) == sorted(spans)
+    for length, (lowest, highest) in spans.items():
+        admitting = {r for r in rates if r > 0 and r * (length - 1) < requirement <= r * length}
+        assert {r for r in rates if lowest <= r <= highest} == admitting
+    # The per-length build, for every length, with the rates that admit it;
+    # a length no rate admits gets an empty range.
+    for length in range(1, len(rates) + 2):
+        starts, robust = runs_of_length(rates, length, *spans.get(length, (1.0, 0.0)))
+        assert list(zip(starts, robust)) == by_len.get(length, [])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_best_rate_is_the_highest_robust_rate(seed):
+    # best_rate reads only a camera's shortest runs; robust_rates reads all.
+    scn = random_instance(np.random.default_rng(seed))
+    lazy, full = CandidateTable(scn.cameras, scn.grid), CandidateTable(scn.cameras, scn.grid)
+    for cam in scn.cameras:
+        assert lazy.best_rate(cam.id) == max(full.robust_rates(cam.id), default=0.0)
 
 
 def test_candidate_tables_are_frozen():
@@ -300,29 +323,59 @@ PAPER_TARGETS = (10, 20, 30, 40)
 
 
 class TestLaziness:
-    """Solvers build runs only for cameras that cover a target; bound_params
-    still builds every camera."""
-
-    @staticmethod
-    def key(cam):
-        return cam.per_subchannel_rate, cam.rate_requirement
+    """Solvers set up only the cameras that cover a target, each once, and
+    build their runs only up to the run lengths their walks reach;
+    bound_params sets up the rest."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        """``(rate vector, length) -> calls`` of the table's per-vector build."""
         calls = Counter()
+        build = solvers.runs_of_length
 
-        def counted(rates, requirement):
-            calls[tuple(rates), requirement] += 1
-            return runs_by_length(rates, requirement)
+        def counted(rates, length, *span):
+            calls[tuple(rates), length] += 1
+            return build(rates, length, *span)
 
-        monkeypatch.setattr(solvers, "runs_by_length", counted)
+        monkeypatch.setattr(solvers, "runs_of_length", counted)
         return calls
 
-    def covering_keys(self, scn):
-        return Counter(self.key(cam) for cam in scn.cameras if cam.coverage_set & scn.target_ids)
+    @pytest.fixture
+    def setups(self, monkeypatch):
+        """``camera id -> set-ups`` of a camera's runs in any table."""
+        ids = Counter()
+
+        class Counted(solvers._CameraRuns):
+            __slots__ = ()
+
+            def __init__(self, cam, *args):
+                ids[cam.id] += 1
+                super().__init__(cam, *args)
+
+        monkeypatch.setattr(solvers, "_CameraRuns", Counted)
+        return ids
+
+    @staticmethod
+    def admissible(cam):
+        """``(rate vector, length)`` for each length up to the vector's size
+        that a rate of ``cam`` just achieves its requirement at."""
+        rates, need = cam.per_subchannel_rate, cam.rate_requirement
+        lengths = {n for r in set(rates) for n in range(1, len(rates) + 1) if r > 0 and r * (n - 1) < need <= r * n}
+        return [(rates, n) for n in sorted(lengths)]
+
+    @staticmethod
+    def covering(scn):
+        return [cam for cam in scn.cameras if cam.coverage_set & scn.target_ids]
+
+    @staticmethod
+    def assert_built_once_per_camera(builds, cameras):
+        # Cameras with equal rate vectors each build their own runs, and
+        # only the cameras set up build any.
+        holders = Counter(cam.per_subchannel_rate for cam in cameras)
+        assert all(n <= holders[rates] for (rates, _), n in builds.items())
 
     @pytest.mark.parametrize("targets", PAPER_TARGETS)
-    def test_sweep_builds_only_covering_cameras(self, monkeypatch, builds, targets):
+    def test_sweep_builds_only_covering_cameras(self, monkeypatch, builds, setups, targets):
         generated = []
 
         def recorded(config, *args, **kwargs):
@@ -339,25 +392,58 @@ class TestLaziness:
         )
         run_sweep(spec)
         assert len(generated) == 2
-        expected = sum((self.covering_keys(scn) for scn in generated), Counter())
-        assert builds == expected
-        assert sum(expected.values()) < sum(len(scn.cameras) for scn in generated)
+        covering = [cam for scn in generated for cam in self.covering(scn)]
+        assert setups == Counter(cam.id for cam in covering)
+        assert len(covering) < sum(len(scn.cameras) for scn in generated)
+        built = {rates for rates, _ in builds}
+        assert built == {cam.per_subchannel_rate for cam in covering if self.admissible(cam)}
+        assert len(built) < len({cam.per_subchannel_rate for scn in generated for cam in scn.cameras})
+        self.assert_built_once_per_camera(builds, covering)
 
     @pytest.mark.parametrize("targets", PAPER_TARGETS)
-    def test_exact_and_bounds(self, builds, targets):
+    def test_exact_and_bounds(self, builds, setups, targets):
         scn = generate_scenario(ScenarioConfig(num_targets=targets, rng_seed=3))
         for mode in ("with_exclusivity", "without_exclusivity"):
             assert exact_solve(scn, mode).status is SolveStatus.FEASIBLE
-        assert builds == self.covering_keys(scn)
+        covering = self.covering(scn)
+        assert setups == Counter(cam.id for cam in covering)
+        assert {rates for rates, _ in builds} == {cam.per_subchannel_rate for cam in covering if self.admissible(cam)}
+        self.assert_built_once_per_camera(builds, covering)
+        solved = Counter(builds)
         builds.clear()
+        setups.clear()
         params = bound_params(scn)
-        assert sum(builds.values()) == len(scn.cameras) - sum(self.covering_keys(scn).values())
+        # bound_params sets up exactly the other cameras and builds every
+        # remaining length of every camera, no length twice.
+        assert setups == Counter(cam.id for cam in scn.cameras if cam not in covering)
+        assert solved + builds == Counter(key for cam in scn.cameras for key in self.admissible(cam))
+        assert sum(builds.values()) > 0 and len(covering) < len(scn.cameras)
         # The values of an eager enumeration of every camera's runs; paper
         # default cameras keep one rate vector for every slot.
         assert not any(cam.slot_rate_overrides for cam in scn.cameras)
-        rates = [r for cam in scn.cameras for *_, r in brute_force_runs(*self.key(cam)) if r > 0]
+        rates = [r for cam in scn.cameras for *_, r in brute_force_runs(cam.per_subchannel_rate, cam.rate_requirement)]
         assert (params.r_max, params.r_min) == (max(rates), min(rates))
         assert params.d_star == max(len(cam.coverage_set & scn.target_ids) for cam in scn.cameras)
+
+    def test_min_phi_builds_no_longer_length(self, builds):
+        # A rate vector per camera and slot: most vectors admit several run
+        # lengths.  Reading min_phi builds none beyond it; a full cost-order
+        # walk then builds the rest and yields every run.
+        scn = crowded_fading(0)
+        table = CandidateTable(scn.cameras, scn.grid)
+        longer = 0
+        for cam in scn.cameras:
+            builds.clear()
+            expected = sorted(brute_candidates(cam, scn.grid), key=lambda c: (c.length, c.slot, c.start))
+            phi = table.min_phi(cam.id)
+            assert phi == (expected[0].length if expected else None)
+            reached = max((length for _, length in builds), default=None)
+            assert [CandidateAllocation(cam.id, *run) for run in table.runs_by_cost(cam.id)] == expected
+            if phi is not None:
+                assert reached == phi
+                longer += max(length for _, length in builds) > phi
+        # On this shape most cameras have runs longer than their shortest.
+        assert longer > len(scn.cameras) // 2
 
 
 # A small partial_random instance on which both exact modes finish quickly.
