@@ -330,7 +330,9 @@ def _branch_and_bound(
     later siblings' subtrees.  A cover that costs less than
     ``search.best_cost`` is passed to ``settle(cameras, cost)``, with its
     cameras in path order, which returns its cheapest choice list below
-    ``search.best_cost`` with that list's cost, or None.
+    ``search.best_cost`` with that list's cost, or None.  The recursive
+    ``dfs`` is unlinked when the search ends, so a solve leaves no reference
+    cycle.
     """
     root = search.root
     coverage, min_phi = root.coverage, root.min_phi
@@ -358,5 +360,8 @@ def _branch_and_bound(
             chosen.pop()
             tried.add(cam_id)
 
-    dfs(targets, root.available, 0, [])
+    try:
+        dfs(targets, root.available, 0, [])
+    finally:
+        del dfs  # dfs refers to itself: unlinked, the search is freed by reference counting
     return best

@@ -378,7 +378,9 @@ def _overlap_free_layout(
     placement is undone once its subtree is searched.  A partial layout is
     pruned once its cost plus the minimum runs of the unplaced cameras
     reaches the ceiling.  ``step()`` is called once per placement call; when
-    it returns False the search stops with what it has found.
+    it returns False the search stops with what it has found.  The
+    recursive ``place`` is unlinked when the search ends, so a layout
+    leaves no reference cycle.
     """
     rest = [0] * (len(cameras) + 1)  # rest[i]: minimum runs of cameras[i:]
     for i in reversed(range(len(cameras))):
@@ -408,7 +410,10 @@ def _overlap_free_layout(
                 return False
         return True
 
-    place(0, 0)
+    try:
+        place(0, 0)
+    finally:
+        del place  # place refers to itself: unlinked, the layout is freed by reference counting
     return best
 
 

@@ -7,6 +7,7 @@ itself.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,7 @@ from csrap import (
     generate_scenario,
 )
 from csrap.model import ConstraintCheck
-from csrap.scenario import derive_rates
+from csrap.scenario import GeometrySpec, derive_rates
 
 RATE_TIERS = (2.0, 4.0, 6.0, 8.0)
 
@@ -81,6 +82,23 @@ def random_instance(
         )
     grid = FrameGrid(m, t)
     return Scenario(grid=grid, cameras=tuple(cameras), targets=targets)
+
+
+def partial_random(cameras, targets, subchannels, slots, seed, **config) -> Scenario:
+    """A ``partial_random`` deployment of ``cameras`` cameras seeing 40-60 m
+    in a 200 m square, over a ``subchannels`` x ``slots`` frame."""
+    return generate_scenario(
+        ScenarioConfig(
+            area_side=200.0,
+            num_targets=targets,
+            num_cameras=cameras,
+            deployment="partial_random",
+            geometry=GeometrySpec(view_distance=(40.0, 60.0)),
+            frame=FrameGrid(subchannels, slots),
+            rng_seed=seed,
+            **config,
+        )
+    )
 
 
 def collision_instance(rng: np.random.Generator, max_cameras: int = 4) -> Scenario:
@@ -369,14 +387,15 @@ def verify_schedule_oracle(schedule, scenario) -> FeasibilityReport:
     return FeasibilityReport(tuple(ConstraintCheck(name, not found, found) for name, found in checks))
 
 
-def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | None:
+def milp_optimum(scenario: Scenario, with_exclusivity: bool = True, multiplicity: int = 1) -> int | None:
     """Minimum total RBs from an integer program solved by HiGHS through
     ``scipy.optimize.milp``, or None when it is infeasible.
 
     One binary variable per candidate allocation, weighted by its length.
-    Rows: every target covered at least once and at most one allocation per
-    camera; with exclusivity also at most one allocation per RB and every
-    slot's load within its capacity.  Callers skip when scipy is missing.
+    Rows: every target covered by at least ``multiplicity`` allocations and
+    at most one allocation per camera; with exclusivity also at most one
+    allocation per RB and every slot's load within its capacity.  Callers
+    skip when scipy is missing.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -405,7 +424,7 @@ def milp_optimum(scenario: Scenario, with_exclusivity: bool = True) -> int | Non
     start_of = np.array([c.start for c in cands])
     length_of = np.array([c.length for c in cands])
     for t in targets:
-        row(np.isin(cam_of, [cam_id for cam_id, cov in coverage.items() if t in cov]), 1, np.inf)
+        row(np.isin(cam_of, [cam_id for cam_id, cov in coverage.items() if t in cov]), multiplicity, np.inf)
     for cam in scenario.cameras:
         row(cam_of == cam.id, 0, 1)
     if with_exclusivity:
@@ -487,3 +506,16 @@ def crowded_fading(seed):
         for cam in generate_scenario(config).cameras
     }
     return generate_scenario(replace(config, rate_overrides=overrides))
+
+
+def cyclic_garbage(call) -> int:
+    """How many objects ``call()`` leaves that only the cyclic garbage
+    collector frees: the collector is off while it runs, and the count is
+    what one full collection then finds."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -18,24 +18,30 @@ from csrap import (
     ScenarioConfig,
     SearchBudgetExceeded,
     SolveStatus,
+    SweepSpec,
     TargetObject,
+    TrafficItem,
     bound_params,
     exact_solve,
     generate_scenario,
+    joint_schedule,
     mramc,
+    run_sweep,
     verify_schedule,
 )
-from csrap.exact import _root
-from csrap.harness import RELAXED_WAIVERS
+from csrap.exact import DEFAULT_NODE_BUDGET, _root
+from csrap.harness import ALGORITHMS, RELAXED_WAIVERS, SOLVERS
 from csrap.scenario import GeometrySpec
 from support import (
     RATE_TIERS,
     all_subsets_cover_optimum,
     collision_instance,
+    cyclic_garbage,
     exhaustive_optimum,
     fraction_bound,
     lagrangian_bound,
     milp_optimum,
+    partial_random,
     random_instance,
     residual_cover_optimum,
 )
@@ -50,21 +56,6 @@ def cam(cam_id, rates, requirement, coverage, slot_rates=None):
         per_subchannel_rate=tuple(float(r) for r in rates),
         coverage_set=frozenset(coverage),
         slot_rate_overrides=slot_rates,
-    )
-
-
-def partial_random(cameras, targets, subchannels, slots, seed, **config):
-    return generate_scenario(
-        ScenarioConfig(
-            area_side=200.0,
-            num_targets=targets,
-            num_cameras=cameras,
-            deployment="partial_random",
-            geometry=GeometrySpec(view_distance=(40.0, 60.0)),
-            frame=FrameGrid(subchannels, slots),
-            rng_seed=seed,
-            **config,
-        )
     )
 
 
@@ -596,3 +587,51 @@ def test_matches_milp_oracle_beyond_brute_force(rung, strict_seeds, relaxed_seed
             assert total == milp_optimum(scn, with_exclusivity), (seed, mode)
             if total is not None:
                 assert result.diagnostics.root_bound <= total, (seed, mode)
+
+
+# No solver leaves a reference cycle: a solve's scenario, table, root and
+# search are freed by reference counting as soon as the caller drops them.
+NO_CYCLE_SCENARIOS = [
+    pytest.param(lambda: partial_random(8, 6, 8, 2, seed=3), id="ladder-rung"),
+    pytest.param(lambda: generate_scenario(ScenarioConfig(num_targets=30, rng_seed=3)), id="paper-default-30t"),
+]
+
+
+@pytest.mark.parametrize("make", NO_CYCLE_SCENARIOS)
+@pytest.mark.parametrize("algorithm", list(SOLVERS))
+def test_a_solve_leaves_no_cyclic_garbage(algorithm, make):
+    assert cyclic_garbage(lambda: SOLVERS[algorithm](make(), 2, DEFAULT_NODE_BUDGET)) == 0
+
+
+@pytest.mark.parametrize(
+    ("make", "mode", "budget"),
+    [
+        # The strict overrun is raised inside the layout search.
+        pytest.param(lambda: layout_trap(6, 26), "with_exclusivity", 1000, id="strict"),
+        pytest.param(
+            lambda: partial_random(20, 12, 12, 2, seed=46, **WEAK_CHANNEL), "without_exclusivity", 3, id="relaxed"
+        ),
+    ],
+)
+def test_an_overrun_leaves_no_cyclic_garbage(make, mode, budget):
+    def overrun():
+        try:
+            exact_solve(make(), mode, budget)
+        except SearchBudgetExceeded:
+            return
+        pytest.fail("the search did not overrun")
+
+    assert cyclic_garbage(overrun) == 0
+
+
+def test_a_sweep_and_a_joint_schedule_leave_no_cyclic_garbage():
+    spec = SweepSpec(values=(10,), trials=1, algorithms=ALGORITHMS, base_seed=3)
+    assert cyclic_garbage(lambda: run_sweep(spec)) == 0
+
+    def joint():
+        scn = generate_scenario(ScenarioConfig(num_targets=20, rng_seed=5))
+        items = [TrafficItem.surveillance(c) for c in scn.cameras]
+        items.append(TrafficItem.traditional(200, 30.0, scn.cameras[0].per_subchannel_rate))
+        assert joint_schedule(items, scn.grid).status is SolveStatus.FEASIBLE
+
+    assert cyclic_garbage(joint) == 0

@@ -34,7 +34,15 @@ from csrap import (
     verify_schedule,
 )
 from csrap.solvers import CandidateTable, RelocationStep
-from support import brute_force_runs, crowded_fading, exhaustive_optimum, greedy_weighted_set_cover, random_instance
+from support import (
+    brute_force_runs,
+    crowded_fading,
+    exhaustive_optimum,
+    greedy_weighted_set_cover,
+    milp_optimum,
+    partial_random,
+    random_instance,
+)
 
 
 def cam(cam_id, rates, requirement, coverage):
@@ -364,6 +372,33 @@ class TestMMramc:
                 assert m_mramc(scn, mult, table) == m_mramc(scn, mult)
         # Infeasible bases (coverage and relocation) are returned as they are.
         assert set(statuses) == set(SolveStatus) - {SolveStatus.INFEASIBLE_CAPACITY}
+
+    def k_cover_cases(self):
+        """Small partial_random instances, 20 cameras over 6 targets in a
+        12x2 frame, about half with a 2-cover: each with its m_mramc result
+        at multiplicity 2 and its 2-cover optimum."""
+        pytest.importorskip("scipy.optimize")
+        for seed in range(40):
+            scn = partial_random(20, 6, 12, 2, seed=seed)
+            yield scn, m_mramc(scn, {t: 2 for t in scn.target_ids}), milp_optimum(scn, multiplicity=2)
+
+    def test_a_met_multiplicity_costs_at_least_the_k_cover_optimum(self):
+        met = 0
+        for scn, result, optimum in self.k_cover_cases():
+            if result.status is not SolveStatus.FEASIBLE or result.diagnostics.unmet_multiplicity:
+                continue
+            assert verify_schedule(result.schedule, scn).feasible
+            assert optimum is not None and result.schedule.total_rbs >= optimum
+            met += 1
+        assert met >= 15
+
+    def test_no_k_cover_means_an_unmet_multiplicity(self):
+        unmet = 0
+        for _, result, optimum in self.k_cover_cases():
+            if optimum is None:
+                assert result.status is not SolveStatus.FEASIBLE or result.diagnostics.unmet_multiplicity
+                unmet += 1
+        assert unmet >= 15
 
 
 def digest_scenarios():
